@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-grid bench-report race vet fmt staticcheck check trace-demo corridor-demo grid-demo chaos-demo serve-demo policy-demo
+.PHONY: build test bench bench-grid bench-layers bench-report race vet fmt staticcheck check trace-demo corridor-demo grid-demo chaos-demo serve-demo policy-demo
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,13 @@ bench:
 ## event kernels, reporting ns normalized per vehicle-crossing.
 bench-grid:
 	$(GO) test -bench 'BenchmarkGrid' -benchmem -run '^$$'
+
+## bench-layers times single layers of the simulator in isolation.
+## BenchmarkSafetyCheck is the world's safety check (body and buffer
+## overlap of every same-node vehicle pair) at a dense moment of a
+## saturated scale-model run.
+bench-layers:
+	$(GO) test ./internal/sim -bench 'BenchmarkSafetyCheck' -benchmem -run '^$$'
 
 ## bench-report regenerates the committed machine-readable benchmark
 ## artifact. Re-run on a multi-core host to refresh the speedup evidence
@@ -72,30 +79,34 @@ chaos-demo:
 ## single-intersection server takes a closed-loop v1 burst; then a 2x2
 ## sharded server takes a v2 grid run of routed multi-leg journeys. In
 ## both, loadgen exits non-zero on any decode error, protocol error, or
-## dropped connection.
+## dropped connection, which fails the target with loadgen's status. The
+## exit trap stops the running server and removes the binaries and
+## sockets on every path, failures included.
 serve-demo:
 	$(GO) build -o serve-demo-bin ./cmd/crossroads-serve
 	$(GO) build -o loadgen-demo-bin ./cmd/loadgen
 	@rm -f serve-demo.sock serve-grid.sock
 	@set -e; \
+	SERVE_PID=; \
+	stop_server() { \
+		if [ -n "$$SERVE_PID" ]; then \
+			kill -TERM $$SERVE_PID 2>/dev/null || true; \
+			wait $$SERVE_PID || true; \
+			SERVE_PID=; \
+		fi; \
+	}; \
+	trap 'stop_server; rm -f serve-demo-bin loadgen-demo-bin serve-demo.sock serve-grid.sock' EXIT; \
+	trap 'exit 1' INT TERM; \
 	./serve-demo-bin -uds ./serve-demo.sock & \
 	SERVE_PID=$$!; \
 	sleep 1; \
 	./loadgen-demo-bin -addr ./serve-demo.sock -mode closed -conns 4 -duration 5s; \
-	STATUS=$$?; \
-	kill -TERM $$SERVE_PID; \
-	wait $$SERVE_PID || true; \
-	if [ $$STATUS -eq 0 ]; then \
-		./serve-demo-bin -uds ./serve-grid.sock -grid 2x2 -seglen 3 & \
-		SERVE_PID=$$!; \
-		sleep 1; \
-		./loadgen-demo-bin -addr ./serve-grid.sock -grid 2x2 -conns 4 -rate 1 -duration 5s; \
-		STATUS=$$?; \
-		kill -TERM $$SERVE_PID; \
-		wait $$SERVE_PID || true; \
-	fi; \
-	rm -f serve-demo-bin loadgen-demo-bin serve-demo.sock serve-grid.sock; \
-	exit $$STATUS
+	stop_server; \
+	./serve-demo-bin -uds ./serve-grid.sock -grid 2x2 -seglen 3 & \
+	SERVE_PID=$$!; \
+	sleep 1; \
+	./loadgen-demo-bin -addr ./serve-grid.sock -grid 2x2 -conns 4 -rate 1 -duration 5s; \
+	stop_server
 
 vet:
 	$(GO) vet ./...

@@ -157,7 +157,7 @@ func (s *Server) CoordDigest(node int) (DigestPayload, bool) {
 }
 
 func (s *Server) scheduleDigest() {
-	s.sim.After(s.coord.cfg.Period, func() {
+	s.digestTimer = s.sim.After(s.coord.cfg.Period, func() {
 		s.broadcastDigest()
 		s.scheduleDigest()
 	})

@@ -89,6 +89,10 @@ type Server struct {
 	// see GhostPruner).
 	leaseTTL float64
 	lastSeen map[int64]float64
+	// digestTimer and leaseTimer are the pending events of the two
+	// self-rescheduling timers (digest broadcast, lease sweep); StopTimers
+	// cancels them.
+	digestTimer, leaseTimer des.Handle
 
 	// coord is the IM↔IM coordination plane (see coord.go); nil — the
 	// default — keeps every request path byte-identical to earlier builds.
@@ -169,10 +173,20 @@ func (s *Server) EnableLeaseExpiry(ttl float64) {
 }
 
 func (s *Server) scheduleLeaseSweep() {
-	s.sim.After(s.leaseTTL/2, func() {
+	s.leaseTimer = s.sim.After(s.leaseTTL/2, func() {
 		s.sweepLeases()
 		s.scheduleLeaseSweep()
 	})
+}
+
+// StopTimers cancels the server's self-rescheduling timers: the digest
+// broadcast and the lease sweep. Both re-arm forever, so a kernel whose
+// fleet has finished calls this to let its queue drain instead of
+// simulating IM upkeep out to the horizon. Message handling and request
+// service are unaffected; the timers stay stopped.
+func (s *Server) StopTimers() {
+	s.digestTimer.Cancel()
+	s.leaseTimer.Cancel()
 }
 
 // sweepLeases prunes vehicles silent for longer than the lease TTL. A

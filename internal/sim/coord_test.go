@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"crossroads/internal/fault"
 	"crossroads/internal/plant"
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
@@ -256,6 +257,94 @@ func TestCoordCleanOnBothKernels(t *testing.T) {
 		}
 		if received == 0 {
 			t.Errorf("kernel %v: no im.digest events — coordination never engaged", kernel)
+		}
+	}
+}
+
+// TestCoordResultIndependentOfHorizon pins that a coordinated run ends
+// when its fleet does: the IM timers (digest broadcasts, and lease sweeps
+// under fault injection) stop at fleet completion on both kernels, so a
+// longer horizon simulates nothing more. Summary, network totals, journey
+// records, and the trace down to every DES event are identical under the
+// derived horizon and under 2000 s and 4000 s ones.
+func TestCoordResultIndependentOfHorizon(t *testing.T) {
+	line3, err := topology.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := line3.WithSegmentLen(0.8)
+	arr := topoWorkload(t, topo, 20, 29)
+	stall, _ := fault.Scenario("stall")
+	for _, kernel := range []Kernel{KernelSerial, KernelParallel} {
+		for _, faults := range []*fault.Schedule{nil, stall} {
+			run := func(horizon float64) (Result, []trace.Event) {
+				rec := trace.NewFull()
+				cfg, err := NewConfig(
+					WithTopology(topo),
+					WithPolicy(vehicle.PolicyCrossroads),
+					WithSeed(29),
+					WithNoise(plant.TestbedNoise()),
+					WithCoordination(0),
+					WithKernel(kernel),
+					WithFaults(faults),
+					WithMaxSimTime(horizon),
+					WithTrace(rec),
+					WithDESTrace(),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(cfg, arr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Kernel != kernel.String() {
+					t.Fatalf("ran on %q kernel, want %v", res.Kernel, kernel)
+				}
+				res.Summary.SchedulerWall = 0
+				evs := append([]trace.Event(nil), rec.Events()...)
+				trace.CanonicalizeWall(evs)
+				return res, evs
+			}
+			name := kernel.String() + "/clean"
+			if faults != nil {
+				name = kernel.String() + "/stall"
+			}
+			want, wantEvs := run(0)
+			if want.Incomplete != 0 {
+				t.Fatalf("%s: %d incomplete journeys under the derived horizon", name, want.Incomplete)
+			}
+			for _, horizon := range []float64{2000, 4000} {
+				got, gotEvs := run(horizon)
+				if got.Summary != want.Summary {
+					t.Errorf("%s horizon %v: summary differs:\n got %+v\nwant %+v",
+						name, horizon, got.Summary, want.Summary)
+				}
+				if got.Network != want.Network {
+					t.Errorf("%s horizon %v: network differs:\n got %+v\nwant %+v",
+						name, horizon, got.Network, want.Network)
+				}
+				if len(got.Vehicles) != len(want.Vehicles) {
+					t.Fatalf("%s horizon %v: %d vehicle records, want %d",
+						name, horizon, len(got.Vehicles), len(want.Vehicles))
+				}
+				for i := range want.Vehicles {
+					if got.Vehicles[i] != want.Vehicles[i] {
+						t.Errorf("%s horizon %v: vehicle record %d differs:\n got %+v\nwant %+v",
+							name, horizon, i, got.Vehicles[i], want.Vehicles[i])
+					}
+				}
+				if len(gotEvs) != len(wantEvs) {
+					t.Fatalf("%s horizon %v: %d trace events, want %d",
+						name, horizon, len(gotEvs), len(wantEvs))
+				}
+				for i := range wantEvs {
+					if gotEvs[i] != wantEvs[i] {
+						t.Fatalf("%s horizon %v: trace event %d differs:\n got %+v\nwant %+v",
+							name, horizon, i, gotEvs[i], wantEvs[i])
+					}
+				}
+			}
 		}
 	}
 }

@@ -432,8 +432,12 @@ type world struct {
 	active  []*vehState
 	spawned int
 
+	// overlapping and bufOverlap hold the same-node pairs whose bodies,
+	// and near-box buffers, overlap; bodies is checkCollisions' per-check
+	// scratch, reused across checks.
 	overlapping map[[2]int64]bool
 	bufOverlap  map[[2]int64]bool
+	bodies      []safeBody
 	tick        int
 	// debug dumps collision context to stdout (diagnostic runs only).
 	debug bool
@@ -688,7 +692,15 @@ func (w *world) run() (Result, error) {
 	dt := w.cfg.PhysicsDt
 	stop := w.sim.Ticker(w.arrivals[0].Time, dt, func() bool {
 		w.step(dt)
-		return w.spawned < len(w.arrivals) || len(w.active) > 0
+		if w.spawned < len(w.arrivals) || len(w.active) > 0 {
+			return true
+		}
+		// The fleet is done: stop the IM timers too, so the queue drains
+		// and the run ends here rather than at the horizon.
+		for _, n := range w.nodes {
+			n.server.StopTimers()
+		}
+		return false
 	})
 	w.sim.RunUntil(maxTime)
 	stop()
@@ -1099,30 +1111,49 @@ func (w *world) step(dt float64) {
 	}
 }
 
+// safeBody is one vehicle's geometry for a single safety check.
+type safeBody struct {
+	v   *vehState
+	fp  geom.Rect // ground-truth footprint
+	buf geom.Rect // footprint inflated by the safety buffers
+	// near marks a footprint touching the box expanded by the longitudinal
+	// buffer plus 0.5 m: the buffer contract is only judged there.
+	near bool
+}
+
 // checkCollisions counts physical body overlaps (anywhere) and planning-
 // buffer overlaps between cross traffic near the box — the safety contract
 // the IM policies must uphold. Plants live in their node's local frame, so
 // only same-node pairs are compared; violations are charged to the node
-// where they happened.
+// where they happened. Each overlap counts once, on its rising edge: the
+// overlapping and bufOverlap sets hold exactly the pairs overlapping as of
+// the last check that judged them.
 func (w *world) checkCollisions() {
 	box := w.x.Box().Expand(w.buffers.Long + 0.5)
-	for i := 0; i < len(w.active); i++ {
-		vi := w.active[i]
-		if vi.transit {
+	w.bodies = w.bodies[:0]
+	for _, v := range w.active {
+		if v.transit {
 			continue
 		}
-		fi := vi.plant.Footprint()
-		bi := fi.Inflate(w.buffers.Long, w.buffers.Lat)
-		for j := i + 1; j < len(w.active); j++ {
-			vj := w.active[j]
-			if vj.transit || vj.node != vi.node {
+		fp := v.plant.Footprint()
+		w.bodies = append(w.bodies, safeBody{
+			v:    v,
+			fp:   fp,
+			buf:  fp.Inflate(w.buffers.Long, w.buffers.Lat),
+			near: box.Overlaps(fp.AABB()),
+		})
+	}
+	for i := range w.bodies {
+		bi := &w.bodies[i]
+		vi := bi.v
+		for j := i + 1; j < len(w.bodies); j++ {
+			bj := &w.bodies[j]
+			vj := bj.v
+			if vj.node != vi.node {
 				continue
 			}
 			key := [2]int64{vi.arr.ID, vj.arr.ID}
-			fj := vj.plant.Footprint()
-
-			phys := fi.Intersects(fj)
-			if phys && !w.overlapping[key] {
+			if risingEdge(w.overlapping, key, bi.fp.Intersects(bj.fp)) {
 				w.nodes[vi.node].col.Collisions++
 				if w.cfg.Trace != nil {
 					w.cfg.Trace.Emit(trace.Event{
@@ -1140,31 +1171,44 @@ func (w *world) checkCollisions() {
 						vi.arr.ID, pi.Pos.X, pi.Pos.Y, pi.Heading, vj.arr.ID, pj.Pos.X, pj.Pos.Y, pj.Heading)
 				}
 			}
-			w.overlapping[key] = phys
 
 			// Buffer contract: only cross-approach pairs near the box are
 			// the IM's responsibility (same-lane spacing is car following).
-			if vi.movement.ID.Approach != vj.movement.ID.Approach &&
-				box.Overlaps(fi.AABB()) && box.Overlaps(fj.AABB()) {
-				bj := fj.Inflate(w.buffers.Long, w.buffers.Lat)
-				buf := bi.Intersects(bj)
-				if buf && !w.bufOverlap[key] {
-					w.nodes[vi.node].col.BufferViolations++
-					if w.cfg.Trace != nil {
-						w.cfg.Trace.Emit(trace.Event{
-							Kind: trace.KindSimBufViol, T: w.sim.Now(), Node: vi.node,
-							Vehicle: vi.arr.ID, Other: vj.arr.ID,
-						})
-					}
-					if w.debug {
-						fmt.Printf("[%.2f] bufviol veh%d(%v s=%.2f v=%.2f st=%v) x veh%d(%v s=%.2f v=%.2f st=%v)\n",
-							w.sim.Now(),
-							vi.arr.ID, vi.movement.ID, vi.plant.S(), vi.plant.V(), vi.agent.State(),
-							vj.arr.ID, vj.movement.ID, vj.plant.S(), vj.plant.V(), vj.agent.State())
-					}
+			if vi.movement.ID.Approach == vj.movement.ID.Approach || !bi.near || !bj.near {
+				continue
+			}
+			if risingEdge(w.bufOverlap, key, bi.buf.Intersects(bj.buf)) {
+				w.nodes[vi.node].col.BufferViolations++
+				if w.cfg.Trace != nil {
+					w.cfg.Trace.Emit(trace.Event{
+						Kind: trace.KindSimBufViol, T: w.sim.Now(), Node: vi.node,
+						Vehicle: vi.arr.ID, Other: vj.arr.ID,
+					})
 				}
-				w.bufOverlap[key] = buf
+				if w.debug {
+					fmt.Printf("[%.2f] bufviol veh%d(%v s=%.2f v=%.2f st=%v) x veh%d(%v s=%.2f v=%.2f st=%v)\n",
+						w.sim.Now(),
+						vi.arr.ID, vi.movement.ID, vi.plant.S(), vi.plant.V(), vi.agent.State(),
+						vj.arr.ID, vj.movement.ID, vj.plant.S(), vj.plant.V(), vj.agent.State())
+				}
 			}
 		}
 	}
+}
+
+// risingEdge records whether pair key overlaps now in set, which holds
+// only overlapping pairs, and reports whether the overlap is new. Most
+// checks find nothing overlapping, so an empty set skips the lookup.
+func risingEdge(set map[[2]int64]bool, key [2]int64, now bool) bool {
+	if !now {
+		if len(set) > 0 {
+			delete(set, key)
+		}
+		return false
+	}
+	if set[key] {
+		return false
+	}
+	set[key] = true
+	return true
 }

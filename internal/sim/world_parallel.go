@@ -61,8 +61,9 @@ type pworld struct {
 	// barrier regardless of worker count.
 	remaining atomic.Int64
 	// fleetDone is set by the barrier hook once remaining hits zero. The
-	// per-shard physics tickers poll it and stop, letting the shard queues
-	// drain and the run end as soon as trailing network events finish —
+	// per-shard physics tickers poll it and stop, with their IM's timers,
+	// letting the shard queues drain and the run end as soon as trailing
+	// network events finish —
 	// the parallel analogue of the serial kernel's conditional ticker.
 	// Written between windows, read inside them: the window goroutine
 	// spawn/join edges order those accesses.
@@ -376,8 +377,9 @@ func (pw *pworld) run() (Result, error) {
 	// *fleet* is done (a hop could still be inbound), so the tickers run
 	// until the barrier hook — single-threaded between windows, hence
 	// deterministic at any worker count — observes the journey count hit
-	// zero; then they stop, the queues drain trailing network events, and
-	// RunUntil ends without grinding empty windows out to the horizon.
+	// zero; then they stop along with their shard's IM timers, the queues
+	// drain trailing network events, and RunUntil ends without grinding
+	// empty windows out to the horizon.
 	pw.remaining.Store(int64(len(pw.arrivals)))
 	pw.par.SetBarrierHook(func() {
 		if pw.remaining.Load() == 0 {
@@ -388,7 +390,11 @@ func (pw *pworld) run() (Result, error) {
 		sh := sh
 		sh.sim.Ticker(pw.arrivals[0].Time, dt, func() bool {
 			sh.step(dt)
-			return !pw.fleetDone
+			if !pw.fleetDone {
+				return true
+			}
+			sh.nodes[sh.shardIdx].server.StopTimers()
+			return false
 		})
 	}
 	pw.par.RunUntil(maxTime)
