@@ -16,8 +16,8 @@ race:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$'
 
-## bench-grid times the Manhattan-grid workloads (5x5 and 10x10) under both
-## event kernels, reporting ns normalized per vehicle-crossing.
+## bench-grid times the Manhattan-grid workloads (5x5 and 10x10), reporting
+## ns normalized per vehicle-crossing.
 bench-grid:
 	$(GO) test -bench 'BenchmarkGrid' -benchmem -run '^$$'
 
@@ -29,16 +29,17 @@ bench-layers:
 	$(GO) test ./internal/sim -bench 'BenchmarkSafetyCheck' -benchmem -run '^$$'
 
 ## bench-report regenerates the committed machine-readable benchmark
-## artifact. Re-run on a multi-core host to refresh the speedup evidence
-## (on a single-core host the parallel variants are skipped or noted).
+## artifact. Re-run on a multi-core host to refresh the sweep speedup
+## evidence (on a single-core host the parallel sweep variant is skipped).
 bench-report:
 	$(GO) run ./cmd/benchreport -out BENCH_8.json -label policy-registry
 
 ## policy-demo is the scheduler-registry acceptance gate: each of the new
 ## policy families (dot, signalized, auction) drives a 2x2 grid of routed
 ## journeys; crossroads-sim exits non-zero if any timed policy records a
-## collision — or, for dot and auction, an incomplete journey (fixed-time
-## signals may legitimately strand a queue remnant at cutoff).
+## collision or a buffer violation — or, for dot and auction, an incomplete
+## journey (fixed-time signals may legitimately strand a queue remnant at
+## cutoff).
 policy-demo:
 	$(GO) run ./cmd/crossroads-sim -grid 2x2 -seglen 12 -n 60 -seed 42 -workers 0 -policy crossroads,dot,signalized,auction -policy-opt dot.grid=12 -policy-opt signalized.green=8
 
@@ -58,12 +59,13 @@ corridor-demo:
 	@rm -f corridor-demo.jsonl
 	$(GO) run ./cmd/crossroads-sim -grid 2x2 -n 12 -seed 7 -scale -noise
 
-## grid-demo runs the parallel DES kernel end to end on a 3x3 grid with
-## real inter-node segments; crossroads-sim exits non-zero if any
-## coordinated policy records a collision or an incomplete journey, so the
-## target doubles as the parallel-kernel acceptance gate.
+## grid-demo runs the multi-IM engine end to end on a 3x3 grid with real
+## inter-node segments and the IM-to-IM coordination plane on, as the
+## benchmark's grid workload does; crossroads-sim exits non-zero if any
+## timed policy records a collision, a buffer violation, or an incomplete
+## journey.
 grid-demo:
-	$(GO) run ./cmd/crossroads-sim -grid 3x3 -seglen 80 -kernel parallel -n 60 -seed 42 -workers 0
+	$(GO) run ./cmd/crossroads-sim -grid 3x3 -seglen 80 -n 60 -seed 42 -workers 0 -coord on
 
 ## chaos-demo runs the fault-injection robustness matrix (every named
 ## scenario x every policy x seeds 1-3) and fails on any collision,

@@ -424,12 +424,10 @@ func BenchmarkCorridor(b *testing.B) {
 	b.ReportMetric(float64(crossings), "crossings")
 }
 
-// BenchmarkGrid runs Manhattan grids under Crossroads with both event
-// kernels: the serial single-heap engine and the node-sharded conservative
-// parallel engine. The reported ns/vehicle-crossing normalizes runtime by
-// the total work done (journeys × nodes traversed), so grid sizes and
-// kernels are directly comparable; every iteration asserts the full fleet
-// completes with zero collisions.
+// BenchmarkGrid runs Manhattan grids under Crossroads. The reported
+// ns/vehicle-crossing normalizes runtime by the total work done (journeys ×
+// nodes traversed), so grid sizes are directly comparable; every iteration
+// asserts the full fleet completes with zero collisions.
 func BenchmarkGrid(b *testing.B) {
 	grids := []struct {
 		name     string
@@ -453,43 +451,39 @@ func BenchmarkGrid(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, kernel := range []sim.Kernel{sim.KernelSerial, sim.KernelParallel} {
-			kernel := kernel
-			b.Run(g.name+"/"+kernel.String(), func(b *testing.B) {
-				cfg, err := sim.NewConfig(
-					sim.WithTopology(topo),
-					sim.WithPolicy(vehicle.PolicyCrossroads),
-					sim.WithSeed(42),
-					sim.WithSpec(safety.TestbedSpec()),
-					sim.WithKernel(kernel),
-				)
+		b.Run(g.name, func(b *testing.B) {
+			cfg, err := sim.NewConfig(
+				sim.WithTopology(topo),
+				sim.WithPolicy(vehicle.PolicyCrossroads),
+				sim.WithSeed(42),
+				sim.WithSpec(safety.TestbedSpec()),
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			crossings := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sim.Run(cfg, arr)
 				if err != nil {
 					b.Fatal(err)
 				}
-				crossings := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := sim.Run(cfg, arr)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Summary.Completed != g.vehicles || res.Summary.Collisions != 0 {
-						b.Fatalf("grid run unhealthy: completed=%d collisions=%d",
-							res.Summary.Completed, res.Summary.Collisions)
-					}
-					crossings = 0
-					for _, s := range res.PerNode {
-						crossings += s.Completed
-					}
+				if res.Summary.Completed != g.vehicles || res.Summary.Collisions != 0 {
+					b.Fatalf("grid run unhealthy: completed=%d collisions=%d",
+						res.Summary.Completed, res.Summary.Collisions)
 				}
-				b.StopTimer()
-				if crossings > 0 {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(crossings),
-						"ns/vehicle-crossing")
+				crossings = 0
+				for _, s := range res.PerNode {
+					crossings += s.Completed
 				}
-			})
-		}
+			}
+			b.StopTimer()
+			if crossings > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(crossings),
+					"ns/vehicle-crossing")
+			}
+		})
 	}
 }
 

@@ -5,7 +5,9 @@
 //
 // Usage:
 //
-//	benchreport [-out BENCH_3.json] [-label text]
+//	benchreport -out BENCH_N.json [-label text]
+//
+// -out is required, so a bare run cannot overwrite a committed artifact.
 package main
 
 import (
@@ -30,9 +32,14 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "BENCH_5.json", "output path")
-	label := flag.String("label", "parallel-des-kernel", "report label")
+	out := flag.String("out", "", "output path (required)")
+	label := flag.String("label", "", "report label")
 	flag.Parse()
+	if *out == "" {
+		fmt.Fprintln(os.Stderr, "benchreport: -out is required")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	rep := metrics.BenchReport{
 		Label:  *label,
@@ -92,28 +99,19 @@ func main() {
 		rep.Metrics = append(rep.Metrics, m)
 	}
 
-	// Grid scaling: the same 5x5 Manhattan-grid workload under both event
-	// kernels. The Extra carries ns normalized per vehicle-crossing so grid
-	// sizes and kernels compare directly; on a single-core machine the
-	// parallel kernel cannot beat serial (its windows serialize), which the
-	// note records rather than hiding.
-	for _, kernel := range []sim.Kernel{sim.KernelSerial, sim.KernelParallel} {
-		fmt.Printf("benchreport: measuring 5x5 grid, kernel=%s...\n", kernel)
-		r, crossings := benchGrid(kernel)
-		m := record("Grid5x5/crossroads/"+kernel.String(), r)
-		if crossings > 0 {
-			m.Extra = map[string]float64{
-				"ns_per_vehicle_crossing": float64(r.NsPerOp()) / float64(crossings),
-				"crossings":               float64(crossings),
-			}
+	// Grid scaling: a 5x5 Manhattan-grid workload. The Extra carries ns
+	// normalized per vehicle-crossing so grid sizes compare directly. The
+	// "/serial" suffix keeps the metric name of earlier artifacts.
+	fmt.Println("benchreport: measuring 5x5 grid...")
+	gr, crossings := benchGrid()
+	gm := record("Grid5x5/crossroads/serial", gr)
+	if crossings > 0 {
+		gm.Extra = map[string]float64{
+			"ns_per_vehicle_crossing": float64(gr.NsPerOp()) / float64(crossings),
+			"crossings":               float64(crossings),
 		}
-		rep.Metrics = append(rep.Metrics, m)
 	}
-	if workers <= 1 {
-		note := "grid parallel-kernel timing on a single-core machine: shard windows serialize, so no speedup over serial is expected"
-		rep.Notes = append(rep.Notes, note)
-		fmt.Println("benchreport:", note)
-	}
+	rep.Metrics = append(rep.Metrics, gm)
 
 	fmt.Println("benchreport: measuring fault-injection overhead (mix scenario)...")
 	fm, matrix := benchFaultMatrix()
@@ -321,11 +319,11 @@ func benchCoordCorridor(coord bool) (testing.BenchmarkResult, metrics.Summary) {
 }
 
 // benchGrid measures one full 5x5 Manhattan-grid run per iteration under
-// the Crossroads policy on the given kernel — the same workload as
-// BenchmarkGrid/5x5 in the repo's bench suite — returning the timing and
-// the total vehicle-crossings per run (journeys × nodes traversed) for the
-// normalized ns/crossing metric.
-func benchGrid(kernel sim.Kernel) (testing.BenchmarkResult, int) {
+// the Crossroads policy — the same workload as BenchmarkGrid/5x5 in the
+// repo's bench suite — returning the timing and the total vehicle-crossings
+// per run (journeys × nodes traversed) for the normalized ns/crossing
+// metric.
+func benchGrid() (testing.BenchmarkResult, int) {
 	topo, err := topology.Grid(5, 5)
 	fatal(err)
 	topo = topo.WithSegmentLen(0.8)
@@ -339,7 +337,6 @@ func benchGrid(kernel sim.Kernel) (testing.BenchmarkResult, int) {
 		sim.WithPolicy(vehicle.PolicyCrossroads),
 		sim.WithSeed(42),
 		sim.WithSpec(safety.TestbedSpec()),
-		sim.WithKernel(kernel),
 	)
 	fatal(err)
 	crossings := 0

@@ -36,7 +36,7 @@ func main() {
 	var (
 		tcpAddr   = flag.String("listen", "", "TCP listen address (e.g. 127.0.0.1:9040); empty disables TCP")
 		udsPath   = flag.String("uds", "", "Unix socket path; empty disables the Unix listener")
-		policy    = flag.String("policy", "crossroads", fmt.Sprintf("scheduler policy %v", im.RegisteredPolicies()))
+		policy    = flag.String("policy", "crossroads", fmt.Sprintf("scheduler policy %v", im.Policies()))
 		geometry  = flag.String("geometry", "scale-model", "intersection geometry: scale-model or full-scale")
 		clock     = flag.String("clock", "wall", "clock mode: wall (live) or replay (deterministic)")
 		seed      = flag.Int64("seed", 1, "RNG seed for the scheduler and network streams")

@@ -21,7 +21,6 @@ import (
 	"os"
 
 	"crossroads/internal/cliflags"
-	"crossroads/internal/sim"
 	"crossroads/internal/sweep"
 	"crossroads/internal/topology"
 	"crossroads/internal/vehicle"
@@ -65,21 +64,12 @@ func main() {
 	}
 	seed, workers := common.Seed, common.Workers
 	csv, tracePath, traceDES := common.CSV, common.TracePath, common.TraceDES
-	kernel, err := common.ParseKernel()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
-	}
 	if coordOn && topoFlags.Corridor == 0 && topoFlags.Grid == "" {
 		fmt.Fprintln(os.Stderr, "crossroads-sim: -coord on needs a -corridor/-grid topology (a single IM has no peers)")
 		os.Exit(1)
 	}
 	if coordOn && *faults != "" {
 		fmt.Fprintln(os.Stderr, "crossroads-sim: -coord is mutually exclusive with -faults (the fault matrix is single-intersection)")
-		os.Exit(1)
-	}
-	if common.KernelStrict && kernel != sim.KernelParallel {
-		fmt.Fprintln(os.Stderr, "crossroads-sim: -kernel-strict requires -kernel parallel")
 		os.Exit(1)
 	}
 
@@ -108,17 +98,10 @@ func main() {
 		os.Exit(1)
 	}
 	if topo != nil {
-		runTopology(topo, topoFlags.Rate, *n, seed, workers, kernel, common.KernelStrict,
+		runTopology(topo, topoFlags.Rate, *n, seed, workers,
 			*scaleModel, *noisy, *withBatch, csv, tracePath, traceDES, coordOn, coordPeriod,
 			policies, policyParams)
 		return
-	}
-	if kernel == sim.KernelParallel {
-		if common.KernelStrict {
-			fmt.Fprintln(os.Stderr, "crossroads-sim: -kernel parallel cannot engage: the single-intersection sweep has no topology shards (-kernel-strict)")
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "crossroads-sim: note: -kernel parallel needs a -corridor/-grid topology; the single-intersection sweep runs serial")
 	}
 
 	cfg := sweep.DefaultConfig()
@@ -220,7 +203,7 @@ func runFaultMatrix(spec string, seed int64, workers int, csv bool, tracePath st
 }
 
 func runTopology(topo *topology.Topology, rate float64, n int, seed int64, workers int,
-	kernel sim.Kernel, kernelStrict bool, scaleModel, noisy, withBatch, csv bool, tracePath string, traceDES bool,
+	scaleModel, noisy, withBatch, csv bool, tracePath string, traceDES bool,
 	coordOn bool, coordPeriod float64, policies []vehicle.Policy, policyParams map[string]string) {
 	cfg := sweep.TopoConfig{
 		Topology:     topo,
@@ -230,8 +213,6 @@ func runTopology(topo *topology.Topology, rate float64, n int, seed int64, worke
 		Workers:      workers,
 		ScaleModel:   scaleModel,
 		Noisy:        noisy,
-		Kernel:       kernel,
-		KernelStrict: kernelStrict,
 		Coord:        coordOn,
 		CoordPeriod:  coordPeriod,
 		PolicyParams: policyParams,
@@ -254,16 +235,12 @@ func runTopology(topo *topology.Topology, rate float64, n int, seed int64, worke
 		os.Exit(1)
 	}
 	fmt.Printf("Multi-IM topology %s — end-to-end journeys\n", topo)
-	ranKernel := kernel.String()
-	if len(res.Cells) > 0 && res.Cells[0].Kernel != "" {
-		ranKernel = res.Cells[0].Kernel
-	}
 	coordLabel := "off"
 	if coordOn {
 		coordLabel = "on"
 	}
-	fmt.Printf("fleet=%d rate=%g seed=%d geometry=%s noise=%v seglen=%gm kernel=%s coord=%s\n\n",
-		n, rate, seed, geometry(scaleModel), noisy, topo.SegmentLen(), ranKernel, coordLabel)
+	fmt.Printf("fleet=%d rate=%g seed=%d geometry=%s noise=%v seglen=%gm coord=%s\n\n",
+		n, rate, seed, geometry(scaleModel), noisy, topo.SegmentLen(), coordLabel)
 	emit := emitter(csv)
 	emit(res.JourneyTable())
 	fmt.Println("\nPer-intersection breakdown (wait vs unimpeded arrival at each node)")
@@ -275,28 +252,12 @@ func runTopology(topo *topology.Topology, rate float64, n int, seed int64, worke
 		}
 		fmt.Printf("\nTrace written to %s\n", tracePath)
 	}
-	// The timed (commanded-trajectory) policies guarantee collision-free
-	// crossings; a collision or stranded vehicle under any of them is a
-	// bug, so topology runs double as a safety gate (mirrors the fault
-	// matrix). Signalized is exempt from the incomplete-journey count
-	// only: a fixed-time signal legitimately leaves queue remnants when
-	// demand exceeds its cycle capacity, but it must never collide.
-	violations := 0
-	for _, c := range res.Cells {
-		pol, err := vehicle.ParsePolicy(c.Policy)
-		if err != nil || !pol.Timed() {
-			continue
-		}
-		violations += c.Journey.Collisions
-		if c.Policy != "signalized" {
-			violations += c.Incomplete
-		}
-	}
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d collision(s)/incomplete journey(s) in timed policies\n", violations)
+	// Topology runs double as a safety gate, as the fault matrix does.
+	if v := res.SafetyViolations(); v > 0 {
+		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", v)
 		os.Exit(1)
 	}
-	fmt.Println("\nPASS: zero collisions and zero incomplete journeys for timed policies")
+	fmt.Println("\nPASS: zero collisions, buffer violations, and incomplete journeys for timed policies")
 }
 
 func emitter(csv bool) func(t interface {

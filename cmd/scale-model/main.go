@@ -14,7 +14,6 @@ import (
 
 	"crossroads/internal/cliflags"
 	"crossroads/internal/scale"
-	"crossroads/internal/sim"
 	"crossroads/internal/vehicle"
 )
 
@@ -42,18 +41,6 @@ func main() {
 	if len(policies) > 0 && *withAIM {
 		fmt.Fprintln(os.Stderr, "scale-model: -aim and -policy are mutually exclusive (name aim in -policy instead)")
 		os.Exit(1)
-	}
-	kernel, err := common.ParseKernel()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scale-model:", err)
-		os.Exit(1)
-	}
-	if kernel == sim.KernelParallel {
-		if common.KernelStrict {
-			fmt.Fprintln(os.Stderr, "scale-model: -kernel parallel cannot engage: scenarios are single-intersection (-kernel-strict)")
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "scale-model: note: scenarios are single-intersection; -kernel parallel falls back to serial")
 	}
 
 	cfg := scale.Config{

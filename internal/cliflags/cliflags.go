@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"crossroads/internal/im"
-	"crossroads/internal/sim"
 	"crossroads/internal/topology"
 	"crossroads/internal/vehicle"
 )
@@ -24,11 +23,6 @@ type Common struct {
 	CSV       bool
 	TracePath string
 	TraceDES  bool
-	// Kernel is the raw -kernel flag value; resolve it with ParseKernel.
-	Kernel string
-	// KernelStrict errors out instead of warning when -kernel parallel
-	// cannot engage on the selected topology.
-	KernelStrict bool
 }
 
 // AddCommon registers the shared experiment flags on fs. defaultSeed keeps
@@ -40,36 +34,7 @@ func AddCommon(fs *flag.FlagSet, defaultSeed int64) *Common {
 	fs.BoolVar(&c.CSV, "csv", false, "emit CSV instead of aligned tables")
 	fs.StringVar(&c.TracePath, "trace", "", "write the structured event trace (JSONL) to this file and print its summary")
 	fs.BoolVar(&c.TraceDES, "trace-des", false, "include the kernel event firehose in the trace (large)")
-	fs.StringVar(&c.Kernel, "kernel", "serial", "event-execution engine: serial (the default, bit-identical to earlier builds) or parallel (node-sharded conservative DES; engages on -corridor/-grid runs with -seglen > 0, falls back to serial with a warning otherwise)")
-	fs.BoolVar(&c.KernelStrict, "kernel-strict", false, "refuse to run (instead of warning and falling back to serial) when -kernel parallel cannot engage on the selected topology")
 	return c
-}
-
-// KernelOptions resolves the kernel flags into sim options: the engine
-// selection plus, when set, the strict no-fallback contract.
-func (c *Common) KernelOptions() ([]sim.Option, error) {
-	k, err := c.ParseKernel()
-	if err != nil {
-		return nil, err
-	}
-	if c.KernelStrict && k != sim.KernelParallel {
-		return nil, fmt.Errorf("-kernel-strict requires -kernel parallel")
-	}
-	opts := []sim.Option{sim.WithKernel(k)}
-	if c.KernelStrict {
-		opts = append(opts, sim.WithKernelStrict())
-	}
-	return opts, nil
-}
-
-// ParseKernel resolves the -kernel flag into a sim.Kernel, wrapping the
-// flag name into the error for usage messages.
-func (c *Common) ParseKernel() (sim.Kernel, error) {
-	k, err := sim.ParseKernel(c.Kernel)
-	if err != nil {
-		return 0, fmt.Errorf("-kernel: %w", err)
-	}
-	return k, nil
 }
 
 // Topology are the road-network selection flags.

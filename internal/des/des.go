@@ -9,9 +9,7 @@
 // The serial hot path is allocation-free in steady state: executed and
 // cancelled events return to a per-simulator free list, and the pending
 // queue is a 4-ary implicit heap (shallower than a binary heap, so a push
-// or pop touches fewer cache lines per level). For multi-intersection
-// topologies, parallel.go builds a conservative node-sharded parallel
-// kernel out of several Simulators.
+// or pop touches fewer cache lines per level).
 package des
 
 import (
@@ -265,17 +263,6 @@ func (s *Simulator) Run() uint64 {
 // tEnd (if the queue emptied earlier, the clock still ends at tEnd). It
 // returns the number of events executed during this call.
 func (s *Simulator) RunUntil(tEnd float64) uint64 {
-	n := s.runBounded(tEnd, false)
-	if !math.IsInf(tEnd, 1) && tEnd > s.now {
-		s.now = tEnd
-	}
-	return n
-}
-
-// runBounded executes events with time <= tEnd (time < tEnd when strict),
-// without touching the clock afterwards. It is the shared core of RunUntil
-// and the parallel kernel's window execution.
-func (s *Simulator) runBounded(tEnd float64, strict bool) uint64 {
 	if s.running {
 		panic("des: reentrant Run")
 	}
@@ -290,36 +277,40 @@ func (s *Simulator) runBounded(tEnd float64, strict bool) uint64 {
 				s.release(s.heapPop())
 				continue
 			}
-			if next.time > tEnd || (strict && next.time >= tEnd) {
+			if next.time > tEnd {
 				break
 			}
 			s.Step()
 			n++
 		}
-		return n
-	}
-	// Untraced hot path: batch the wall-time measurement around the whole
-	// dispatch loop — two clock reads per call instead of two per event.
-	start := time.Now()
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.cancelled {
-			s.release(s.heapPop())
-			continue
+	} else {
+		// Untraced hot path: batch the wall-time measurement around the
+		// whole dispatch loop — two clock reads per call instead of two per
+		// event.
+		start := time.Now()
+		for len(s.queue) > 0 {
+			next := s.queue[0]
+			if next.cancelled {
+				s.release(s.heapPop())
+				continue
+			}
+			if next.time > tEnd {
+				break
+			}
+			ev := s.heapPop()
+			s.live--
+			s.now = ev.time
+			fn := ev.fn
+			s.release(ev)
+			fn()
+			s.executed++
+			n++
 		}
-		if next.time > tEnd || (strict && next.time >= tEnd) {
-			break
-		}
-		ev := s.heapPop()
-		s.live--
-		s.now = ev.time
-		fn := ev.fn
-		s.release(ev)
-		fn()
-		s.executed++
-		n++
+		s.wall += time.Since(start)
 	}
-	s.wall += time.Since(start)
+	if !math.IsInf(tEnd, 1) && tEnd > s.now {
+		s.now = tEnd
+	}
 	return n
 }
 

@@ -14,13 +14,6 @@ func init() {
 		c := DefaultConfig()
 		c.Spec = opts.Spec
 		c.Cost = opts.Cost
-		if opts.AIMGridN > 0 {
-			c.GridN = opts.AIMGridN
-		}
-		if opts.AIMTimeStep > 0 {
-			c.TimeStep = opts.AIMTimeStep
-		}
-		// Generic params win over the legacy WithAIMTuning fields.
 		p := opts.ParamsFor(PolicyName)
 		c.GridN = p.Int("grid", c.GridN)
 		c.TimeStep = p.Float("step", c.TimeStep)

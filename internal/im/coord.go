@@ -45,9 +45,7 @@ type CoordPeer struct {
 
 // CoordConfig parameterizes the coordination plane.
 type CoordConfig struct {
-	// Period is the digest broadcast period (s). The parallel kernel
-	// clamps it up to its lookahead window so digests never force
-	// sub-lookahead synchronization.
+	// Period is the digest broadcast period (s).
 	Period float64
 	// SegmentTransit is the estimated time (s) from granted box entry at
 	// one node to box entry at the next: box crossing, exit run, segment,

@@ -25,11 +25,6 @@ type PolicyOptions struct {
 	// OmitRTDBuffer runs VT-IM without its RTD buffer (the unsafe
 	// ablation); other policies reject it.
 	OmitRTDBuffer bool
-	// AIMGridN and AIMTimeStep tune the AIM baseline; zero uses defaults.
-	// They predate Params and remain supported; "aim.grid"/"aim.step"
-	// params win when both are given.
-	AIMGridN    int
-	AIMTimeStep float64
 	// Params carries generic per-policy knobs under namespaced
 	// "<policy>.<knob>" keys. Factories read their namespace through
 	// ParamsFor and reject unknown knobs; ValidateParams rejects keys
@@ -82,9 +77,6 @@ func Policies() []string {
 	sort.Strings(names)
 	return names
 }
-
-// RegisteredPolicies is the historic alias for Policies.
-func RegisteredPolicies() []string { return Policies() }
 
 // policyRegistered reports whether a policy name is registered.
 func policyRegistered(name string) bool {

@@ -205,22 +205,6 @@ func (s *Stats) deliver(delay float64) {
 	}
 }
 
-// Add accumulates another Stats into s. The parallel kernel runs one
-// Network per shard and folds their totals into a single run-level view;
-// MaxDelay takes the maximum, everything else sums.
-func (s *Stats) Add(o Stats) {
-	s.Sent += o.Sent
-	s.Delivered += o.Delivered
-	s.Dropped += o.Dropped
-	s.Undeliverable += o.Undeliverable
-	s.Duplicated += o.Duplicated
-	s.Bytes += o.Bytes
-	s.TotalDelay += o.TotalDelay
-	if o.MaxDelay > s.MaxDelay {
-		s.MaxDelay = o.MaxDelay
-	}
-}
-
 // MeanDelay returns the average delivery latency, or 0 with no deliveries.
 func (s Stats) MeanDelay() float64 {
 	if s.Delivered == 0 {
@@ -258,11 +242,10 @@ type Injector interface {
 }
 
 // Router forwards messages whose destination endpoint is not registered on
-// this network. The parallel kernel runs one Network per shard and installs a
-// router that chases endpoints across shards (a vehicle mid-hop has already
-// unregistered here and will re-register on its destination shard). Route
-// returns true when it accepted the message — this network then charges
-// nothing further for it; the routed copy is delivered (and counted) by the
+// this network. The sharded server runs one Network per shard and installs a
+// router that carries IM-to-IM traffic to the owning shard. Route returns
+// true when it accepted the message — this network then charges nothing
+// further for it; the routed copy is delivered (and counted) by the
 // destination network via DeliverRouted.
 //
 // Accounting contract (pinned by TestRouterAccountingSides): the source
@@ -270,8 +253,8 @@ type Injector interface {
 // Delivered, or Undeliverable when the endpoint is gone by arrival — is
 // charged to the DESTINATION network, under the original sender's
 // per-endpoint stats there. A routed message never lands in the source
-// network's Delivered or Undeliverable, so folding per-shard Stats with Add
-// counts each message's outcome exactly once.
+// network's Delivered or Undeliverable, so summing per-shard Stats counts
+// each message's outcome exactly once.
 type Router interface {
 	Route(msg Message, detail string) bool
 }
@@ -455,10 +438,9 @@ func (n *Network) deliverNow(msg Message, st *Stats, delay float64, detail strin
 
 // DeliverRouted delivers a message routed in from another network at the
 // current simulation time, charging this network's statistics with the
-// end-to-end latency now - SentAt (which includes any barrier clamping the
-// parallel kernel applied in transit). A destination missing here falls
-// through to this network's own router — the endpoint may have hopped again
-// while the message chased it — or counts as undeliverable here.
+// end-to-end latency now - SentAt (which includes the hand-off between
+// networks). A destination missing here falls through to this network's own
+// router, or counts as undeliverable here.
 func (n *Network) DeliverRouted(msg Message, detail string) {
 	st := n.perEP[msg.From]
 	if st == nil {

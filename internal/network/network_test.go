@@ -477,8 +477,8 @@ type chaseRouter struct {
 
 func (r *chaseRouter) Route(msg Message, detail string) bool {
 	r.routed++
-	// Mimic the parallel kernel: hand the message to the other network and
-	// deliver it there at that network's current time.
+	// Hand the message to the other network and deliver it there at that
+	// network's current time, as a shard-to-shard router does.
 	msgCopy := msg
 	r.dstNet.DeliverRouted(msgCopy, detail)
 	return true
@@ -541,9 +541,8 @@ func (f routerFunc) Route(m Message, d string) bool { return f(m, d) }
 // documented on Router: the source network charges only Sent/Bytes for a
 // routed message; the delivery outcome — Delivered, or Undeliverable when
 // the endpoint is gone by arrival — lands on the DESTINATION network,
-// under the original sender's per-endpoint stats there. Folding per-shard
-// Stats with addition therefore counts each message's outcome exactly
-// once, which the parallel kernel's merged report relies on.
+// under the original sender's per-endpoint stats there. Summing per-shard
+// Stats therefore counts each message's outcome exactly once.
 func TestRouterAccountingSides(t *testing.T) {
 	simA, netA := newTestNet(ConstantDelay{0.002}, 0)
 	simB, netB := newTestNet(ConstantDelay{0.002}, 0)

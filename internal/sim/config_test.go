@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"crossroads/internal/fault"
+	"crossroads/internal/topology"
 	"crossroads/internal/trace"
+	"crossroads/internal/traffic"
 	"crossroads/internal/vehicle"
 )
 
@@ -29,10 +31,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative clock offset", Config{ClockMaxOffset: -0.2}, "ClockMaxOffset"},
 		{"negative drift", Config{ClockMaxDriftPPM: -20}, "ClockMaxDriftPPM"},
 		{"negative collision stride", Config{CollisionEvery: -1}, "CollisionEvery"},
-		{"negative aim grid", Config{Policy: vehicle.PolicyAIM, AIMGridN: -4}, "AIMGridN"},
-		{"negative aim step", Config{Policy: vehicle.PolicyAIM, AIMTimeStep: -0.1}, "AIMTimeStep"},
-		{"aim tuning on vtim", Config{Policy: vehicle.PolicyVTIM, AIMGridN: 16}, "AIM tuning"},
-		{"aim tuning on aim", Config{Policy: vehicle.PolicyAIM, AIMGridN: 16, AIMTimeStep: 0.05}, ""},
 		{"des firehose without recorder", Config{TraceDES: true}, "TraceDES"},
 		{"des firehose with recorder", Config{TraceDES: true, Trace: trace.NewFull()}, ""},
 		{"backoff cap below first timeout",
@@ -78,5 +76,57 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	_, err := Run(Config{Policy: vehicle.PolicyCrossroads, OmitRTDBuffer: true}, arr)
 	if err == nil || !strings.Contains(err.Error(), "OmitRTDBuffer") {
 		t.Fatalf("Run accepted a contradictory config (err=%v)", err)
+	}
+}
+
+// TestPolicyParamsReachEveryScheduler checks that Run hands PolicyParams to
+// the running policy's scheduler on every node: out-of-range tuning fails
+// scheduler construction, an unknown knob fails naming the knob, and
+// lawful tuning runs under the policy it addresses.
+func TestPolicyParamsReachEveryScheduler(t *testing.T) {
+	grid22, err := topology.Grid(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid22 = grid22.WithSegmentLen(0.8)
+	cases := []struct {
+		name    string
+		policy  vehicle.Policy
+		topo    *topology.Topology
+		params  map[string]string
+		wantErr string // substring; empty means the run must succeed
+	}{
+		{"negative aim grid", vehicle.PolicyAIM, nil, map[string]string{"aim.grid": "-4"}, "tile grid size -4"},
+		{"negative aim step", vehicle.PolicyAIM, nil, map[string]string{"aim.step": "-0.1"}, "TimeStep -0.1"},
+		{"aim tuning on aim", vehicle.PolicyAIM, nil, map[string]string{"aim.grid": "16", "aim.step": "0.05"}, ""},
+		{"unknown dot knob on a grid", vehicle.PolicyDOT, grid22, map[string]string{"dot.nosuchknob": "1"}, "dot.nosuchknob"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := NewConfig(WithPolicy(tc.policy), WithTopology(tc.topo), WithPolicyParams(tc.params), WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var arr []traffic.Arrival
+			if tc.topo == nil {
+				arr = singleArrival()
+			} else {
+				arr = topoWorkload(t, tc.topo, 4, 1)
+			}
+			res, err := Run(cfg, arr)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Run error %v, want one mentioning %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if res.Policy != tc.policy.String() || res.Summary.Completed != len(arr) {
+				t.Fatalf("ran policy %q, completed %d of %d; want %v completing all",
+					res.Policy, res.Summary.Completed, len(arr), tc.policy)
+			}
+		})
 	}
 }

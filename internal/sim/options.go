@@ -88,14 +88,6 @@ func WithClockError(maxOffset, maxDriftPPM float64) Option {
 // ablation.
 func WithOmitRTDBuffer() Option { return func(c *Config) { c.OmitRTDBuffer = true } }
 
-// WithAIMTuning tunes the AIM baseline's grid resolution and time step.
-func WithAIMTuning(gridN int, timeStep float64) Option {
-	return func(c *Config) {
-		c.AIMGridN = gridN
-		c.AIMTimeStep = timeStep
-	}
-}
-
 // WithPolicyParams sets generic per-policy tuning as namespaced
 // "<policy>.<knob>" keys (e.g. "dot.grid", "signalized.green"). Keys under
 // other policies' namespaces are ignored by the running policy, so one map
@@ -122,29 +114,9 @@ func WithObserver(fn func(now float64, vehicles []VehicleView), every int) Optio
 	}
 }
 
-// WithKernel selects the event-execution engine. KernelParallel requires a
-// multi-node topology with positive segment length to engage; otherwise the
-// run falls back to the serial kernel.
-func WithKernel(k Kernel) Option { return func(c *Config) { c.Kernel = k } }
-
-// WithKernelWorkers bounds the parallel kernel's concurrent shard
-// executors (0 = one goroutine per shard). Results are identical at any
-// worker count.
-func WithKernelWorkers(n int) Option { return func(c *Config) { c.KernelWorkers = n } }
-
-// WithKernelStrict makes a parallel-kernel request that cannot engage
-// (single-node topology, zero segment length) an error instead of a
-// warned serial fallback.
-func WithKernelStrict() Option { return func(c *Config) { c.KernelStrict = true } }
-
-// WithPerfectClocks zeroes every vehicle clock's offset and drift, the
-// deterministic-comparison mode used by the cross-kernel equivalence tests.
-func WithPerfectClocks() Option { return func(c *Config) { c.PerfectClocks = true } }
-
 // WithCoordination arms the IM↔IM coordination plane (link-state digests,
 // downstream backpressure, green-wave offsets) with the given digest
-// period; period 0 uses the default. The parallel kernel raises the
-// effective period to at least its lookahead window.
+// period; period 0 uses the default.
 func WithCoordination(period float64) Option {
 	return func(c *Config) {
 		c.Coord = true

@@ -9,13 +9,13 @@ import (
 	"crossroads/internal/vehicle"
 )
 
-// TestNewPoliciesDeterministicAcrossWorkers pins each of the new policy
-// families — dot, signalized, auction — bit-identical across parallel-kernel
-// worker counts on a 2x2 grid, the same contract the crossroads policy
-// carries in TestParallelKernelDeterministicAcrossWorkers. A policy that
-// consults map-iteration order or wall time in its scheduling path fails
-// here before it can corrupt a sweep.
-func TestNewPoliciesDeterministicAcrossWorkers(t *testing.T) {
+// TestNewPoliciesCleanAndDeterministic runs each of the new policy
+// families — dot, signalized, auction — on the same noisy 2x2 grid: every
+// run must be safe (no collisions, buffer violations, or stranded
+// vehicles), and a second run of the same config must reproduce the first
+// bit for bit. A policy that consults map-iteration order or wall time in
+// its scheduling path fails here before it can corrupt a sweep.
+func TestNewPoliciesCleanAndDeterministic(t *testing.T) {
 	grid22, err := topology.Grid(2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +31,7 @@ func TestNewPoliciesDeterministicAcrossWorkers(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			t.Parallel()
-			run := func(workers int) (Result, []trace.Event) {
+			run := func() (Result, []trace.Event) {
 				rec := trace.NewFull()
 				cfg, err := NewConfig(
 					WithTopology(topo),
@@ -39,8 +39,6 @@ func TestNewPoliciesDeterministicAcrossWorkers(t *testing.T) {
 					WithPolicyParams(params),
 					WithSeed(23),
 					WithNoise(plant.TestbedNoise()),
-					WithKernel(KernelParallel),
-					WithKernelWorkers(workers),
 					WithTrace(rec),
 				)
 				if err != nil {
@@ -58,36 +56,33 @@ func TestNewPoliciesDeterministicAcrossWorkers(t *testing.T) {
 				}
 				return res, evs
 			}
-			want, wantEvs := run(1)
-			if want.Summary.Collisions != 0 || want.Stranded != 0 {
-				t.Fatalf("policy %v reference run: %d collisions, %d stranded",
-					pol, want.Summary.Collisions, want.Stranded)
+			want, wantEvs := run()
+			if want.Summary.Collisions != 0 || want.Summary.BufferViolations != 0 || want.Stranded != 0 {
+				t.Fatalf("policy %v: %d collisions, %d buffer violations, %d stranded", pol,
+					want.Summary.Collisions, want.Summary.BufferViolations, want.Stranded)
 			}
-			for _, workers := range []int{2, 4} {
-				got, gotEvs := run(workers)
-				if len(got.Vehicles) != len(want.Vehicles) {
-					t.Fatalf("workers=%d: %d vehicles, want %d", workers, len(got.Vehicles), len(want.Vehicles))
+			got, gotEvs := run()
+			if len(got.Vehicles) != len(want.Vehicles) {
+				t.Fatalf("rerun: %d vehicles, want %d", len(got.Vehicles), len(want.Vehicles))
+			}
+			for i := range want.Vehicles {
+				if got.Vehicles[i] != want.Vehicles[i] {
+					t.Fatalf("rerun: vehicle record %d differs:\n got %+v\nwant %+v",
+						i, got.Vehicles[i], want.Vehicles[i])
 				}
-				for i := range want.Vehicles {
-					if got.Vehicles[i] != want.Vehicles[i] {
-						t.Fatalf("workers=%d: vehicle record %d differs:\n got %+v\nwant %+v",
-							workers, i, got.Vehicles[i], want.Vehicles[i])
-					}
-				}
-				if got.Summary != want.Summary {
-					t.Errorf("workers=%d: summary differs:\n got %+v\nwant %+v", workers, got.Summary, want.Summary)
-				}
-				if got.Network != want.Network {
-					t.Errorf("workers=%d: network stats differ:\n got %+v\nwant %+v", workers, got.Network, want.Network)
-				}
-				if len(gotEvs) != len(wantEvs) {
-					t.Fatalf("workers=%d: trace length %d, want %d", workers, len(gotEvs), len(wantEvs))
-				}
-				for i := range wantEvs {
-					if gotEvs[i] != wantEvs[i] {
-						t.Fatalf("workers=%d: trace event %d differs:\n got %+v\nwant %+v",
-							workers, i, gotEvs[i], wantEvs[i])
-					}
+			}
+			if got.Summary != want.Summary {
+				t.Errorf("rerun: summary differs:\n got %+v\nwant %+v", got.Summary, want.Summary)
+			}
+			if got.Network != want.Network {
+				t.Errorf("rerun: network stats differ:\n got %+v\nwant %+v", got.Network, want.Network)
+			}
+			if len(gotEvs) != len(wantEvs) {
+				t.Fatalf("rerun: trace length %d, want %d", len(gotEvs), len(wantEvs))
+			}
+			for i := range wantEvs {
+				if gotEvs[i] != wantEvs[i] {
+					t.Fatalf("rerun: trace event %d differs:\n got %+v\nwant %+v", i, gotEvs[i], wantEvs[i])
 				}
 			}
 		})

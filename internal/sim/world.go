@@ -11,10 +11,8 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"os"
 
 	_ "crossroads/internal/core" // register the crossroads policy
 	"crossroads/internal/des"
@@ -88,9 +86,6 @@ type Config struct {
 	// ablation demonstrating why the buffer exists. Valid only with
 	// PolicyVTIM (the other policies have no such ablation).
 	OmitRTDBuffer bool
-	// AIMGridN and AIMTimeStep tune the AIM baseline; zero uses defaults.
-	AIMGridN    int
-	AIMTimeStep float64
 	// PolicyParams carries generic per-policy tuning as namespaced
 	// "<policy>.<knob>" keys (e.g. "dot.grid", "signalized.green"). Keys
 	// belonging to policies other than the one under test are ignored, so
@@ -118,20 +113,6 @@ type Config struct {
 	// TraceDES additionally traces every executed kernel event (the
 	// physics-tick firehose); pair it with a ring-mode recorder.
 	TraceDES bool
-	// Kernel selects the event-execution engine. The zero value is the
-	// serial kernel, bit-identical to every earlier build. KernelParallel
-	// shards by topology node; single-node or zero-segment-length runs fall
-	// back to serial (there is no lookahead to exploit).
-	Kernel Kernel
-	// KernelWorkers bounds the parallel kernel's concurrent shard
-	// executors; 0 means one goroutine per shard. The result is identical
-	// at any worker count. Setting it with the serial kernel is rejected.
-	KernelWorkers int
-	// KernelStrict turns the parallel kernel's serial fallback into an
-	// error: a run that cannot actually engage the parallel kernel fails
-	// instead of quietly running serial with a stderr warning. Setting it
-	// with the serial kernel is rejected.
-	KernelStrict bool
 	// Coord arms the IM↔IM coordination plane on multi-node topologies:
 	// every shard server broadcasts periodic link-state digests to its
 	// neighbors and biases admission by theirs (downstream backpressure +
@@ -140,16 +121,8 @@ type Config struct {
 	// single-node topology it is a harmless no-op (an IM has no peers).
 	Coord bool
 	// CoordPeriod overrides the digest broadcast period (s); 0 uses the
-	// default. The parallel kernel raises the effective period to at
-	// least its lookahead window. Setting it without Coord is rejected.
+	// default. Setting it without Coord is rejected.
 	CoordPeriod float64
-	// PerfectClocks forces every vehicle clock to zero offset and drift
-	// (overriding the defaulted error bounds) without perturbing RNG stream
-	// consumption. The cross-kernel equivalence tests use it: with clock
-	// error, plant noise, loss, and randomized delay all disabled, the
-	// parallel kernel's per-vehicle results match the serial kernel's
-	// exactly. Contradicts explicit nonzero WithClockError bounds.
-	PerfectClocks bool
 
 	// validated is set by NewConfig so Run skips re-validation. Configs
 	// built as struct literals leave it false and are validated by Run.
@@ -182,45 +155,17 @@ func (cfg Config) Validate() error {
 	if cfg.CollisionEvery < 0 {
 		return fmt.Errorf("sim: negative CollisionEvery %d", cfg.CollisionEvery)
 	}
-	if cfg.AIMGridN < 0 {
-		return fmt.Errorf("sim: negative AIMGridN %d", cfg.AIMGridN)
-	}
-	if cfg.AIMTimeStep < 0 {
-		return fmt.Errorf("sim: negative AIMTimeStep %v", cfg.AIMTimeStep)
-	}
-	if cfg.Policy != vehicle.PolicyAIM && (cfg.AIMGridN != 0 || cfg.AIMTimeStep != 0) {
-		return fmt.Errorf("sim: AIM tuning (GridN=%d, TimeStep=%v) set for policy %v", cfg.AIMGridN, cfg.AIMTimeStep, cfg.Policy)
-	}
 	if err := im.ValidateParams(cfg.PolicyParams); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	if cfg.TraceDES && cfg.Trace == nil {
 		return fmt.Errorf("sim: TraceDES requires a Trace recorder")
 	}
-	if cfg.Kernel != KernelSerial && cfg.Kernel != KernelParallel {
-		return fmt.Errorf("sim: unknown kernel %v", cfg.Kernel)
-	}
-	if cfg.KernelWorkers < 0 {
-		return fmt.Errorf("sim: negative KernelWorkers %d", cfg.KernelWorkers)
-	}
-	if cfg.KernelWorkers != 0 && cfg.Kernel != KernelParallel {
-		return fmt.Errorf("sim: KernelWorkers=%d set for the %v kernel", cfg.KernelWorkers, cfg.Kernel)
-	}
-	if cfg.KernelStrict && cfg.Kernel != KernelParallel {
-		return fmt.Errorf("sim: KernelStrict set for the %v kernel", cfg.Kernel)
-	}
-	if cfg.Kernel == KernelParallel && cfg.Observer != nil {
-		return fmt.Errorf("sim: Observer callbacks are serial-kernel only (no global tick exists under the parallel kernel)")
-	}
 	if cfg.CoordPeriod < 0 {
 		return fmt.Errorf("sim: negative CoordPeriod %v", cfg.CoordPeriod)
 	}
 	if cfg.CoordPeriod != 0 && !cfg.Coord {
 		return fmt.Errorf("sim: CoordPeriod=%v set without Coord", cfg.CoordPeriod)
-	}
-	if cfg.PerfectClocks && (cfg.ClockMaxOffset > 0 || cfg.ClockMaxDriftPPM > 0) {
-		return fmt.Errorf("sim: PerfectClocks contradicts explicit clock error bounds (offset=%v, drift=%v ppm)",
-			cfg.ClockMaxOffset, cfg.ClockMaxDriftPPM)
 	}
 	if o := cfg.AgentOverrides; o != nil && o.MaxTimeout > 0 && o.MaxTimeout < o.ResponseTimeout {
 		return fmt.Errorf("sim: AgentOverrides.MaxTimeout %v below ResponseTimeout %v would shrink, not grow, backoff",
@@ -257,10 +202,7 @@ type VehicleView struct {
 
 // Result is the outcome of one run.
 type Result struct {
-	Policy string
-	// Kernel names the engine that actually executed the run ("serial" or
-	// "parallel") — a parallel request that fell back reports "serial".
-	Kernel  string
+	Policy  string
 	Summary metrics.Summary
 	Network network.Stats
 	// Vehicles holds the end-to-end journey records in arrival order.
@@ -318,44 +260,9 @@ type vehState struct {
 
 func (v *vehState) lastLeg() bool { return v.leg == len(v.legs)-1 }
 
-// kernelFallbackWarn receives the warning emitted when a parallel-kernel
-// request falls back to serial. It defaults to stderr; tests swap it.
-var kernelFallbackWarn io.Writer = os.Stderr
-
-// kernelFallbackReason explains why a parallel-kernel request cannot
-// engage, or "" when it can: the parallel kernel needs a lookahead — a
-// multi-node topology with a positive inter-node segment length.
-func kernelFallbackReason(cfg *Config) string {
-	switch {
-	case cfg.Topology == nil || cfg.Topology.NumNodes() <= 1:
-		return "topology has a single node (no shards to run concurrently)"
-	case cfg.Topology.SegmentLen() <= 0:
-		return "topology segment length is zero (no conservative lookahead window)"
-	}
-	return ""
-}
-
 // Run executes one full simulation of the workload under the configured
 // policy and returns the aggregated result.
 func Run(cfg Config, arrivals []traffic.Arrival) (Result, error) {
-	if cfg.Kernel == KernelParallel {
-		reason := kernelFallbackReason(&cfg)
-		if reason == "" {
-			w, err := newPWorld(cfg, arrivals)
-			if err != nil {
-				return Result{}, err
-			}
-			return w.run()
-		}
-		// The fallback used to be silent, which made "-kernel parallel"
-		// benchmarks on a 1x1 topology look suspiciously flat. Name the
-		// reason, and in strict mode refuse to run at all.
-		if cfg.KernelStrict {
-			return Result{}, fmt.Errorf("sim: parallel kernel unavailable: %s", reason)
-		}
-		fmt.Fprintf(kernelFallbackWarn,
-			"sim: warning: falling back to the serial kernel: %s\n", reason)
-	}
 	w, err := newWorld(cfg, arrivals)
 	if err != nil {
 		return Result{}, err
@@ -364,19 +271,15 @@ func Run(cfg Config, arrivals []traffic.Arrival) (Result, error) {
 }
 
 // coordConfigFor resolves the coordination-plane settings for a run: the
-// caller's period (raised to minPeriod — the parallel kernel passes its
-// lookahead so digests never force sub-lookahead synchronization) and the
-// segment transit estimate. Transit from granted box entry at one node to
-// box entry at the next — entry→despawn upstream, the inter-node segment,
-// then line→entry downstream — sums to one full straight-movement path
-// plus the segment, covered at the fleet's cruise (top) speed.
-func coordConfigFor(cfg *Config, arrivals []traffic.Arrival, x *intersection.Intersection, minPeriod float64) im.CoordConfig {
+// caller's period and the segment transit estimate. Transit from granted
+// box entry at one node to box entry at the next — entry→despawn upstream,
+// the inter-node segment, then line→entry downstream — sums to one full
+// straight-movement path plus the segment, covered at the fleet's cruise
+// (top) speed.
+func coordConfigFor(cfg *Config, arrivals []traffic.Arrival, x *intersection.Intersection) im.CoordConfig {
 	ccfg := im.DefaultCoordConfig()
 	if cfg.CoordPeriod > 0 {
 		ccfg.Period = cfg.CoordPeriod
-	}
-	if ccfg.Period < minPeriod {
-		ccfg.Period = minPeriod
 	}
 	cruise := 0.0
 	for _, a := range arrivals {
@@ -443,19 +346,6 @@ type world struct {
 	debug bool
 	// views is the reusable observer snapshot buffer.
 	views []VehicleView
-
-	// Parallel-kernel fields; nil/zero on serial runs. Each shard of a
-	// parallel run is one world scoped to a single topology node: pw links
-	// back to the orchestrator, shardIdx is this shard's node, born keeps
-	// every vehicle that spawned here (active drops vehicles mid-hop, so
-	// end-of-run classification needs its own list), and departed records
-	// where each hopped-away vehicle endpoint went so the network router
-	// can chase V2I traffic across shards. departed is written and read
-	// only by this shard's goroutine.
-	pw       *pworld
-	shardIdx int
-	born     []*vehState
-	departed map[string]int
 }
 
 func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
@@ -490,13 +380,6 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 	}
 	if cfg.ClockMaxDriftPPM <= 0 {
 		cfg.ClockMaxDriftPPM = 20
-	}
-	if cfg.PerfectClocks {
-		// Zero bounds, applied after defaulting: NewRandomClock still draws
-		// its two uniforms per vehicle (stream consumption is unchanged) but
-		// every clock comes out with zero offset and drift.
-		cfg.ClockMaxOffset = 0
-		cfg.ClockMaxDriftPPM = 0
 	}
 	if cfg.CollisionEvery <= 0 {
 		cfg.CollisionEvery = 2
@@ -535,8 +418,6 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		RefLength:     refLen,
 		RefWidth:      refWid,
 		OmitRTDBuffer: cfg.OmitRTDBuffer,
-		AIMGridN:      cfg.AIMGridN,
-		AIMTimeStep:   cfg.AIMTimeStep,
 		Params:        cfg.PolicyParams,
 	}
 	// One IM shard per topology node, each with its own scheduler state and
@@ -560,7 +441,7 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 	}
 
 	if cfg.Coord && numNodes > 1 {
-		ccfg := coordConfigFor(&cfg, arrivals, x, 0)
+		ccfg := coordConfigFor(&cfg, arrivals, x)
 		for k := range nodes {
 			peers, downstream := coordPeersFor(cfg.Topology, k)
 			nodes[k].server.EnableCoordination(ccfg, peers, downstream)
@@ -743,7 +624,6 @@ func (w *world) run() (Result, error) {
 	}
 	return Result{
 		Policy:          w.nodes[0].server.Scheduler().Name(),
-		Kernel:          KernelSerial.String(),
 		Summary:         w.col.Summarize(),
 		Network:         st,
 		Vehicles:        vehicles,
@@ -842,9 +722,6 @@ func (w *world) spawn(a traffic.Arrival) {
 	vs.nrec = nrec
 
 	w.active = append(w.active, vs)
-	if w.pw != nil {
-		w.born = append(w.born, vs)
-	}
 	agent.Start()
 }
 
@@ -856,13 +733,6 @@ func (w *world) beginTransit(v *vehState) {
 	eta, vArr, _ := kinematics.EarliestArrival(0, w.topo.SegmentLen(), v.plant.V(), v.plant.Params)
 	v.legArrive = w.sim.Now() + eta
 	v.legSpeed = vArr
-	if w.pw != nil {
-		// Cross-shard hop: the transit time is at least the kernel lookahead
-		// (eta >= SegmentLen/maxSpeed), so the arrival event clears the
-		// conservative synchronization contract and lands at its exact time.
-		w.pw.hop(w, v)
-		return
-	}
 	w.sim.After(eta, func() { w.enterLeg(v) })
 }
 
@@ -911,13 +781,6 @@ func (w *world) enterLeg(v *vehState) {
 			Detail: m.ID.String(), Value: speed,
 		})
 	}
-	if w.pw != nil {
-		// The vehicle arrives from another shard: adopt it into this shard's
-		// active population and rebind its agent to this shard's kernel,
-		// network, and recorder before the protocol restarts.
-		w.active = append(w.active, v)
-		v.agent.Rebind(w.sim, w.net, w.cfg.Trace)
-	}
 	v.agent.BeginLeg(m, pl, im.NodeEndpoint(node), node)
 }
 
@@ -945,17 +808,10 @@ func (w *world) queueTail(node int, mv intersection.MovementID) *vehState {
 // same topology node.
 func (w *world) leaderFor(self *vehState) vehicle.LeaderFunc {
 	return func() (vehicle.LeaderInfo, bool) {
-		// Under the parallel kernel the vehicle migrates between shard
-		// worlds; resolve the active list through its *current* node (the
-		// closure only ever runs on the owning shard's goroutine).
-		aw := w
-		if w.pw != nil {
-			aw = w.pw.shards[self.node]
-		}
 		sSelf := self.plant.S()
 		best := vehicle.LeaderInfo{Gap: math.Inf(1)}
 		found := false
-		for _, o := range aw.active {
+		for _, o := range w.active {
 			if o == self || o.gone || o.transit || o.node != self.node {
 				continue
 			}
@@ -1066,17 +922,9 @@ func (w *world) step(dt float64) {
 				v.gone = true
 				v.jrec.Retries = v.agent.Retries
 				v.agent.Stop()
-				if w.pw != nil {
-					w.pw.remaining.Add(-1)
-				}
 				continue
 			}
 			w.beginTransit(v)
-			if w.pw != nil {
-				// The vehicle now belongs to its destination shard; its
-				// arrival there re-adds it to that shard's active list.
-				continue
-			}
 		}
 		kept = append(kept, v)
 	}

@@ -41,13 +41,6 @@ type TopoConfig struct {
 	TraceFull bool
 	// TraceDES additionally records the kernel event firehose per cell.
 	TraceDES bool
-	// KernelStrict errors instead of falling back to serial when the
-	// parallel kernel cannot engage on the topology.
-	KernelStrict bool
-	// Kernel selects the event-execution engine for every cell (serial by
-	// default; parallel shards by topology node and falls back to serial on
-	// single-node or zero-segment-length topologies).
-	Kernel sim.Kernel
 	// Coord arms the IM↔IM coordination plane (link-state digests,
 	// downstream backpressure, green-wave offsets) in every cell;
 	// CoordPeriod overrides the digest period (0 = default).
@@ -61,10 +54,6 @@ type TopoConfig struct {
 // TopoCell is one policy's outcome over the topology.
 type TopoCell struct {
 	Policy string
-	// Kernel names the engine that actually executed the cell ("serial" or
-	// "parallel" — a parallel request can fall back on degenerate
-	// topologies).
-	Kernel string
 	// Journey aggregates end-to-end (route-level) records.
 	Journey metrics.Summary
 	// PerNode holds each intersection's own crossing summary.
@@ -135,10 +124,6 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 			sim.WithSeed(cfg.Seed),
 			sim.WithIntersection(interCfg),
 			sim.WithSpec(spec),
-			sim.WithKernel(cfg.Kernel),
-		}
-		if cfg.KernelStrict {
-			opts = append(opts, sim.WithKernelStrict())
 		}
 		if len(cfg.PolicyParams) > 0 {
 			opts = append(opts, sim.WithPolicyParams(cfg.PolicyParams))
@@ -167,7 +152,6 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 		}
 		res.Cells[pi] = TopoCell{
 			Policy:     out.Policy,
-			Kernel:     out.Kernel,
 			Journey:    out.Summary,
 			PerNode:    out.PerNode,
 			Incomplete: out.Incomplete,
@@ -180,15 +164,37 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 	return res, nil
 }
 
+// SafetyViolations counts the hard failures of the timed (commanded-
+// trajectory) policies over the topology: collisions, buffer violations,
+// and incomplete journeys. The acceptance bar is zero. Signalized is exempt
+// from the incomplete count only: a fixed-time signal legitimately leaves
+// queue remnants when demand exceeds its cycle capacity, but it must never
+// collide. VT-IM and AIM are exempt, as in the fault matrix.
+func (r TopoResult) SafetyViolations() int {
+	n := 0
+	for pi, c := range r.Cells {
+		pol := r.Policies[pi]
+		if !pol.Timed() {
+			continue
+		}
+		n += c.Journey.Collisions + c.Journey.BufferViolations
+		if pol != vehicle.PolicySignalized {
+			n += c.Incomplete
+		}
+	}
+	return n
+}
+
 // JourneyTable renders the end-to-end comparison: route-level wait, travel,
-// throughput, and overhead per policy.
+// throughput, overhead, and safety per policy.
 func (r TopoResult) JourneyTable() *metrics.Table {
 	t := metrics.NewTable("policy", "veh", "done", "mean wait (s)", "p95 wait (s)",
-		"mean travel (s)", "tput (veh/s)", "messages", "IM calls", "collisions", "incomplete")
+		"mean travel (s)", "tput (veh/s)", "messages", "IM calls", "collisions", "buf viol", "incomplete")
 	for _, c := range r.Cells {
 		t.AddRow(c.Policy, c.Journey.Vehicles, c.Journey.Completed, c.Journey.MeanWait,
 			c.Journey.P95Wait, c.Journey.MeanTravel, c.Journey.Throughput,
-			c.Journey.Messages, c.Journey.SchedulerInvocations, c.Journey.Collisions, c.Incomplete)
+			c.Journey.Messages, c.Journey.SchedulerInvocations, c.Journey.Collisions,
+			c.Journey.BufferViolations, c.Incomplete)
 	}
 	return t
 }

@@ -134,3 +134,47 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 		t.Errorf("journey and node summaries differ on a single-node run:\n journey: %+v\n node:    %+v", j, n)
 	}
 }
+
+// TestTopoSafetyViolations pins the topology safety gate on hand-built
+// cells: timed policies are charged collisions, buffer violations, and
+// incomplete journeys; signalized is charged everything but incomplete
+// journeys; VT-IM and AIM are not charged at all.
+func TestTopoSafetyViolations(t *testing.T) {
+	cell := func(pol vehicle.Policy, coll, buf, inc int) TopoCell {
+		return TopoCell{
+			Policy:     pol.String(),
+			Journey:    metrics.Summary{Collisions: coll, BufferViolations: buf},
+			Incomplete: inc,
+		}
+	}
+	cases := []struct {
+		name string
+		pol  vehicle.Policy
+		cell TopoCell
+		want int
+	}{
+		{"clean crossroads", vehicle.PolicyCrossroads, cell(vehicle.PolicyCrossroads, 0, 0, 0), 0},
+		{"crossroads collision", vehicle.PolicyCrossroads, cell(vehicle.PolicyCrossroads, 1, 0, 0), 1},
+		{"crossroads buffer violation", vehicle.PolicyCrossroads, cell(vehicle.PolicyCrossroads, 0, 2, 0), 2},
+		{"dot incomplete", vehicle.PolicyDOT, cell(vehicle.PolicyDOT, 0, 0, 3), 3},
+		{"auction all three", vehicle.PolicyAuction, cell(vehicle.PolicyAuction, 1, 2, 3), 6},
+		{"signalized incomplete exempt", vehicle.PolicySignalized, cell(vehicle.PolicySignalized, 0, 0, 5), 0},
+		{"signalized buffer violation", vehicle.PolicySignalized, cell(vehicle.PolicySignalized, 1, 1, 5), 2},
+		{"vt-im exempt", vehicle.PolicyVTIM, cell(vehicle.PolicyVTIM, 1, 1, 1), 0},
+		{"aim exempt", vehicle.PolicyAIM, cell(vehicle.PolicyAIM, 1, 1, 1), 0},
+	}
+	var all TopoResult
+	wantAll := 0
+	for _, tc := range cases {
+		r := TopoResult{Policies: []vehicle.Policy{tc.pol}, Cells: []TopoCell{tc.cell}}
+		if got := r.SafetyViolations(); got != tc.want {
+			t.Errorf("%s: SafetyViolations() = %d, want %d", tc.name, got, tc.want)
+		}
+		all.Policies = append(all.Policies, tc.pol)
+		all.Cells = append(all.Cells, tc.cell)
+		wantAll += tc.want
+	}
+	if got := all.SafetyViolations(); got != wantAll {
+		t.Errorf("all cells: SafetyViolations() = %d, want %d", got, wantAll)
+	}
+}

@@ -461,36 +461,3 @@ func (a *Agent) Stop() {
 	a.setState(StateDone)
 	a.net.Unregister(a.Endpoint())
 }
-
-// PrepareHop detaches the agent from its current shard's kernel and network
-// ahead of a cross-shard hop (parallel kernel only; single-kernel worlds
-// never call it). Every outstanding timer handle into the old shard's event
-// pool is cancelled and zeroed here, on the old shard's goroutine — a Handle
-// must never be cancelled from another shard, since the pooled event object
-// belongs to the old shard's queue. The endpoint is unregistered so traffic
-// still chasing the vehicle is routed across shards instead of delivered to
-// a stale handler.
-func (a *Agent) PrepareHop() {
-	a.timeout.Cancel()
-	a.retry.Cancel()
-	a.exitRetry.Cancel()
-	a.timeout = des.Handle{}
-	a.retry = des.Handle{}
-	a.exitRetry = des.Handle{}
-	a.net.Unregister(a.Endpoint())
-}
-
-// Rebind attaches the agent to its destination shard's kernel, network, and
-// trace recorder after a cross-shard hop, on the destination shard's
-// goroutine. The endpoint re-registers here, and a still-unacknowledged exit
-// notification to the previous node re-arms its retransmission loop on the
-// new shard (the exit message itself is routed back across the shard line).
-func (a *Agent) Rebind(sim *des.Simulator, net *network.Network, rec *trace.Recorder) {
-	a.sim = sim
-	a.net = net
-	a.cfg.Trace = rec
-	a.net.Register(a.Endpoint(), a.handle)
-	if a.exited && !a.exitAcked {
-		a.sendExit()
-	}
-}

@@ -49,10 +49,7 @@ var (
 	RegisterPolicy = im.RegisterPolicy
 	// NewScheduler instantiates a registered policy by name.
 	NewScheduler = im.NewScheduler
-	// RegisteredPolicies lists registered policy names, sorted.
-	RegisteredPolicies = im.RegisteredPolicies
-	// Policies lists registered policy names, sorted (an alias of
-	// RegisteredPolicies matching the internal registry's name).
+	// Policies lists registered policy names, sorted.
 	Policies = im.Policies
 	// ParseParams folds repeated "key=value" pairs into a policy-params
 	// map for WithPolicyParams.
@@ -92,7 +89,6 @@ var (
 	WithMaxSimTime     = sim.WithMaxSimTime
 	WithClockError     = sim.WithClockError
 	WithOmitRTDBuffer  = sim.WithOmitRTDBuffer
-	WithAIMTuning      = sim.WithAIMTuning
 	WithPolicyParams   = sim.WithPolicyParams
 	WithAgentOverrides = sim.WithAgentOverrides
 	WithCollisionEvery = sim.WithCollisionEvery

@@ -18,7 +18,7 @@ import (
 // built-in policy.
 func TestBuiltinsRegistered(t *testing.T) {
 	got := map[string]bool{}
-	for _, name := range crossroads.RegisteredPolicies() {
+	for _, name := range crossroads.Policies() {
 		got[name] = true
 	}
 	for _, want := range []string{"crossroads", "vt-im", "aim", "batch"} {
