@@ -28,11 +28,14 @@ bench-grid:
 bench-layers:
 	$(GO) test ./internal/sim -bench 'BenchmarkSafetyCheck' -benchmem -run '^$$'
 
-## bench-report regenerates the committed machine-readable benchmark
-## artifact. Re-run on a multi-core host to refresh the sweep speedup
-## evidence (on a single-core host the parallel sweep variant is skipped).
+## bench-report writes a new machine-readable benchmark artifact to the
+## first free BENCH_N.json, so the committed ones are never overwritten.
+## Run it on a multi-core host to record the sweep speedup evidence (on a
+## single-core host the parallel sweep variant is skipped).
 bench-report:
-	$(GO) run ./cmd/benchreport -out BENCH_8.json -label policy-registry
+	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
+	echo "bench-report: writing BENCH_$$n.json"; \
+	$(GO) run ./cmd/benchreport -out BENCH_$$n.json
 
 ## policy-demo is the scheduler-registry acceptance gate: each of the new
 ## policy families (dot, signalized, auction) drives a 2x2 grid of routed

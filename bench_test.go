@@ -34,7 +34,6 @@ import (
 	"crossroads/internal/sweep"
 	"crossroads/internal/topology"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // E1: the Fig. 3.1 longitudinal control-error estimation. Paper: worst
@@ -101,7 +100,7 @@ func BenchmarkScaleModelScenarios(b *testing.B) {
 
 // runSweepBench executes the Fig. 7.2 sweep once per iteration at a reduced
 // fleet, reporting the requested policy's saturated throughput.
-func runSweepBench(b *testing.B, rates []float64, policies []vehicle.Policy) sweep.Result {
+func runSweepBench(b *testing.B, rates []float64, policies []string) sweep.Result {
 	b.Helper()
 	var res sweep.Result
 	for i := 0; i < b.N; i++ {
@@ -164,10 +163,10 @@ func BenchmarkFlowSweepTraced(b *testing.B) {
 // BenchmarkFlowSweepPerPolicy times each policy's full simulation
 // separately so regressions are attributable.
 func BenchmarkFlowSweepPerPolicy(b *testing.B) {
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads} {
+	for _, pol := range []string{"vt-im", "aim", "crossroads"} {
 		pol := pol
-		b.Run(pol.String(), func(b *testing.B) {
-			res := runSweepBench(b, []float64{0.4}, []vehicle.Policy{pol})
+		b.Run(pol, func(b *testing.B) {
+			res := runSweepBench(b, []float64{0.4}, []string{pol})
 			b.ReportMetric(res.Cells[0][0].Throughput, "tput")
 			b.ReportMetric(float64(res.Cells[0][0].Messages), "messages")
 		})
@@ -209,7 +208,7 @@ func BenchmarkAblationNoRTDBuffer(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, err := sim.Run(sim.Config{
-				Policy:        vehicle.PolicyVTIM,
+				Policy:        "vt-im",
 				Seed:          seed,
 				OmitRTDBuffer: true,
 				Delay:         network.ConstantDelay{D: 0.015},
@@ -244,7 +243,7 @@ func BenchmarkAblationBufferSweep(b *testing.B) {
 				spec := safety.TestbedSpec()
 				spec.WorstRTD = wcRTD
 				res, err := sim.Run(sim.Config{
-					Policy: vehicle.PolicyVTIM,
+					Policy: "vt-im",
 					Seed:   7,
 					Spec:   spec,
 				}, arr)
@@ -403,7 +402,7 @@ func BenchmarkCorridor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := sim.Run(sim.Config{
 			Topology: topo,
-			Policy:   vehicle.PolicyCrossroads,
+			Policy:   "crossroads",
 			Seed:     42,
 			Spec:     safety.TestbedSpec(),
 		}, arr)
@@ -454,7 +453,7 @@ func BenchmarkGrid(b *testing.B) {
 		b.Run(g.name, func(b *testing.B) {
 			cfg, err := sim.NewConfig(
 				sim.WithTopology(topo),
-				sim.WithPolicy(vehicle.PolicyCrossroads),
+				sim.WithPolicy("crossroads"),
 				sim.WithSeed(42),
 				sim.WithSpec(safety.TestbedSpec()),
 			)
@@ -497,7 +496,7 @@ func BenchmarkFullSimulation160Vehicles(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{Policy: vehicle.PolicyCrossroads, Seed: 42}, arr)
+		res, err := sim.Run(sim.Config{Policy: "crossroads", Seed: 42}, arr)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,7 +28,6 @@ import (
 	"crossroads/internal/sweep"
 	"crossroads/internal/topology"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 func main() {
@@ -134,13 +133,10 @@ func main() {
 	// committed artifact as the engine timings. Extra carries the
 	// heaviest-rate cell (1.0 car/lane/s) — the regime that separates the
 	// families.
-	for _, pol := range []vehicle.Policy{
-		vehicle.PolicyCrossroads, vehicle.PolicyDOT,
-		vehicle.PolicySignalized, vehicle.PolicyAuction,
-	} {
+	for _, pol := range []string{"crossroads", "dot", "signalized", "auction"} {
 		fmt.Printf("benchreport: measuring policy sweep, policy=%s...\n", pol)
 		r, cell := benchPolicySweep(pol)
-		m := record("PolicySweep/"+pol.String(), r)
+		m := record("PolicySweep/"+pol, r)
 		m.Extra = map[string]float64{
 			"tput_veh_s":  cell.Throughput,
 			"mean_wait_s": cell.MeanWait,
@@ -224,11 +220,11 @@ func benchSweep(workers int) testing.BenchmarkResult {
 // iteration and returns the timing plus the heaviest-rate cell, so every
 // registered scheduler family carries a comparable cost and outcome row in
 // the report.
-func benchPolicySweep(pol vehicle.Policy) (testing.BenchmarkResult, sweep.Cell) {
+func benchPolicySweep(pol string) (testing.BenchmarkResult, sweep.Cell) {
 	cfg := sweep.Config{
 		Rates:       []float64{0.1, 0.4, 1.0},
 		NumVehicles: 24,
-		Policies:    []vehicle.Policy{pol},
+		Policies:    []string{pol},
 		Seed:        42,
 		Workers:     1,
 	}
@@ -264,7 +260,7 @@ func benchCorridor() testing.BenchmarkResult {
 	fatal(err)
 	cfg, err := sim.NewConfig(
 		sim.WithTopology(topo),
-		sim.WithPolicy(vehicle.PolicyCrossroads),
+		sim.WithPolicy("crossroads"),
 		sim.WithSeed(42),
 		sim.WithSpec(safety.TestbedSpec()),
 	)
@@ -295,7 +291,7 @@ func benchCoordCorridor(coord bool) (testing.BenchmarkResult, metrics.Summary) {
 		Topology:    topo.WithSegmentLen(120),
 		Rate:        0.6,
 		NumVehicles: 200,
-		Policies:    []vehicle.Policy{vehicle.PolicyCrossroads},
+		Policies:    []string{"crossroads"},
 		Seed:        42,
 		Coord:       coord,
 	}
@@ -334,7 +330,7 @@ func benchGrid() (testing.BenchmarkResult, int) {
 	fatal(err)
 	cfg, err := sim.NewConfig(
 		sim.WithTopology(topo),
-		sim.WithPolicy(vehicle.PolicyCrossroads),
+		sim.WithPolicy("crossroads"),
 		sim.WithSeed(42),
 		sim.WithSpec(safety.TestbedSpec()),
 	)
@@ -367,7 +363,7 @@ func benchGrid() (testing.BenchmarkResult, int) {
 func benchFaultMatrix() (testing.BenchmarkResult, sweep.FaultMatrixResult) {
 	cfg := sweep.FaultMatrixConfig{
 		Scenarios: []string{"mix"},
-		Policies:  []vehicle.Policy{vehicle.PolicyCrossroads},
+		Policies:  []string{"crossroads"},
 		Seeds:     []int64{1},
 		Workers:   1,
 	}

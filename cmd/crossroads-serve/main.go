@@ -23,13 +23,7 @@ import (
 	"crossroads/internal/server"
 	"crossroads/internal/trace"
 
-	_ "crossroads/internal/core"          // register crossroads
-	_ "crossroads/internal/im/aim"        // register aim
-	_ "crossroads/internal/im/auction"    // register auction
-	_ "crossroads/internal/im/batch"      // register batch
-	_ "crossroads/internal/im/dot"        // register dot
-	_ "crossroads/internal/im/signalized" // register signalized
-	_ "crossroads/internal/im/vtim"       // register vt-im
+	_ "crossroads/internal/im/builtin" // register the built-in policies
 )
 
 func main() {

@@ -23,7 +23,6 @@ import (
 	"crossroads/internal/cliflags"
 	"crossroads/internal/sweep"
 	"crossroads/internal/topology"
-	"crossroads/internal/vehicle"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func main() {
 	common := cliflags.AddCommon(flag.CommandLine, 42)
 	scaleModel := flag.Bool("scale", false, "use the 1/10-scale geometry instead of full-scale")
 	noisy := flag.Bool("noise", false, "enable plant actuation/sensing noise")
-	withBatch := flag.Bool("batch", false, "include the Tachet-style batching extension")
 	overhead := flag.Bool("overhead", false, "also print the computation/network overhead table")
 	summary := flag.Bool("summary", false, "also print the headline throughput ratios")
 	topoFlags := cliflags.AddTopology(flag.CommandLine)
@@ -51,10 +49,6 @@ func main() {
 	policyParams, err := policyFlags.Params()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
-	}
-	if len(policies) > 0 && *withBatch {
-		fmt.Fprintln(os.Stderr, "crossroads-sim: -batch and -policy are mutually exclusive (name batch in -policy instead)")
 		os.Exit(1)
 	}
 	coordOn, coordPeriod, err := coordFlags.Parse()
@@ -99,7 +93,7 @@ func main() {
 	}
 	if topo != nil {
 		runTopology(topo, topoFlags.Rate, *n, seed, workers,
-			*scaleModel, *noisy, *withBatch, csv, tracePath, traceDES, coordOn, coordPeriod,
+			*scaleModel, *noisy, csv, tracePath, traceDES, coordOn, coordPeriod,
 			policies, policyParams)
 		return
 	}
@@ -110,14 +104,7 @@ func main() {
 	cfg.Workers = workers
 	cfg.ScaleModel = *scaleModel
 	cfg.Noisy = *noisy
-	if *withBatch {
-		cfg.Policies = []vehicle.Policy{
-			vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyBatch, vehicle.PolicyCrossroads,
-		}
-	}
-	if len(policies) > 0 {
-		cfg.Policies = policies
-	}
+	cfg.Policies = policies
 	cfg.PolicyParams = policyParams
 	if tracePath != "" {
 		cfg.TraceFull = true
@@ -159,10 +146,10 @@ func main() {
 
 // runFaultMatrix executes the robustness matrix: fault scenarios crossed
 // with every policy and three consecutive seeds. Exits non-zero when any
-// coordinated policy (crossroads, batch) collides, violates a buffer, or
-// strands a vehicle — the matrix doubles as the resilience acceptance gate.
+// timed policy collides, violates a buffer, or strands a vehicle — the
+// matrix doubles as the resilience acceptance gate.
 func runFaultMatrix(spec string, seed int64, workers int, csv bool, tracePath string, n int, rate float64,
-	policies []vehicle.Policy, policyParams map[string]string) {
+	policies []string, policyParams map[string]string) {
 	cfg := sweep.DefaultFaultMatrixConfig()
 	if spec != "matrix" {
 		cfg.Scenarios = []string{spec}
@@ -203,8 +190,8 @@ func runFaultMatrix(spec string, seed int64, workers int, csv bool, tracePath st
 }
 
 func runTopology(topo *topology.Topology, rate float64, n int, seed int64, workers int,
-	scaleModel, noisy, withBatch, csv bool, tracePath string, traceDES bool,
-	coordOn bool, coordPeriod float64, policies []vehicle.Policy, policyParams map[string]string) {
+	scaleModel, noisy, csv bool, tracePath string, traceDES bool,
+	coordOn bool, coordPeriod float64, policies []string, policyParams map[string]string) {
 	cfg := sweep.TopoConfig{
 		Topology:     topo,
 		Rate:         rate,
@@ -215,15 +202,8 @@ func runTopology(topo *topology.Topology, rate float64, n int, seed int64, worke
 		Noisy:        noisy,
 		Coord:        coordOn,
 		CoordPeriod:  coordPeriod,
+		Policies:     policies,
 		PolicyParams: policyParams,
-	}
-	if withBatch {
-		cfg.Policies = []vehicle.Policy{
-			vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyBatch, vehicle.PolicyCrossroads,
-		}
-	}
-	if len(policies) > 0 {
-		cfg.Policies = policies
 	}
 	if tracePath != "" {
 		cfg.TraceFull = true

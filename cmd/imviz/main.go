@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	imviz [-policy crossroads|vt-im|aim] [-scenario 1..10] [-rate R -n N] [-fps 10] [-quiet]
+//	imviz [-policy crossroads] [-scenario 1..10] [-rate R -n N] [-fps 10] [-quiet]
 package main
 
 import (
@@ -20,7 +20,6 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/sim"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 const (
@@ -29,7 +28,7 @@ const (
 )
 
 func main() {
-	policyName := flag.String("policy", "crossroads", "IM policy: crossroads, vt-im, or aim")
+	policyName := flag.String("policy", "crossroads", "registered IM policy (e.g. crossroads, vt-im, aim)")
 	scenario := flag.Int("scenario", 1, "scale-model scenario 1..10 (ignored when -rate is set)")
 	rate := flag.Float64("rate", 0, "Poisson rate (car/s/lane); 0 uses -scenario")
 	n := flag.Int("n", 20, "vehicles for -rate workloads")
@@ -38,19 +37,6 @@ func main() {
 	trace := flag.String("trace", "", "also write a CSV time-series of vehicle states to this file")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
-
-	var policy vehicle.Policy
-	switch *policyName {
-	case "crossroads":
-		policy = vehicle.PolicyCrossroads
-	case "vt-im":
-		policy = vehicle.PolicyVTIM
-	case "aim":
-		policy = vehicle.PolicyAIM
-	default:
-		fmt.Fprintf(os.Stderr, "imviz: unknown policy %q\n", *policyName)
-		os.Exit(1)
-	}
 
 	var arrivals []traffic.Arrival
 	var err error
@@ -76,7 +62,7 @@ func main() {
 		every = 1
 	}
 	opts := []sim.Option{
-		sim.WithPolicy(policy),
+		sim.WithPolicy(*policyName),
 		sim.WithSeed(*seed),
 		sim.WithIntersection(interCfg),
 	}

@@ -4,24 +4,23 @@
 //
 // Usage:
 //
-//	scale-model [-reps N] [-seed S] [-workers 1] [-noiseless] [-aim] [-csv] [-trace out.jsonl]
+//	scale-model [-reps N] [-seed S] [-workers 1] [-noiseless] [-policy vt-im,crossroads,aim] [-csv] [-trace out.jsonl]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"crossroads/internal/cliflags"
 	"crossroads/internal/scale"
-	"crossroads/internal/vehicle"
 )
 
 func main() {
 	reps := flag.Int("reps", 10, "repetitions per scenario")
 	common := cliflags.AddCommon(flag.CommandLine, 1)
 	noiseless := flag.Bool("noiseless", false, "disable plant actuation/sensing noise")
-	withAIM := flag.Bool("aim", false, "also run the AIM baseline")
 	policyFlags := cliflags.AddPolicy(flag.CommandLine)
 	flag.Parse()
 	if policyFlags.List() {
@@ -38,24 +37,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scale-model:", err)
 		os.Exit(1)
 	}
-	if len(policies) > 0 && *withAIM {
-		fmt.Fprintln(os.Stderr, "scale-model: -aim and -policy are mutually exclusive (name aim in -policy instead)")
-		os.Exit(1)
-	}
 
 	cfg := scale.Config{
-		Repetitions: *reps,
-		Seed:        common.Seed,
-		Noisy:       !*noiseless,
-		Workers:     common.Workers,
+		Repetitions:  *reps,
+		Seed:         common.Seed,
+		Noisy:        !*noiseless,
+		Workers:      common.Workers,
+		Policies:     policies,
+		PolicyParams: policyParams,
 	}
-	if *withAIM {
-		cfg.Policies = []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM}
-	}
-	if len(policies) > 0 {
-		cfg.Policies = policies
-	}
-	cfg.PolicyParams = policyParams
 	if common.TracePath != "" {
 		cfg.TraceFull = true
 		cfg.TraceDES = common.TraceDES
@@ -72,10 +62,10 @@ func main() {
 	} else {
 		fmt.Print(res.Table().String())
 	}
-	// The headline ratio reads positions 0/1 as VT-IM/Crossroads, which a
-	// custom -policy list need not preserve.
-	if len(policies) == 0 && len(res.Policies) >= 2 {
-		vt, cr := res.AverageWait(0), res.AverageWait(1)
+	// The headline compares the VT-IM and Crossroads columns, wherever
+	// -policy put them.
+	if vi, ci := slices.Index(res.Policies, "vt-im"), slices.Index(res.Policies, "crossroads"); vi >= 0 && ci >= 0 {
+		vt, cr := res.AverageWait(vi), res.AverageWait(ci)
 		fmt.Printf("\nCrossroads reduces average wait by %.0f%% vs VT-IM (paper: ~24%%)\n",
 			(1-cr/vt)*100)
 	}

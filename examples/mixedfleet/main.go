@@ -18,7 +18,6 @@ import (
 	"crossroads/internal/safety"
 	"crossroads/internal/sim"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 func main() {
@@ -55,7 +54,7 @@ func main() {
 	}
 
 	cfg, err := sim.NewConfig(
-		sim.WithPolicy(vehicle.PolicyCrossroads),
+		sim.WithPolicy("crossroads"),
 		sim.WithSeed(5),
 		sim.WithIntersection(intersection.FullScaleConfig()),
 		sim.WithSpec(safety.FullScaleSpec()),

@@ -12,7 +12,6 @@ import (
 	"crossroads/internal/metrics"
 	"crossroads/internal/sim"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 	// paper's testbed: 1.2 m box, 3 m from the transmission line, 150 ms
 	// worst-case RTD, 78 mm sensing buffer.
 	cfg, err := sim.NewConfig(
-		sim.WithPolicy(vehicle.PolicyCrossroads),
+		sim.WithPolicy("crossroads"),
 		sim.WithSeed(7),
 	)
 	if err != nil {

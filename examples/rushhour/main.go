@@ -16,7 +16,6 @@ import (
 	"crossroads/internal/safety"
 	"crossroads/internal/sim"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 func main() {
@@ -38,7 +37,7 @@ func main() {
 
 	fmt.Printf("rush hour: %d cars at %.2f car/s/lane through a full-scale four-way\n\n", cars, rate)
 	t := metrics.NewTable("policy", "mean wait (s)", "p95 wait (s)", "throughput", "messages", "IM busy (s)", "collisions")
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads} {
+	for _, pol := range []string{"vt-im", "aim", "crossroads"} {
 		cfg, err := sim.NewConfig(
 			sim.WithPolicy(pol),
 			sim.WithSeed(seed),

@@ -12,7 +12,6 @@ import (
 
 	"crossroads/internal/im"
 	"crossroads/internal/topology"
-	"crossroads/internal/vehicle"
 )
 
 // Common are the flags every experiment command shares: determinism,
@@ -164,19 +163,19 @@ func (p *Policy) ListText() string {
 	return strings.Join(im.Policies(), "\n")
 }
 
-// Policies resolves -policy into the selected set, or def when the flag
-// was left empty.
-func (p *Policy) Policies(def []vehicle.Policy) ([]vehicle.Policy, error) {
+// Policies resolves -policy into the selected registered policy names, or
+// def when the flag was left empty.
+func (p *Policy) Policies(def []string) ([]string, error) {
 	if p.Raw == "" {
 		return def, nil
 	}
-	var out []vehicle.Policy
+	var out []string
 	for _, name := range strings.Split(p.Raw, ",") {
-		pol, err := vehicle.ParsePolicy(strings.TrimSpace(name))
-		if err != nil {
+		name = strings.TrimSpace(name)
+		if _, err := im.LookupPolicy(name); err != nil {
 			return nil, fmt.Errorf("-policy: %w", err)
 		}
-		out = append(out, pol)
+		out = append(out, name)
 	}
 	return out, nil
 }

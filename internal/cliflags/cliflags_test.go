@@ -3,7 +3,14 @@ package cliflags
 import (
 	"flag"
 	"io"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+
+	_ "crossroads/internal/core" // register the crossroads policy
+	"crossroads/internal/im"
+	"crossroads/internal/intersection"
 )
 
 func newFS() *flag.FlagSet {
@@ -118,5 +125,51 @@ func TestCoordFlagRegistrationAndWasSet(t *testing.T) {
 	on, period, err := c2.Parse()
 	if err != nil || !on || period != 0.4 {
 		t.Errorf("got (%v, %v, %v), want (true, 0.4, nil)", on, period, err)
+	}
+}
+
+// TestPolicyParse covers -policy: any registered name is accepted, one a
+// test registers included, names are trimmed, an unknown name fails with
+// an error listing the registry, and an empty flag keeps the default.
+func TestPolicyParse(t *testing.T) {
+	im.RegisterPolicy("zz-cliflags-test", im.PolicyEntry{
+		Factory: func(*intersection.Intersection, im.PolicyOptions, *rand.Rand) (im.Scheduler, error) {
+			return nil, nil
+		},
+		Protocol: im.ProtocolTimed,
+	})
+	parse := func(args ...string) *Policy {
+		fs := newFS()
+		p := AddPolicy(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	got, err := parse("-policy", " crossroads , zz-cliflags-test").Policies(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"crossroads", "zz-cliflags-test"}; !slices.Equal(got, want) {
+		t.Errorf("got %q, want %q", got, want)
+	}
+
+	_, err = parse("-policy", "crossroads,nope").Policies(nil)
+	if err == nil {
+		t.Fatal("unknown policy accepted")
+	}
+	if !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("error %q does not name the unknown policy", err)
+	}
+	for _, name := range im.Policies() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list registered policy %q", err, name)
+		}
+	}
+
+	def := []string{"vt-im", "crossroads"}
+	if got, err := parse().Policies(def); err != nil || !slices.Equal(got, def) {
+		t.Errorf("empty -policy gave (%q, %v), want the default %q", got, err, def)
 	}
 }

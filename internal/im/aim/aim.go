@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 
 	"crossroads/internal/geom"
 	"crossroads/internal/im"
@@ -22,9 +21,6 @@ import (
 
 // PolicyName is the scheduler name reported in results.
 const PolicyName = "aim"
-
-// debugAIM enables decision traces (diagnostic runs only).
-var debugAIM = os.Getenv("CROSSROADS_DEBUG_IM") != ""
 
 // Config parameterizes the AIM scheduler.
 type Config struct {
@@ -139,9 +135,6 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		toa, ok := s.accepted[id]
 		if !ok || req.ProposedToA <= toa {
 			s.Rejections++
-			if debugAIM {
-				fmt.Printf("[%.2f] aim veh%d REJECT lane-order behind veh%d\n", now, req.VehicleID, id)
-			}
 			return im.Response{Kind: im.RespReject}, s.cfg.Cost.SimulationCost(s.rng, 1)
 		}
 	}
@@ -174,9 +167,6 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		}
 		if !exitSeparated(candExit, r, s.x.Config().ExitLen) {
 			s.Rejections++
-			if debugAIM {
-				fmt.Printf("[%.2f] aim veh%d REJECT exit-merge\n", now, req.VehicleID)
-			}
 			return im.Response{Kind: im.RespReject}, s.cfg.Cost.SimulationCost(s.rng, 1)
 		}
 	}
@@ -190,10 +180,6 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		s.res.Reserve(req.VehicleID, steps)
 		s.accepted[req.VehicleID] = req.ProposedToA
 		s.exits[req.VehicleID] = candExit
-		if debugAIM {
-			fmt.Printf("[%.2f] aim veh%d COMMITTED-REBOOK toa=%.2f v=%.2f\n",
-				now, req.VehicleID, req.ProposedToA, req.CrossSpeed)
-		}
 		return im.Response{
 			Kind:        im.RespAccept,
 			TargetSpeed: req.CrossSpeed,
@@ -202,15 +188,7 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 	}
 	if !s.res.Available(steps) {
 		s.Rejections++
-		if debugAIM {
-			fmt.Printf("[%.2f] aim veh%d REJECT toa=%.2f v=%.2f held=%d\n",
-				now, req.VehicleID, req.ProposedToA, req.CrossSpeed, s.res.HeldPairs())
-		}
 		return im.Response{Kind: im.RespReject}, cost
-	}
-	if debugAIM {
-		fmt.Printf("[%.2f] aim veh%d ACCEPT toa=%.2f v=%.2f held=%d\n",
-			now, req.VehicleID, req.ProposedToA, req.CrossSpeed, s.res.HeldPairs())
 	}
 	s.res.Reserve(req.VehicleID, steps)
 	s.accepted[req.VehicleID] = req.ProposedToA

@@ -8,18 +8,21 @@ import (
 )
 
 // The registry entry lets the world construct one auction shard per
-// topology node without linking a policy switch into the sim package.
+// topology node without linking a policy switch into the sim package, and
+// declares the timed protocol its vehicles speak.
 func init() {
-	im.RegisterPolicy(PolicyName, func(x *intersection.Intersection, opts im.PolicyOptions, rng *rand.Rand) (im.Scheduler, error) {
-		c := DefaultConfig()
-		c.Core.Spec = opts.Spec
-		c.Core.Cost = opts.Cost
-		c.Core.RefLength, c.Core.RefWidth = opts.RefLength, opts.RefWidth
-		p := opts.ParamsFor(PolicyName)
-		c.Emergency = int64(p.Int("emergency", int(c.Emergency)))
-		if err := p.Err(); err != nil {
-			return nil, err
-		}
-		return New(x, c, rng)
-	})
+	im.RegisterPolicy(PolicyName, im.PolicyEntry{Factory: newScheduler, Protocol: im.ProtocolTimed})
+}
+
+func newScheduler(x *intersection.Intersection, opts im.PolicyOptions, rng *rand.Rand) (im.Scheduler, error) {
+	c := DefaultConfig()
+	c.Core.Spec = opts.Spec
+	c.Core.Cost = opts.Cost
+	c.Core.RefLength, c.Core.RefWidth = opts.RefLength, opts.RefWidth
+	p := opts.ParamsFor(PolicyName)
+	c.Emergency = int64(p.Int("emergency", int(c.Emergency)))
+	if err := p.Err(); err != nil {
+		return nil, err
+	}
+	return New(x, c, rng)
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 
 	"crossroads/internal/im"
@@ -30,9 +29,6 @@ import (
 
 // PolicyName is the scheduler name reported in results.
 const PolicyName = "batch"
-
-// debugBatch enables decision traces (diagnostic runs only).
-var debugBatch = os.Getenv("CROSSROADS_DEBUG_IM") != ""
 
 // Config parameterizes the batch scheduler.
 type Config struct {
@@ -309,10 +305,6 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 		s.pushes = append(s.pushes, im.ReviseConflicts(s.book, booked, now, s.cfg.Spec.WorstRTD, s.cfg.MinCrossSpeed)...)
 	}
 	s.book.PruneBefore(now - 2)
-	if debugBatch {
-		fmt.Printf("[%.2f] batch veh%d GRANT toa=%.3f ventry=%.2f te=%.3f committed=%v\n",
-			now, req.VehicleID, toa, plan.EntrySpeed, te, req.Committed)
-	}
 	return im.Response{
 		Kind:        im.RespTimed,
 		TargetSpeed: plan.EntrySpeed,

@@ -143,7 +143,7 @@ func ValidateParams(params map[string]string) error {
 		if !ok || pol == "" || knob == "" {
 			return fmt.Errorf("im: policy option %q: want <policy>.<knob>=value", k)
 		}
-		if !policyRegistered(pol) {
+		if _, err := LookupPolicy(pol); err != nil {
 			return fmt.Errorf("im: policy option %q: unknown policy %q (registered: %v)",
 				k, pol, Policies())
 		}

@@ -82,7 +82,7 @@ func TestParseParams(t *testing.T) {
 }
 
 func TestValidateParams(t *testing.T) {
-	RegisterPolicy("zz-params-valid", testFactory)
+	RegisterPolicy("zz-params-valid", PolicyEntry{Factory: testFactory, Protocol: ProtocolTimed})
 	if err := ValidateParams(map[string]string{"zz-params-valid.k": "1"}); err != nil {
 		t.Errorf("valid params rejected: %v", err)
 	}

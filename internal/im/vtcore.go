@@ -3,15 +3,11 @@ package im
 import (
 	"fmt"
 	"math/rand"
-	"os"
 
 	"crossroads/internal/intersection"
 	"crossroads/internal/safety"
 	"crossroads/internal/trace"
 )
-
-// debugVT enables scheduling-decision traces (diagnostic runs only).
-var debugVT = os.Getenv("CROSSROADS_DEBUG_IM") != ""
 
 // VTPlanner is the policy-specific piece of a velocity-transaction
 // scheduler. The paper runs the *same* IM scheduling code for plain VT-IM
@@ -213,9 +209,6 @@ func (c *VTCore) HandleRequest(now float64, req Request) (Response, float64) {
 			}
 			// An unbooked leader blocks the lane: command a stop.
 			c.book.Remove(req.VehicleID)
-			if debugVT {
-				fmt.Printf("[%.2f] %s veh%d BLOCKED by unbooked veh%d\n", now, c.name, req.VehicleID, id)
-			}
 			return Response{Kind: RespVelocity, TargetSpeed: 0}, cost
 		}
 		if r.ToA+1e-3 > floor {
@@ -294,10 +287,6 @@ func (c *VTCore) HandleRequest(now float64, req Request) (Response, float64) {
 			Seniority: sen,
 		}
 		c.book.Add(rebooked)
-		if debugVT {
-			fmt.Printf("[%.2f] %s veh%d COMMITTED-REBOOK toa=%.3f ventry=%.2f\n",
-				now, c.name, req.VehicleID, toa, plan.EntrySpeed)
-		}
 		// The truth may invalidate earlier grants; revise the ones that
 		// can still comply and push them fresh commands — the capability
 		// a timed-command interface has and a yes/no one lacks.
@@ -325,15 +314,7 @@ func (c *VTCore) HandleRequest(now float64, req Request) (Response, float64) {
 			Placeholder: true,
 			Seniority:   sen,
 		})
-		if debugVT {
-			fmt.Printf("[%.2f] %s veh%d UNVERIFIABLE toa=%.2f speed=%.2f earliest=%.2f dt=%.2f vc=%.2f book=%d\n",
-				now, c.name, req.VehicleID, toa, plan.EntrySpeed, earliest, req.DistToEntry, req.CurrentSpeed, c.book.Len())
-		}
 		return Response{Kind: RespVelocity, TargetSpeed: 0}, cost
-	}
-	if debugVT {
-		fmt.Printf("[%.2f] %s veh%d GRANT toa=%.3f ventry=%.2f vt=%.2f earliest=%.3f book=%d\n",
-			now, c.name, req.VehicleID, toa, plan.EntrySpeed, plan.TargetSpeed, earliest, c.book.Len())
 	}
 	c.book.Add(Reservation{
 		VehicleID: req.VehicleID,

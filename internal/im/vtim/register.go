@@ -8,17 +8,20 @@ import (
 )
 
 // The registry entry lets the world construct one VT-IM shard per topology
-// node without linking a policy switch into the sim package.
+// node without linking a policy switch into the sim package, and
+// declares the velocity protocol its vehicles speak.
 func init() {
-	im.RegisterPolicy(PolicyName, func(x *intersection.Intersection, opts im.PolicyOptions, rng *rand.Rand) (im.Scheduler, error) {
-		c := DefaultConfig()
-		c.Spec = opts.Spec
-		c.Cost = opts.Cost
-		c.RefLength, c.RefWidth = opts.RefLength, opts.RefWidth
-		c.OmitRTDBuffer = opts.OmitRTDBuffer
-		if err := opts.ParamsFor(PolicyName).Err(); err != nil {
-			return nil, err
-		}
-		return New(x, c, rng)
-	})
+	im.RegisterPolicy(PolicyName, im.PolicyEntry{Factory: newScheduler, Protocol: im.ProtocolVelocity})
+}
+
+func newScheduler(x *intersection.Intersection, opts im.PolicyOptions, rng *rand.Rand) (im.Scheduler, error) {
+	c := DefaultConfig()
+	c.Spec = opts.Spec
+	c.Cost = opts.Cost
+	c.RefLength, c.RefWidth = opts.RefLength, opts.RefWidth
+	c.OmitRTDBuffer = opts.OmitRTDBuffer
+	if err := opts.ParamsFor(PolicyName).Err(); err != nil {
+		return nil, err
+	}
+	return New(x, c, rng)
 }

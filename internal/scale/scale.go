@@ -17,7 +17,6 @@ import (
 	"crossroads/internal/sim"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // Config parameterizes the experiment.
@@ -29,7 +28,7 @@ type Config struct {
 	// Noisy enables the calibrated testbed plant disturbance.
 	Noisy bool
 	// Policies to compare; nil means the paper's pair (VT-IM, Crossroads).
-	Policies []vehicle.Policy
+	Policies []string
 	// Workers bounds how many (scenario, policy) cells run concurrently:
 	// 1 is serial, <= 0 uses runtime.NumCPU(). Each cell's repetitions
 	// are seeded from Seed alone, so the Result is bit-identical for any
@@ -70,7 +69,7 @@ type ScenarioResult struct {
 type Result struct {
 	// PerScenario[scenario-1][policyIndex]
 	PerScenario [][]ScenarioResult
-	Policies    []vehicle.Policy
+	Policies    []string
 	// Traces[scenario-1][policyIndex] holds each cell's event recorder
 	// when Config.TraceFull is set (nil otherwise).
 	Traces [][]*trace.Recorder
@@ -130,7 +129,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	policies := cfg.Policies
 	if len(policies) == 0 {
-		policies = []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads}
+		policies = []string{"vt-im", "crossroads"}
 	}
 	res := Result{Policies: policies}
 	res.PerScenario = make([][]ScenarioResult, traffic.NumScaleScenarios)
@@ -153,7 +152,7 @@ func Run(cfg Config) (Result, error) {
 	err := parallel.ForEach(traffic.NumScaleScenarios*len(policies), cfg.Workers, func(job int) error {
 		scen, pi := job/len(policies)+1, job%len(policies)
 		pol := policies[pi]
-		cell := ScenarioResult{Scenario: scen, Policy: pol.String()}
+		cell := ScenarioResult{Scenario: scen, Policy: pol}
 		for rep := 0; rep < cfg.Repetitions; rep++ {
 			seed := cfg.Seed + int64(scen*1000+rep)
 			arrivals, err := traffic.ScaleScenario(scen, rand.New(rand.NewSource(seed)))
@@ -206,7 +205,7 @@ func Run(cfg Config) (Result, error) {
 func (r Result) Table() *metrics.Table {
 	headers := []string{"scenario"}
 	for _, p := range r.Policies {
-		headers = append(headers, p.String()+" wait (s)")
+		headers = append(headers, p+" wait (s)")
 	}
 	if len(r.Policies) == 2 {
 		headers = append(headers, "ratio")

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"crossroads/internal/vehicle"
 )
 
 // runSmall runs a reduced experiment (2 repetitions) shared by the tests.
@@ -99,7 +97,7 @@ func TestCustomPolicies(t *testing.T) {
 	res, err := Run(Config{
 		Repetitions: 1,
 		Seed:        3,
-		Policies:    []vehicle.Policy{vehicle.PolicyAIM},
+		Policies:    []string{"aim"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -41,11 +41,10 @@ type Config struct {
 	// runs in exactly one mode; clients asking for the other are refused
 	// with CodeClockMode.
 	Clock protocol.ClockMode
-	// Seed feeds the scheduler and network RNG streams. Shard k draws
-	// from Seed+1+1000k (network) and Seed+2+1000k (scheduler), mirroring
-	// the parallel DES kernel's per-node layout, so node 0 is stream-
-	// compatible with the unsharded server and every shard matches its
-	// in-DES twin.
+	// Seed feeds the schedulers: shard k draws from Seed+2+1000k, the
+	// stream its in-DES twin draws (im.NewShard), so node 0 is stream-
+	// compatible with the unsharded server. The shards' networks draw
+	// nothing: zero constant delay, no loss.
 	Seed int64
 	// ModelCost charges the calibrated testbed computation-cost model in
 	// scheduler time. Off by default when serving: real wall time is the

@@ -14,10 +14,7 @@ import (
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
 
-	_ "crossroads/internal/core"     // register crossroads
-	_ "crossroads/internal/im/aim"   // register aim
-	_ "crossroads/internal/im/batch" // register batch
-	_ "crossroads/internal/im/vtim"  // register vt-im
+	_ "crossroads/internal/im/builtin" // register the built-in policies
 )
 
 // startServer boots a server on a temp Unix socket and tears it down with

@@ -12,7 +12,6 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 
 	"crossroads/internal/des"
 	"crossroads/internal/im"
@@ -41,11 +40,9 @@ type world struct {
 	vehicles map[int64]bool
 }
 
-// newWorldAt builds the embedded IM stack for one topology node. The RNG
-// stream layout mirrors internal/sim's per-node construction (network
-// Seed+1+1000k, IM shard Seed+2+1000k) so a served shard draws the same
-// jitter sequence as its in-DES twin under the same seed; node 0 reduces
-// to the legacy single-intersection layout (Seed+1, Seed+2).
+// newWorldAt builds the embedded IM stack for one topology node. The shard
+// comes from im.NewShard, as in internal/sim, so a served shard draws the
+// same jitter sequence as its in-DES twin under the same seed.
 func newWorldAt(cfg Config, node int) (*world, error) {
 	var xcfg intersection.Config
 	var spec safety.Spec
@@ -74,30 +71,21 @@ func newWorldAt(cfg Config, node int) (*world, error) {
 		RefLength: ref.Length,
 		RefWidth:  ref.Width,
 	}
-	k := int64(node)
-	rngIM := rand.New(rand.NewSource(cfg.Seed + 2 + 1000*k))
-	sched, err := im.NewScheduler(cfg.Policy, x, opts, rngIM)
+	sim := des.New()
+	// Zero constant delay and no loss: the network draws no random numbers.
+	net := network.New(sim, nil, nil, network.ConstantDelay{D: 0}, 0)
+	shard, err := im.NewShard(cfg.Policy, x, opts, cfg.Seed, node, sim, net, nil)
 	if err != nil {
 		return nil, err
 	}
-	sim := des.New()
-	rngNet := rand.New(rand.NewSource(cfg.Seed + 1 + 1000*k))
-	net := network.New(sim, rngNet, nil, network.ConstantDelay{D: 0}, 0)
-	w := &world{
-		x:        x,
-		sim:      sim,
-		net:      net,
-		node:     node,
-		vehicles: make(map[int64]bool),
-	}
-	w.im = im.NewServerAt(sim, net, sched, nil, im.NodeEndpoint(node), node)
-	return w, nil
+	return &world{x: x, sim: sim, net: net, im: shard, node: node, vehicles: make(map[int64]bool)}, nil
 }
 
 // refParams returns the reference vehicle footprint for a geometry: the
 // stock vehicle of that scale. Serving cannot scan the workload ahead of
-// time the way the DES harness does, so the reference is fixed per
-// geometry; clients must not send vehicles larger than it.
+// time the way the simulator does (it takes the largest vehicle in the
+// workload), so the reference is fixed per geometry and validateRequest
+// refuses any vehicle larger than it.
 func refParams(g protocol.Geometry) kinematics.Params {
 	if g == protocol.GeometryFullScale {
 		return kinematics.FullScaleParams()

@@ -8,7 +8,6 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/network"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // ablationWorkload is a busy single-lane load where VT-IM scheduling is
@@ -48,7 +47,7 @@ func TestAblationVTIMWithoutRTDBufferIsUnsafe(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		arr := ablationWorkload(t, seed)
 		res, err := Run(adversarialRTD(Config{
-			Policy:        vehicle.PolicyVTIM,
+			Policy:        "vt-im",
 			Seed:          seed,
 			OmitRTDBuffer: true, // UNSAFE: the ablation under test
 		}), arr)
@@ -64,12 +63,12 @@ func TestAblationVTIMWithoutRTDBufferIsUnsafe(t *testing.T) {
 	// Control arms: the buffered VT-IM and Crossroads must be clean on the
 	// same workloads.
 	for _, pol := range []struct {
-		policy vehicle.Policy
+		policy string
 		omit   bool
 		name   string
 	}{
-		{vehicle.PolicyVTIM, false, "buffered VT-IM"},
-		{vehicle.PolicyCrossroads, false, "Crossroads"},
+		{"vt-im", false, "buffered VT-IM"},
+		{"crossroads", false, "Crossroads"},
 	} {
 		for seed := int64(1); seed <= 5; seed++ {
 			arr := ablationWorkload(t, seed)

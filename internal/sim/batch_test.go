@@ -6,7 +6,6 @@ import (
 
 	"crossroads/internal/kinematics"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestBatchPolicyEndToEnd runs the Tachet-style batching extension through
@@ -24,8 +23,8 @@ func TestBatchPolicyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waits := map[vehicle.Policy]float64{}
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyBatch, vehicle.PolicyCrossroads} {
+	waits := map[string]float64{}
+	for _, pol := range []string{"vt-im", "batch", "crossroads"} {
 		res, err := Run(Config{Policy: pol, Seed: 5}, arr)
 		if err != nil {
 			t.Fatal(err)
@@ -38,11 +37,11 @@ func TestBatchPolicyEndToEnd(t *testing.T) {
 		}
 		waits[pol] = res.Summary.MeanWait
 	}
-	if !(waits[vehicle.PolicyBatch] < waits[vehicle.PolicyVTIM]) {
-		t.Errorf("batch wait %v not below VT-IM %v", waits[vehicle.PolicyBatch], waits[vehicle.PolicyVTIM])
+	if !(waits["batch"] < waits["vt-im"]) {
+		t.Errorf("batch wait %v not below VT-IM %v", waits["batch"], waits["vt-im"])
 	}
-	if !(waits[vehicle.PolicyBatch] > waits[vehicle.PolicyCrossroads]) {
+	if !(waits["batch"] > waits["crossroads"]) {
 		t.Errorf("batch wait %v not above Crossroads %v (no window cost?)",
-			waits[vehicle.PolicyBatch], waits[vehicle.PolicyCrossroads])
+			waits["batch"], waits["crossroads"])
 	}
 }

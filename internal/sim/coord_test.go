@@ -7,7 +7,6 @@ import (
 	"crossroads/internal/plant"
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
-	"crossroads/internal/vehicle"
 )
 
 // coordEventCount tallies the coordination plane's footprint in a trace:
@@ -35,7 +34,7 @@ func TestCoordOffCarriesNoCoordEvents(t *testing.T) {
 	rec := trace.NewFull()
 	cfg, err := NewConfig(
 		WithTopology(topo),
-		WithPolicy(vehicle.PolicyCrossroads),
+		WithPolicy("crossroads"),
 		WithSeed(17),
 		WithNoise(plant.TestbedNoise()),
 		WithTrace(rec),
@@ -63,7 +62,7 @@ func TestCoordRunsClean(t *testing.T) {
 	rec := trace.NewFull()
 	cfg, err := NewConfig(
 		WithTopology(topo),
-		WithPolicy(vehicle.PolicyCrossroads),
+		WithPolicy("crossroads"),
 		WithSeed(29),
 		WithNoise(plant.TestbedNoise()),
 		WithCoordination(0),
@@ -113,7 +112,7 @@ func TestCoordResultIndependentOfHorizon(t *testing.T) {
 			rec := trace.NewFull()
 			cfg, err := NewConfig(
 				WithTopology(topo),
-				WithPolicy(vehicle.PolicyCrossroads),
+				WithPolicy("crossroads"),
 				WithSeed(29),
 				WithNoise(plant.TestbedNoise()),
 				WithCoordination(0),

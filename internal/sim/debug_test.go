@@ -11,22 +11,18 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestDebugDump is a manual diagnostic, skipped unless CROSSROADS_DEBUG=1.
-// It runs one configurable world with collision/grant tracing enabled and
-// dumps any vehicles still active at the end. Knobs (env):
+// It runs one configurable world with the collision dump enabled and lists
+// any vehicles still active at the end. Knobs (env):
 //
-//	CROSSROADS_DEBUG_POLICY  vt-im | aim | crossroads | batch (default crossroads)
+//	CROSSROADS_DEBUG_POLICY  registered policy name (default crossroads)
 //	CROSSROADS_DEBUG_RATE    Poisson rate, car/lane/s (default 0.4)
 //	CROSSROADS_DEBUG_N       fleet size (default 80)
 //	CROSSROADS_DEBUG_SEED    seed (default 42)
 //	CROSSROADS_DEBUG_FULL    1 = full-scale geometry (default scale model)
 //	CROSSROADS_DEBUG_LANES   lanes per road (default 1)
-//
-// Combine with CROSSROADS_DEBUG_IM=1 / CROSSROADS_DEBUG_AGENT=1 for IM and
-// agent traces.
 func TestDebugDump(t *testing.T) {
 	if os.Getenv("CROSSROADS_DEBUG") == "" {
 		t.Skip("set CROSSROADS_DEBUG=1 to run")
@@ -39,14 +35,9 @@ func TestDebugDump(t *testing.T) {
 		}
 		return def
 	}
-	policy := vehicle.PolicyCrossroads
-	switch os.Getenv("CROSSROADS_DEBUG_POLICY") {
-	case "vt-im":
-		policy = vehicle.PolicyVTIM
-	case "aim":
-		policy = vehicle.PolicyAIM
-	case "batch":
-		policy = vehicle.PolicyBatch
+	policy := os.Getenv("CROSSROADS_DEBUG_POLICY")
+	if policy == "" {
+		policy = "crossroads"
 	}
 	rate := envF("CROSSROADS_DEBUG_RATE", 0.4)
 	n := int(envF("CROSSROADS_DEBUG_N", 80))

@@ -14,7 +14,6 @@ import (
 	"crossroads/internal/safety"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 func faultWorkload(t *testing.T, n int, seed int64) []traffic.Arrival {
@@ -37,7 +36,7 @@ func TestTotalPartitionFailsafe(t *testing.T) {
 	arr := faultWorkload(t, 12, 1)
 	rec := trace.NewFull()
 	res, err := Run(Config{
-		Policy: vehicle.PolicyCrossroads,
+		Policy: "crossroads",
 		Seed:   1,
 		Faults: &fault.Schedule{Windows: []fault.Window{
 			{Kind: fault.Partition, Start: 0, Duration: 1e6, From: "veh*", To: "im*"},
@@ -83,7 +82,7 @@ func TestTotalPartitionFailsafe(t *testing.T) {
 // events.
 func TestStallRecovery(t *testing.T) {
 	arr := faultWorkload(t, 20, 2)
-	for _, pol := range []vehicle.Policy{vehicle.PolicyCrossroads, vehicle.PolicyBatch} {
+	for _, pol := range []string{"crossroads", "batch"} {
 		res, err := Run(Config{
 			Policy: pol,
 			Seed:   2,
@@ -110,11 +109,11 @@ func TestStallRecovery(t *testing.T) {
 // this covers the summary-level one cheaply across policies.
 func TestFaultsOffIsByteIdenticalToNil(t *testing.T) {
 	arr := faultWorkload(t, 10, 3)
-	clean, err := Run(Config{Policy: vehicle.PolicyCrossroads, Seed: 3}, arr)
+	clean, err := Run(Config{Policy: "crossroads", Seed: 3}, arr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(Config{Policy: vehicle.PolicyCrossroads, Seed: 3}, arr)
+	again, err := Run(Config{Policy: "crossroads", Seed: 3}, arr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestAIMDeepOversaturationTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Run(Config{
-			Policy:       vehicle.PolicyAIM,
+			Policy:       "aim",
 			Seed:         seed,
 			Intersection: intersection.FullScaleConfig(),
 			Spec:         safety.FullScaleSpec(),

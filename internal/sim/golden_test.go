@@ -11,7 +11,6 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/plant"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // goldenCase is one pinned single-intersection run. The golden file was
@@ -20,7 +19,7 @@ import (
 // the implicit Single() default.
 type goldenCase struct {
 	Name     string
-	Policy   vehicle.Policy
+	Policy   string
 	Seed     int64
 	Noisy    bool
 	LossProb float64
@@ -31,10 +30,10 @@ type goldenCase struct {
 
 func goldenCases() []goldenCase {
 	return []goldenCase{
-		{Name: "scenario1-crossroads-noisy", Policy: vehicle.PolicyCrossroads, Seed: 11, Noisy: true, Scenario: 1},
-		{Name: "scenario4-vtim-noisy", Policy: vehicle.PolicyVTIM, Seed: 5, Noisy: true, Scenario: 4},
-		{Name: "poisson-aim-lossy", Policy: vehicle.PolicyAIM, Seed: 9, LossProb: 0.02, Rate: 0.6, Vehicles: 24},
-		{Name: "poisson-batch", Policy: vehicle.PolicyBatch, Seed: 3, Rate: 0.4, Vehicles: 16},
+		{Name: "scenario1-crossroads-noisy", Policy: "crossroads", Seed: 11, Noisy: true, Scenario: 1},
+		{Name: "scenario4-vtim-noisy", Policy: "vt-im", Seed: 5, Noisy: true, Scenario: 4},
+		{Name: "poisson-aim-lossy", Policy: "aim", Seed: 9, LossProb: 0.02, Rate: 0.6, Vehicles: 24},
+		{Name: "poisson-batch", Policy: "batch", Seed: 3, Rate: 0.4, Vehicles: 16},
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"crossroads/internal/network"
 	"crossroads/internal/safety"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestTwoLaneIntersection exercises the scalability extension: a two-lane-
@@ -43,7 +42,7 @@ func TestTwoLaneIntersection(t *testing.T) {
 		}
 	}
 
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads} {
+	for _, pol := range []string{"vt-im", "crossroads"} {
 		res, err := Run(Config{
 			Policy:       pol,
 			Seed:         9,
@@ -85,7 +84,7 @@ func TestTwoLaneBeatsSingleLane(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := Run(Config{
-			Policy:       vehicle.PolicyCrossroads,
+			Policy:       "crossroads",
 			Seed:         4,
 			Intersection: interCfg,
 			Spec:         safety.FullScaleSpec(),
@@ -120,7 +119,7 @@ func TestMessageLossRobustness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM} {
+	for _, pol := range []string{"vt-im", "crossroads", "aim"} {
 		res, err := Run(Config{
 			Policy:   pol,
 			Seed:     13,
@@ -139,7 +138,7 @@ func TestMessageLossRobustness(t *testing.T) {
 			t.Errorf("%v: loss injection inactive", pol)
 		}
 		// Losses must show up as protocol retries, not silent hangs.
-		if res.Summary.MeanRetries == 0 && pol != vehicle.PolicyAIM {
+		if res.Summary.MeanRetries == 0 && pol != "aim" {
 			t.Errorf("%v under loss: no retransmissions recorded", pol)
 		}
 	}
@@ -160,7 +159,7 @@ func TestClockDriftRobustness(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{
-		Policy:           vehicle.PolicyCrossroads,
+		Policy:           "crossroads",
 		Seed:             17,
 		ClockMaxOffset:   5.0, // five seconds of raw offset
 		ClockMaxDriftPPM: 200,
@@ -182,7 +181,7 @@ func TestClockDriftRobustness(t *testing.T) {
 func TestCustomNetworkDelay(t *testing.T) {
 	arr, _ := traffic.ScaleScenario(1, rand.New(rand.NewSource(3)))
 	res, err := Run(Config{
-		Policy: vehicle.PolicyCrossroads,
+		Policy: "crossroads",
 		Seed:   3,
 		Delay:  network.UniformDelay{Min: 0.005, Max: 0.015},
 	}, arr)

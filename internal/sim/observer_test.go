@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 func TestObserverSnapshots(t *testing.T) {
@@ -14,7 +13,7 @@ func TestObserverSnapshots(t *testing.T) {
 	maxVehicles := 0
 	var lastNow float64
 	res, err := Run(Config{
-		Policy:        vehicle.PolicyCrossroads,
+		Policy:        "crossroads",
 		Seed:          1,
 		ObserverEvery: 5,
 		Observer: func(now float64, vs []VehicleView) {

@@ -9,22 +9,17 @@ import (
 	"crossroads/internal/safety"
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
-	"crossroads/internal/vehicle"
 )
 
 // Option mutates a Config under construction. Options compose left to
 // right; later options win on conflicting fields.
 type Option func(*Config)
 
-// NewConfig builds a validated Config from options. This is the preferred
-// construction path: it runs Validate exactly once, here, and Run will not
-// re-validate a Config built this way. The zero value of every unset knob
-// keeps its documented default (scale-model geometry, testbed spec, cost
-// and delay models, and so on).
-//
-// Constructing Config as a struct literal still works — Run validates such
-// configs itself — but new code should use NewConfig so contradictions
-// surface at construction time rather than inside the run.
+// NewConfig builds a validated Config from options, so contradictions
+// surface at construction rather than inside the run. WithPolicy is
+// required; the zero value of every other unset knob keeps its documented
+// default (scale-model geometry, testbed spec, cost and delay models, and
+// so on).
 func NewConfig(opts ...Option) (Config, error) {
 	var cfg Config
 	for _, o := range opts {
@@ -33,12 +28,11 @@ func NewConfig(opts ...Option) (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
-	cfg.validated = true
 	return cfg, nil
 }
 
-// WithPolicy selects the IM policy under test.
-func WithPolicy(p vehicle.Policy) Option { return func(c *Config) { c.Policy = p } }
+// WithPolicy names the registered IM policy under test.
+func WithPolicy(name string) Option { return func(c *Config) { c.Policy = name } }
 
 // WithSeed sets the seed driving every stochastic component.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
@@ -95,11 +89,6 @@ func WithOmitRTDBuffer() Option { return func(c *Config) { c.OmitRTDBuffer = tru
 // namespace fails construction with an error naming the policy.
 func WithPolicyParams(params map[string]string) Option {
 	return func(c *Config) { c.PolicyParams = params }
-}
-
-// WithAgentOverrides replaces the per-policy vehicle-agent defaults.
-func WithAgentOverrides(vc *vehicle.Config) Option {
-	return func(c *Config) { c.AgentOverrides = vc }
 }
 
 // WithCollisionEvery checks footprint overlaps every n physics ticks.

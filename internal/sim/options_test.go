@@ -3,19 +3,20 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/safety"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestNewConfigSetsFields proves every option lands on its Config field.
 func TestNewConfigSetsFields(t *testing.T) {
 	rec := intersection.FullScaleConfig()
 	cfg, err := NewConfig(
-		WithPolicy(vehicle.PolicyVTIM),
+		WithPolicy("vt-im"),
 		WithSeed(99),
 		WithIntersection(rec),
 		WithSpec(safety.FullScaleSpec()),
@@ -29,11 +30,8 @@ func TestNewConfigSetsFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.validated {
-		t.Fatal("NewConfig did not mark the config validated")
-	}
 	want := Config{
-		Policy:           vehicle.PolicyVTIM,
+		Policy:           "vt-im",
 		Seed:             99,
 		Intersection:     rec,
 		Spec:             safety.FullScaleSpec(),
@@ -44,7 +42,6 @@ func TestNewConfigSetsFields(t *testing.T) {
 		ClockMaxDriftPPM: 40,
 		OmitRTDBuffer:    true,
 		CollisionEvery:   4,
-		validated:        true,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("NewConfig mismatch:\n got %+v\nwant %+v", cfg, want)
@@ -53,24 +50,41 @@ func TestNewConfigSetsFields(t *testing.T) {
 
 // TestNewConfigRejectsContradictions proves Validate runs at construction.
 func TestNewConfigRejectsContradictions(t *testing.T) {
-	_, err := NewConfig(WithPolicy(vehicle.PolicyCrossroads), WithOmitRTDBuffer())
+	_, err := NewConfig(WithPolicy("crossroads"), WithOmitRTDBuffer())
 	if err == nil {
 		t.Fatal("NewConfig accepted the crossroads RTD ablation")
 	}
-	_, err = NewConfig(WithDESTrace())
+	_, err = NewConfig(WithPolicy("crossroads"), WithDESTrace())
 	if err == nil {
 		t.Fatal("NewConfig accepted TraceDES without a recorder")
 	}
 }
 
+// TestNewConfigRequiresRegisteredPolicy proves a config names its policy:
+// neither the zero value nor an unregistered name runs, and the error
+// lists the registered policies.
+func TestNewConfigRequiresRegisteredPolicy(t *testing.T) {
+	for _, opts := range [][]Option{nil, {WithPolicy("nope")}} {
+		_, err := NewConfig(opts...)
+		if err == nil {
+			t.Fatalf("NewConfig(%d options) accepted a config naming no registered policy", len(opts))
+		}
+		for _, name := range im.Policies() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not list registered policy %q", err, name)
+			}
+		}
+	}
+}
+
 // TestNewConfigRunEquivalence proves a NewConfig-built run is bit-identical
-// to the deprecated struct-literal path for the same knobs.
+// to a run of a struct literal with the same knobs.
 func TestNewConfigRunEquivalence(t *testing.T) {
 	arrivals, err := traffic.ScaleScenario(1, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := NewConfig(WithPolicy(vehicle.PolicyCrossroads), WithSeed(7))
+	cfg, err := NewConfig(WithPolicy("crossroads"), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +92,7 @@ func TestNewConfigRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(Config{Policy: vehicle.PolicyCrossroads, Seed: 7}, arrivals)
+	want, err := Run(Config{Policy: "crossroads", Seed: 7}, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"crossroads/internal/plant"
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
-	"crossroads/internal/vehicle"
 )
 
 // TestNewPoliciesCleanAndDeterministic runs each of the new policy
@@ -27,9 +26,9 @@ func TestNewPoliciesCleanAndDeterministic(t *testing.T) {
 		"auction.emergency": "4",
 		"signalized.green":  "6",
 	}
-	for _, pol := range []vehicle.Policy{vehicle.PolicyDOT, vehicle.PolicySignalized, vehicle.PolicyAuction} {
+	for _, pol := range []string{"dot", "signalized", "auction"} {
 		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
+		t.Run(pol, func(t *testing.T) {
 			t.Parallel()
 			run := func() (Result, []trace.Event) {
 				rec := trace.NewFull()

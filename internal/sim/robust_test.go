@@ -10,7 +10,6 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestRobustnessMatrix sweeps seeds x rates x policies x geometries counting
@@ -52,13 +51,13 @@ func TestRobustnessMatrix(t *testing.T) {
 						}
 					}
 				}
-				policies := []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads}
+				policies := []string{"vt-im", "aim", "crossroads"}
 				if wl.name == "full" {
 					// The batching extension needs approaches long enough
 					// to cover its window+RTD command latency while
 					// staying stop-capable; the 3 m scale approach is not
 					// (a documented Tachet-design constraint).
-					policies = append(policies, vehicle.PolicyBatch)
+					policies = append(policies, "batch")
 				}
 				for _, pol := range policies {
 					res, err := Run(Config{

@@ -12,7 +12,6 @@ import (
 	"crossroads/internal/safety"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // These tests drive world.checkCollisions on hand-placed vehicles: the
@@ -275,7 +274,7 @@ func BenchmarkSafetyCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, err := NewConfig(WithPolicy(vehicle.PolicyCrossroads), WithSeed(1))
+	cfg, err := NewConfig(WithPolicy("crossroads"), WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}

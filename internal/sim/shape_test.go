@@ -10,7 +10,6 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestShapeSweep is a manual diagnostic printing the Fig. 7.2 curve shape.
@@ -24,7 +23,7 @@ func TestShapeSweep(t *testing.T) {
 	for _, rate := range rates {
 		var tp [3]float64
 		var extra [3]string
-		for i, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads} {
+		for i, pol := range []string{"vt-im", "aim", "crossroads"} {
 			arr, err := traffic.Poisson(traffic.PoissonConfig{
 				Rate: rate, NumVehicles: 160, LanesPerRoad: 1,
 				Mix: traffic.DefaultTurnMix(), Params: kinematics.FullScaleParams(),

@@ -8,7 +8,6 @@ import (
 	"crossroads/internal/plant"
 	"crossroads/internal/topology"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // topoWorkload builds a routed Poisson workload over topo.
@@ -46,12 +45,12 @@ func TestTopologyRunsCleanUnderAllPolicies(t *testing.T) {
 		{"corridor-3", line3.WithSegmentLen(0.8)},
 		{"grid-2x2", grid22.WithSegmentLen(0.8)},
 	}
-	policies := []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM}
+	policies := []string{"vt-im", "crossroads", "aim"}
 	for _, tc := range topos {
 		for _, pol := range policies {
 			pol := pol
 			tc := tc
-			t.Run(tc.name+"/"+pol.String(), func(t *testing.T) {
+			t.Run(tc.name+"/"+pol, func(t *testing.T) {
 				t.Parallel()
 				arr := topoWorkload(t, tc.topo, 20, 7)
 				res, err := Run(Config{
@@ -115,7 +114,7 @@ func TestSingleTopologyMatchesNilConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Config{Policy: vehicle.PolicyCrossroads, Noise: plant.TestbedNoise(), Seed: 3}
+	base := Config{Policy: "crossroads", Noise: plant.TestbedNoise(), Seed: 3}
 	withNil, err := Run(base, arr)
 	if err != nil {
 		t.Fatal(err)

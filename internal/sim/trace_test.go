@@ -8,7 +8,6 @@ import (
 
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestTraceReconcilesWithNetworkStats runs a seeded worst-case scenario
@@ -22,7 +21,7 @@ func TestTraceReconcilesWithNetworkStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM} {
+	for _, pol := range []string{"vt-im", "crossroads", "aim"} {
 		rec := trace.NewFull()
 		res := run(t, Config{
 			Policy:   pol,
@@ -78,7 +77,7 @@ func TestTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 	streams := make([][]trace.Event, 2)
 	for i := range streams {
 		rec := trace.NewFull()
-		run(t, Config{Policy: vehicle.PolicyCrossroads, Seed: 5, LossProb: 0.02, Trace: rec}, arr)
+		run(t, Config{Policy: "crossroads", Seed: 5, LossProb: 0.02, Trace: rec}, arr)
 		streams[i] = trace.CanonicalizeWall(rec.Events())
 	}
 	if len(streams[0]) == 0 {
@@ -93,12 +92,12 @@ func TestTraceIdenticalAcrossWorkerCounts(t *testing.T) {
 // TraceDES set, des.event records appear and dominate; without it, none.
 func TestTraceDESFirehose(t *testing.T) {
 	rec := trace.NewFull()
-	run(t, Config{Policy: vehicle.PolicyVTIM, Seed: 6, Trace: rec, TraceDES: true}, singleArrival())
+	run(t, Config{Policy: "vt-im", Seed: 6, Trace: rec, TraceDES: true}, singleArrival())
 	if n := rec.KindCount(trace.KindDESEvent); n == 0 {
 		t.Error("TraceDES produced no des.event records")
 	}
 	rec2 := trace.NewFull()
-	run(t, Config{Policy: vehicle.PolicyVTIM, Seed: 6, Trace: rec2}, singleArrival())
+	run(t, Config{Policy: "vt-im", Seed: 6, Trace: rec2}, singleArrival())
 	if n := rec2.KindCount(trace.KindDESEvent); n != 0 {
 		t.Errorf("TraceDES off but %d des.event records traced", n)
 	}
@@ -108,7 +107,7 @@ func TestTraceDESFirehose(t *testing.T) {
 // exporter and the schema validator.
 func TestTraceExportValidates(t *testing.T) {
 	rec := trace.NewFull()
-	run(t, Config{Policy: vehicle.PolicyCrossroads, Seed: 8, LossProb: 0.03, Trace: rec},
+	run(t, Config{Policy: "crossroads", Seed: 8, LossProb: 0.03, Trace: rec},
 		func() []traffic.Arrival { a, _ := traffic.ScaleScenario(2, rand.New(rand.NewSource(8))); return a }())
 	var buf bytes.Buffer
 	if err := rec.WriteJSONL(&buf, "test-run"); err != nil {

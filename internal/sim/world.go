@@ -14,17 +14,12 @@ import (
 	"math"
 	"math/rand"
 
-	_ "crossroads/internal/core" // register the crossroads policy
 	"crossroads/internal/des"
 	"crossroads/internal/fault"
 	"crossroads/internal/geom"
 	"crossroads/internal/im"
-	_ "crossroads/internal/im/aim"     // register the aim policy
-	_ "crossroads/internal/im/auction" // register the auction policy
-	"crossroads/internal/im/batch"
-	_ "crossroads/internal/im/dot"        // register the dot policy
-	_ "crossroads/internal/im/signalized" // register the signalized policy
-	_ "crossroads/internal/im/vtim"       // register the vt-im policy
+	_ "crossroads/internal/im/builtin" // register the built-in policies
+	"crossroads/internal/im/vtim"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
@@ -38,12 +33,8 @@ import (
 	"crossroads/internal/vehicle"
 )
 
-// Config describes one simulation run.
-//
-// Prefer building it with NewConfig and Options; struct-literal
-// construction is deprecated (it still works — Run validates such configs
-// on entry — but it postpones error reporting to run time and will not be
-// extended with new invariants).
+// Config describes one simulation run. Build it with NewConfig and
+// Options; Run validates every config it is given.
 type Config struct {
 	// Intersection geometry; zero value uses the scale model. Every
 	// topology node reuses this geometry.
@@ -52,8 +43,9 @@ type Config struct {
 	// classic one-intersection experiments, bit-identical to the
 	// pre-topology engine.
 	Topology *topology.Topology
-	// Policy selects the IM under test.
-	Policy vehicle.Policy
+	// Policy names the registered IM policy under test (im.Policies());
+	// there is no default.
+	Policy string
 	// Spec carries the uncertainty bounds (buffers, WC-RTD).
 	Spec safety.Spec
 	// Cost models IM computation delay.
@@ -84,7 +76,7 @@ type Config struct {
 	ClockMaxDriftPPM float64
 	// OmitRTDBuffer runs VT-IM without its RTD buffer — the UNSAFE
 	// ablation demonstrating why the buffer exists. Valid only with
-	// PolicyVTIM (the other policies have no such ablation).
+	// vt-im (the other policies have no such ablation).
 	OmitRTDBuffer bool
 	// PolicyParams carries generic per-policy tuning as namespaced
 	// "<policy>.<knob>" keys (e.g. "dot.grid", "signalized.green"). Keys
@@ -93,10 +85,6 @@ type Config struct {
 	// knob under the running policy's namespace fails scheduler
 	// construction with an error naming the policy and its known knobs.
 	PolicyParams map[string]string
-	// AgentOverrides, if non-nil, replaces the per-policy agent defaults.
-	// The per-leg IM binding (IMEndpoint, Node) is still forced by the
-	// world.
-	AgentOverrides *vehicle.Config
 	// CollisionEvery checks footprint overlaps every N physics ticks;
 	// 0 means every 2 ticks.
 	CollisionEvery int
@@ -123,18 +111,17 @@ type Config struct {
 	// CoordPeriod overrides the digest broadcast period (s); 0 uses the
 	// default. Setting it without Coord is rejected.
 	CoordPeriod float64
-
-	// validated is set by NewConfig so Run skips re-validation. Configs
-	// built as struct literals leave it false and are validated by Run.
-	// Mutating a Config after NewConfig forfeits the guarantee.
-	validated bool
 }
 
 // Validate rejects configurations that would silently run a different
 // experiment than the caller intended. Zero values that mean "use the
-// default" stay valid; contradictions and out-of-range knobs do not.
+// default" stay valid; a missing or unregistered policy name,
+// contradictions and out-of-range knobs do not.
 func (cfg Config) Validate() error {
-	if cfg.OmitRTDBuffer && cfg.Policy != vehicle.PolicyVTIM {
+	if _, err := im.LookupPolicy(cfg.Policy); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	if cfg.OmitRTDBuffer && cfg.Policy != vtim.PolicyName {
 		return fmt.Errorf("sim: OmitRTDBuffer is a VT-IM ablation; policy %v has no RTD buffer to omit", cfg.Policy)
 	}
 	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
@@ -166,10 +153,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.CoordPeriod != 0 && !cfg.Coord {
 		return fmt.Errorf("sim: CoordPeriod=%v set without Coord", cfg.CoordPeriod)
-	}
-	if o := cfg.AgentOverrides; o != nil && o.MaxTimeout > 0 && o.MaxTimeout < o.ResponseTimeout {
-		return fmt.Errorf("sim: AgentOverrides.MaxTimeout %v below ResponseTimeout %v would shrink, not grow, backoff",
-			o.MaxTimeout, o.ResponseTimeout)
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return err
@@ -349,10 +332,8 @@ type world struct {
 }
 
 func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
-	if !cfg.validated {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if len(arrivals) == 0 {
 		return nil, fmt.Errorf("sim: empty workload")
@@ -421,23 +402,18 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		Params:        cfg.PolicyParams,
 	}
 	// One IM shard per topology node, each with its own scheduler state and
-	// RNG stream (node 0 keeps the classic Seed+2 stream), all sharing the
-	// kernel and the V2I network.
+	// RNG stream, all sharing the kernel and the V2I network.
 	nodes := make([]worldNode, numNodes)
 	for k := range nodes {
 		nodeCol := col
 		if numNodes > 1 {
 			nodeCol = metrics.NewCollector()
 		}
-		rngIM := rand.New(rand.NewSource(cfg.Seed + 2 + 1000*int64(k)))
-		sched, err := im.NewScheduler(cfg.Policy.String(), x, opts, rngIM)
+		server, err := im.NewShard(cfg.Policy, x, opts, cfg.Seed, k, sim, net, nodeCol)
 		if err != nil {
 			return nil, err
 		}
-		nodes[k] = worldNode{
-			server: im.NewServerAt(sim, net, sched, nodeCol, im.NodeEndpoint(k), k),
-			col:    nodeCol,
-		}
+		nodes[k] = worldNode{server: server, col: nodeCol}
 	}
 
 	if cfg.Coord && numNodes > 1 {
@@ -454,24 +430,13 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 			refParams = a.Params
 		}
 	}
-	agentCfg := vehicle.DeriveConfig(cfg.Policy, cfg.Spec, refParams)
-	if cfg.Policy == vehicle.PolicyBatch {
-		// Batch replies are held for the re-organization window; budget
-		// the retransmission timeout and the command latency accordingly.
-		agentCfg.ResponseTimeout = batch.DefaultConfig().Window + cfg.Spec.WorstRTD + 0.05
-		agentCfg.CommandLatency = batch.DefaultConfig().Window + cfg.Spec.WorstRTD
-	}
-	if cfg.AgentOverrides != nil {
-		agentCfg = *cfg.AgentOverrides
-	}
-	// Tracing is wired after overrides so a caller-supplied agent config
-	// cannot silently detach the run's recorder.
+	entry, _ := im.LookupPolicy(cfg.Policy) // Validate checked the name
+	agentCfg := vehicle.DeriveConfig(entry.Protocol, entry.ReplyHold, cfg.Spec, refParams)
 	agentCfg.Trace = cfg.Trace
 	if cfg.Faults != nil {
-		// The grant-expiry failsafe is armed only under fault injection
-		// (also after overrides): a positive TTL changes vehicle control
-		// flow, and clean runs must stay byte-identical to a fault-free
-		// build.
+		// The grant-expiry failsafe is armed only under fault injection: a
+		// positive TTL changes vehicle control flow, and clean runs must
+		// stay byte-identical to a fault-free build.
 		agentCfg.GrantTTL = cfg.Faults.ResolvedGrantTTL()
 	}
 

@@ -2,12 +2,12 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crossroads/internal/kinematics"
 	"crossroads/internal/plant"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // singleArrival returns one straight eastbound scale-model vehicle.
@@ -26,7 +26,7 @@ func run(t *testing.T, cfg Config, arr []traffic.Arrival) Result {
 }
 
 func TestSingleVehicleCrossesEveryPolicy(t *testing.T) {
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM} {
+	for _, pol := range []string{"vt-im", "crossroads", "aim"} {
 		res := run(t, Config{Policy: pol, Seed: 1}, singleArrival())
 		if res.Summary.Completed != 1 {
 			t.Errorf("%v: completed = %d, want 1", pol, res.Summary.Completed)
@@ -49,7 +49,7 @@ func TestSingleVehicleCrossesEveryPolicy(t *testing.T) {
 
 func TestWorstCaseScenarioAllPoliciesSafe(t *testing.T) {
 	arr, _ := traffic.ScaleScenario(1, rand.New(rand.NewSource(2)))
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM} {
+	for _, pol := range []string{"vt-im", "crossroads", "aim"} {
 		res := run(t, Config{Policy: pol, Seed: 2}, arr)
 		if res.Summary.Completed != len(arr) {
 			t.Errorf("%v: completed %d of %d", pol, res.Summary.Completed, len(arr))
@@ -65,8 +65,8 @@ func TestWorstCaseScenarioAllPoliciesSafe(t *testing.T) {
 
 func TestCrossroadsBeatsVTIMOnWorstCase(t *testing.T) {
 	arr, _ := traffic.ScaleScenario(1, rand.New(rand.NewSource(3)))
-	vt := run(t, Config{Policy: vehicle.PolicyVTIM, Seed: 3}, arr)
-	cr := run(t, Config{Policy: vehicle.PolicyCrossroads, Seed: 3}, arr)
+	vt := run(t, Config{Policy: "vt-im", Seed: 3}, arr)
+	cr := run(t, Config{Policy: "crossroads", Seed: 3}, arr)
 	if cr.Summary.MeanWait >= vt.Summary.MeanWait {
 		t.Errorf("Crossroads wait %v not better than VT-IM %v",
 			cr.Summary.MeanWait, vt.Summary.MeanWait)
@@ -75,7 +75,7 @@ func TestCrossroadsBeatsVTIMOnWorstCase(t *testing.T) {
 
 func TestNoisyPlantsStillSafe(t *testing.T) {
 	arr, _ := traffic.ScaleScenario(1, rand.New(rand.NewSource(4)))
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads} {
+	for _, pol := range []string{"vt-im", "crossroads"} {
 		res := run(t, Config{Policy: pol, Seed: 4, Noise: plant.TestbedNoise()}, arr)
 		if res.Summary.Completed != len(arr) {
 			t.Errorf("%v noisy: completed %d of %d", pol, res.Summary.Completed, len(arr))
@@ -97,7 +97,7 @@ func TestPoissonFlowModerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads, vehicle.PolicyAIM} {
+	for _, pol := range []string{"vt-im", "crossroads", "aim"} {
 		res := run(t, Config{Policy: pol, Seed: 5}, arr)
 		if res.Summary.Completed != len(arr) {
 			t.Errorf("%v: completed %d of %d (incomplete=%d)",
@@ -113,15 +113,16 @@ func TestPoissonFlowModerate(t *testing.T) {
 }
 
 func TestEmptyWorkloadRejected(t *testing.T) {
-	if _, err := Run(Config{}, nil); err == nil {
-		t.Error("empty workload accepted")
+	_, err := Run(Config{Policy: "crossroads"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "empty workload") {
+		t.Errorf("empty workload: err = %v, want the empty-workload error", err)
 	}
 }
 
 func TestDeterministicWithSeed(t *testing.T) {
 	arr, _ := traffic.ScaleScenario(3, rand.New(rand.NewSource(6)))
-	r1 := run(t, Config{Policy: vehicle.PolicyCrossroads, Seed: 6}, arr)
-	r2 := run(t, Config{Policy: vehicle.PolicyCrossroads, Seed: 6}, arr)
+	r1 := run(t, Config{Policy: "crossroads", Seed: 6}, arr)
+	r2 := run(t, Config{Policy: "crossroads", Seed: 6}, arr)
 	if r1.Summary.MeanWait != r2.Summary.MeanWait || r1.Summary.Messages != r2.Summary.Messages {
 		t.Errorf("same seed diverged: %+v vs %+v", r1.Summary, r2.Summary)
 	}

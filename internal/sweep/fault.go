@@ -11,13 +11,13 @@ import (
 	"math/rand"
 
 	"crossroads/internal/fault"
+	"crossroads/internal/im"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
 	"crossroads/internal/parallel"
 	"crossroads/internal/sim"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // CleanScenario labels the fault-free baseline column every matrix carries;
@@ -31,7 +31,7 @@ type FaultMatrixConfig struct {
 	// always prepended.
 	Scenarios []string
 	// Policies compared; nil means all four.
-	Policies []vehicle.Policy
+	Policies []string
 	// Seeds drive workload generation and simulation noise per cell; nil
 	// means {1, 2, 3}.
 	Seeds []int64
@@ -83,7 +83,7 @@ type FaultCell struct {
 type FaultMatrixResult struct {
 	// Scenarios always starts with CleanScenario.
 	Scenarios []string
-	Policies  []vehicle.Policy
+	Policies  []string
 	Seeds     []int64
 	// Cells[scenarioIdx][policyIdx][seedIdx]
 	Cells [][][]FaultCell
@@ -100,6 +100,13 @@ func (r FaultMatrixResult) CleanThroughput(pi, wi int) float64 {
 	return r.Cells[0][pi][wi].Throughput
 }
 
+// timed reports whether a policy speaks the timed protocol, per its
+// registry entry: the policies the safety gates hold to zero.
+func timed(policy string) bool {
+	e, err := im.LookupPolicy(policy)
+	return err == nil && e.Protocol == im.ProtocolTimed
+}
+
 // SafetyViolations counts the hard failures of the timed (commanded-
 // trajectory) policies — crossroads, batch, dot, signalized, auction —
 // across the whole matrix: collisions, buffer violations, and stranded
@@ -109,7 +116,7 @@ func (r FaultMatrixResult) SafetyViolations() int {
 	n := 0
 	for _, row := range r.Cells {
 		for pi, col := range row {
-			if !r.Policies[pi].Timed() {
+			if !timed(r.Policies[pi]) {
 				continue
 			}
 			for _, c := range col {
@@ -197,9 +204,7 @@ func RunFaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 		cfg.Scenarios = fault.ScenarioNames()
 	}
 	if len(cfg.Policies) == 0 {
-		cfg.Policies = []vehicle.Policy{
-			vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads, vehicle.PolicyBatch,
-		}
+		cfg.Policies = []string{"vt-im", "aim", "crossroads", "batch"}
 	}
 	if len(cfg.Seeds) == 0 {
 		cfg.Seeds = []int64{1, 2, 3}

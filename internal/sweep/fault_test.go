@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"crossroads/internal/vehicle"
 )
 
 // TestFaultMatrixAcceptance runs the full robustness matrix — every named
@@ -36,7 +34,7 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 						res.Scenarios[si], c.Policy, c.Seed, c.Incomplete, c.FailsafeStopped, c.Stranded)
 				}
 				p := res.Policies[pi]
-				if p != vehicle.PolicyCrossroads && p != vehicle.PolicyBatch {
+				if p != "crossroads" && p != "batch" {
 					continue
 				}
 				if c.Stranded != 0 {
@@ -62,7 +60,7 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 func TestFaultMatrixDeterministicAcrossWorkers(t *testing.T) {
 	cfg := FaultMatrixConfig{
 		Scenarios:   []string{"stall", "partition"},
-		Policies:    []vehicle.Policy{vehicle.PolicyCrossroads, vehicle.PolicyBatch},
+		Policies:    []string{"crossroads", "batch"},
 		Seeds:       []int64{1, 2},
 		NumVehicles: 16,
 	}
@@ -94,7 +92,7 @@ func TestFaultMatrixRejectsBadScenario(t *testing.T) {
 func TestFaultMatrixTables(t *testing.T) {
 	res, err := RunFaultMatrix(FaultMatrixConfig{
 		Scenarios:   []string{"dup"},
-		Policies:    []vehicle.Policy{vehicle.PolicyCrossroads},
+		Policies:    []string{"crossroads"},
 		Seeds:       []int64{1},
 		NumVehicles: 8,
 	})

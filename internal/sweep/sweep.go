@@ -18,7 +18,6 @@ import (
 	"crossroads/internal/sim"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // PaperRates returns the paper's x-axis: 0.05 to 1.25 car/lane/second.
@@ -33,7 +32,7 @@ type Config struct {
 	// NumVehicles is the routed fleet per run (paper: 160).
 	NumVehicles int
 	// Policies compared; nil means all three.
-	Policies []vehicle.Policy
+	Policies []string
 	// Seed drives workload generation and simulation noise.
 	Seed int64
 	// FullScale selects the full-size geometry (default) versus the
@@ -91,7 +90,7 @@ type Cell struct {
 
 // Result is the full sweep.
 type Result struct {
-	Policies []vehicle.Policy
+	Policies []string
 	// Cells[rateIdx][policyIdx]
 	Cells [][]Cell
 	// Traces[rateIdx][policyIdx] holds each cell's event recorder when
@@ -139,7 +138,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	policies := cfg.Policies
 	if len(policies) == 0 {
-		policies = []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads}
+		policies = []string{"vt-im", "aim", "crossroads"}
 	}
 	params := kinematics.FullScaleParams()
 	interCfg := intersection.FullScaleConfig()
@@ -237,7 +236,7 @@ func Run(cfg Config) (Result, error) {
 func (r Result) ThroughputTable() *metrics.Table {
 	headers := []string{"rate (car/s/lane)"}
 	for _, p := range r.Policies {
-		headers = append(headers, p.String()+" tput")
+		headers = append(headers, p+" tput")
 	}
 	t := metrics.NewTable(headers...)
 	for _, row := range r.Cells {

@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"crossroads/internal/vehicle"
 )
 
 func smallSweep(t *testing.T) Result {
@@ -118,7 +116,7 @@ func TestSweepCustomPolicies(t *testing.T) {
 		NumVehicles: 10,
 		Seed:        3,
 		ScaleModel:  true,
-		Policies:    []vehicle.Policy{vehicle.PolicyCrossroads},
+		Policies:    []string{"crossroads"},
 	})
 	if err != nil {
 		t.Fatal(err)

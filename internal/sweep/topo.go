@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"crossroads/internal/im/signalized"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
@@ -14,7 +15,6 @@ import (
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TopoConfig parameterizes a multi-intersection experiment: one routed
@@ -27,7 +27,7 @@ type TopoConfig struct {
 	// NumVehicles is the routed fleet.
 	NumVehicles int
 	// Policies compared; nil means all three.
-	Policies []vehicle.Policy
+	Policies []string
 	// Seed drives workload generation and simulation noise.
 	Seed int64
 	// ScaleModel selects the 1/10-scale geometry instead of full-scale.
@@ -64,7 +64,7 @@ type TopoCell struct {
 // TopoResult is the full comparison.
 type TopoResult struct {
 	Topology *topology.Topology
-	Policies []vehicle.Policy
+	Policies []string
 	Cells    []TopoCell
 	// Traces[policyIdx] holds each cell's recorder when TraceFull is set.
 	Traces []*trace.Recorder
@@ -86,7 +86,7 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 	}
 	policies := cfg.Policies
 	if len(policies) == 0 {
-		policies = []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyAIM, vehicle.PolicyCrossroads}
+		policies = []string{"vt-im", "aim", "crossroads"}
 	}
 	params := kinematics.FullScaleParams()
 	interCfg := intersection.FullScaleConfig()
@@ -174,11 +174,11 @@ func (r TopoResult) SafetyViolations() int {
 	n := 0
 	for pi, c := range r.Cells {
 		pol := r.Policies[pi]
-		if !pol.Timed() {
+		if !timed(pol) {
 			continue
 		}
 		n += c.Journey.Collisions + c.Journey.BufferViolations
-		if pol != vehicle.PolicySignalized {
+		if pol != signalized.PolicyName {
 			n += c.Incomplete
 		}
 	}

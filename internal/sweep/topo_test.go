@@ -7,7 +7,6 @@ import (
 
 	"crossroads/internal/metrics"
 	"crossroads/internal/topology"
-	"crossroads/internal/vehicle"
 )
 
 func scrubWall(cells []TopoCell) []TopoCell {
@@ -110,7 +109,7 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 		NumVehicles: 16,
 		ScaleModel:  true,
 		Seed:        9,
-		Policies:    []vehicle.Policy{vehicle.PolicyCrossroads},
+		Policies:    []string{"crossroads"},
 		Workers:     2,
 	})
 	if err != nil {
@@ -140,33 +139,33 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 // incomplete journeys; signalized is charged everything but incomplete
 // journeys; VT-IM and AIM are not charged at all.
 func TestTopoSafetyViolations(t *testing.T) {
-	cell := func(pol vehicle.Policy, coll, buf, inc int) TopoCell {
+	cell := func(pol string, coll, buf, inc int) TopoCell {
 		return TopoCell{
-			Policy:     pol.String(),
+			Policy:     pol,
 			Journey:    metrics.Summary{Collisions: coll, BufferViolations: buf},
 			Incomplete: inc,
 		}
 	}
 	cases := []struct {
 		name string
-		pol  vehicle.Policy
+		pol  string
 		cell TopoCell
 		want int
 	}{
-		{"clean crossroads", vehicle.PolicyCrossroads, cell(vehicle.PolicyCrossroads, 0, 0, 0), 0},
-		{"crossroads collision", vehicle.PolicyCrossroads, cell(vehicle.PolicyCrossroads, 1, 0, 0), 1},
-		{"crossroads buffer violation", vehicle.PolicyCrossroads, cell(vehicle.PolicyCrossroads, 0, 2, 0), 2},
-		{"dot incomplete", vehicle.PolicyDOT, cell(vehicle.PolicyDOT, 0, 0, 3), 3},
-		{"auction all three", vehicle.PolicyAuction, cell(vehicle.PolicyAuction, 1, 2, 3), 6},
-		{"signalized incomplete exempt", vehicle.PolicySignalized, cell(vehicle.PolicySignalized, 0, 0, 5), 0},
-		{"signalized buffer violation", vehicle.PolicySignalized, cell(vehicle.PolicySignalized, 1, 1, 5), 2},
-		{"vt-im exempt", vehicle.PolicyVTIM, cell(vehicle.PolicyVTIM, 1, 1, 1), 0},
-		{"aim exempt", vehicle.PolicyAIM, cell(vehicle.PolicyAIM, 1, 1, 1), 0},
+		{"clean crossroads", "crossroads", cell("crossroads", 0, 0, 0), 0},
+		{"crossroads collision", "crossroads", cell("crossroads", 1, 0, 0), 1},
+		{"crossroads buffer violation", "crossroads", cell("crossroads", 0, 2, 0), 2},
+		{"dot incomplete", "dot", cell("dot", 0, 0, 3), 3},
+		{"auction all three", "auction", cell("auction", 1, 2, 3), 6},
+		{"signalized incomplete exempt", "signalized", cell("signalized", 0, 0, 5), 0},
+		{"signalized buffer violation", "signalized", cell("signalized", 1, 1, 5), 2},
+		{"vt-im exempt", "vt-im", cell("vt-im", 1, 1, 1), 0},
+		{"aim exempt", "aim", cell("aim", 1, 1, 1), 0},
 	}
 	var all TopoResult
 	wantAll := 0
 	for _, tc := range cases {
-		r := TopoResult{Policies: []vehicle.Policy{tc.pol}, Cells: []TopoCell{tc.cell}}
+		r := TopoResult{Policies: []string{tc.pol}, Cells: []TopoCell{tc.cell}}
 		if got := r.SafetyViolations(); got != tc.want {
 			t.Errorf("%s: SafetyViolations() = %d, want %d", tc.name, got, tc.want)
 		}

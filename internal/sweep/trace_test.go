@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"crossroads/internal/trace"
-	"crossroads/internal/vehicle"
 )
 
 func tracedConfig(workers int) Config {
@@ -15,7 +14,7 @@ func tracedConfig(workers int) Config {
 		NumVehicles: 12,
 		Seed:        42,
 		ScaleModel:  true,
-		Policies:    []vehicle.Policy{vehicle.PolicyVTIM, vehicle.PolicyCrossroads},
+		Policies:    []string{"vt-im", "crossroads"},
 		Workers:     workers,
 		TraceFull:   true,
 	}

@@ -5,7 +5,6 @@ package vehicle
 // controller with its safe-stop and car-following envelopes.
 
 import (
-	"fmt"
 	"math"
 
 	"crossroads/internal/geom"
@@ -142,10 +141,6 @@ func (a *Agent) applyTimedCommand(now float64, resp im.Response) {
 	a.originS = originS
 	a.hasProfile = true
 	a.setState(StateFollow)
-	if debugAgent {
-		fmt.Printf("[%.3f] veh%d TIMED tExec=%.3f tArrive=%.3f v=%.2f s=%.3f originS=%.3f dist=%.3f profDur=%.3f arrAt=%.3f\n",
-			now, a.ID, tExec, tArrive, v, s, originS, dist, prof.Duration(), prof.TimeAtDistance(dist))
-	}
 }
 
 // applyAIMAccept locks in the granted constant-speed crossing.
@@ -271,14 +266,10 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 		sTarget := a.originS + a.profile.DistanceAt(now)
 		lag := sTarget - sMeas
 		vCmd = math.Max(vTarget+a.cfg.ControlGain*lag, 0)
-		if debugAgent && a.ID == 2 && int(now*100)%10 == 0 {
-			fmt.Printf("[%.2f] veh2 FOLLOW s=%.3f vTarget=%.2f sTarget=%.3f lag=%.3f vCmd=%.2f\n",
-				now, sMeas, vTarget, sTarget, lag, vCmd)
-		}
 		// An AIM reservation is re-validated once, at the last moment a
 		// stop is still possible: a committed vehicle's truthful re-booking
 		// may have landed inside our window since we were accepted.
-		if a.cfg.Policy == PolicyAIM && !a.confirmed &&
+		if a.cfg.Protocol == im.ProtocolQuery && !a.confirmed &&
 			sMeas < a.Movement.EnterS-a.Plant.Params.Length {
 			stopAt := a.Movement.EnterS - a.Plant.Params.Length/2 - a.cfg.StopLineOffset
 			v := a.Plant.MeasuredV()
@@ -296,7 +287,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 		// reservations are time-quantized), so slow crossings convert the
 		// lag to time.
 		lagExceeded := lag > a.cfg.ReRequestLag
-		if a.cfg.Policy == PolicyAIM {
+		if a.cfg.Protocol == im.ProtocolQuery {
 			lagExceeded = lag/math.Max(vTarget, 0.2) > 0.1
 		}
 		if lagExceeded && now-a.lastRequest > a.cfg.ReRequestMinInterval {
@@ -307,8 +298,8 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 				a.sendRequest(true)
 				vCmd = a.holdSpeed
 			} else if lagExceeded &&
-				(a.cfg.Policy == PolicyAIM || lag/math.Max(vTarget, 0.3) > 0.2) &&
-				a.cfg.Policy != PolicyVTIM &&
+				(a.cfg.Protocol == im.ProtocolQuery || lag/math.Max(vTarget, 0.3) > 0.2) &&
+				a.cfg.Protocol != im.ProtocolVelocity &&
 				sMeas < a.Movement.EnterS-a.Plant.Params.Length/2 {
 				// Committed and badly late (well beyond what the margins
 				// absorb): keep driving the old plan but tell the IM the

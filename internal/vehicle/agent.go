@@ -1,12 +1,15 @@
 // Package vehicle implements the vehicle-side protocol state machine of the
 // paper's Chapter 2: Arriving -> Sync -> Request -> Follow, with the
 // retransmit and safe-stop clauses of Algorithms 2, 6, and 8. One Agent type
-// speaks all three protocols (plain VT-IM, AIM queries, Crossroads timed
-// commands), selected by Config.Policy.
+// speaks all three wire protocols (VT-IM's held velocity, AIM's yes/no
+// query, Crossroads' timed command), selected by Config.Protocol. The
+// protocol comes from the policy's registry entry (im.PolicyEntry), so a
+// policy registered out of tree runs in the simulator and the sweeps like a
+// built-in.
 //
 // The implementation is split by concern:
 //
-//   - agent.go: policy/state enums, configuration, the Agent type, and its
+//   - agent.go: the state enum, configuration, the Agent type, and its
 //     lifecycle (Start, BeginLeg, NotifyExit, Stop).
 //   - handshake.go: the wire protocol — sync exchanges, request
 //     composition and retransmission, response handling, exit reporting.
@@ -25,7 +28,6 @@ package vehicle
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"crossroads/internal/des"
 	"crossroads/internal/im"
@@ -38,81 +40,14 @@ import (
 	"crossroads/internal/trace"
 )
 
-// Policy selects which protocol the agent speaks.
-type Policy int
-
-// The evaluated protocols.
-const (
-	PolicyVTIM Policy = iota
-	PolicyCrossroads
-	PolicyAIM
-	// PolicyBatch is the Tachet-style batching extension; on the wire it
-	// behaves like Crossroads (timed commands), with longer response
-	// latency budgeted for the re-organization window.
-	PolicyBatch
-	// PolicyDOT is the discrete-time occupancies-trajectory IM (space-time
-	// tile reservations); on the wire it behaves like Crossroads.
-	PolicyDOT
-	// PolicySignalized is the fixed-phase traffic-light baseline; timed
-	// commands aligned to green windows.
-	PolicySignalized
-	// PolicyAuction is the bidding/priority policy; timed commands with
-	// per-vehicle priority classes.
-	PolicyAuction
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyVTIM:
-		return "vt-im"
-	case PolicyCrossroads:
-		return "crossroads"
-	case PolicyAIM:
-		return "aim"
-	case PolicyBatch:
-		return "batch"
-	case PolicyDOT:
-		return "dot"
-	case PolicySignalized:
-		return "signalized"
-	case PolicyAuction:
-		return "auction"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
+// ParsePolicy checks that name is a registered policy and returns it. It
+// remains for the benchmark harness (crbench), which parses its workload's
+// policy here and passes the result to sim.WithPolicy.
+func ParsePolicy(name string) (string, error) {
+	if _, err := im.LookupPolicy(name); err != nil {
+		return "", err
 	}
-}
-
-// AllPolicies lists every protocol the agent speaks, in enum order.
-func AllPolicies() []Policy {
-	return []Policy{
-		PolicyVTIM, PolicyCrossroads, PolicyAIM, PolicyBatch,
-		PolicyDOT, PolicySignalized, PolicyAuction,
-	}
-}
-
-// ParsePolicy maps a policy name (as printed by String, matching the IM
-// registry names) back to its Policy.
-func ParsePolicy(name string) (Policy, error) {
-	for _, p := range AllPolicies() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("vehicle: unknown policy %q (known: %v)", name, AllPolicies())
-}
-
-// Timed reports whether the policy's grants are time-anchored commands
-// (TE/ToA): requests carry the synchronized transmit timestamp, replies are
-// executed at a fixed TE, and the IM may push unsolicited revisions. This
-// is the protocol-classification pivot — the wire behavior every
-// Crossroads-derived policy (batch, dot, signalized, auction) shares —
-// replacing per-policy case lists at the protocol switch sites.
-func (p Policy) Timed() bool {
-	switch p {
-	case PolicyCrossroads, PolicyBatch, PolicyDOT, PolicySignalized, PolicyAuction:
-		return true
-	}
-	return false
+	return name, nil
 }
 
 // State is the protocol state (paper Chapter 2 state machine).
@@ -146,7 +81,9 @@ func (s State) String() string {
 
 // Config tunes the agent's protocol behavior.
 type Config struct {
-	Policy Policy
+	// Protocol is the wire protocol spoken, from the policy's registry
+	// entry.
+	Protocol im.Protocol
 	// WCRTD is the worst-case round-trip-delay bound the protocol was
 	// provisioned with (the Crossroads TE offset and the response
 	// timeout basis).
@@ -176,8 +113,8 @@ type Config struct {
 	// stops when no permission has been granted (m).
 	StopLineOffset float64
 	// CommandLatency is how long after transmission a granted command
-	// takes effect (TE - TT): the WC-RTD for Crossroads, plus the window
-	// for batch. Stop-capability is judged at the execution position, not
+	// takes effect (TE - TT): the WC-RTD, plus the policy's reply hold
+	// (batch's window). Stop-capability is judged at the execution position, not
 	// the current one.
 	CommandLatency float64
 	// HeadwayTau is the car-following reaction-time margin (s): the
@@ -210,44 +147,38 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// DefaultConfig returns testbed-scaled protocol parameters.
-func DefaultConfig(policy Policy) Config {
-	return Config{
-		Policy:               policy,
-		WCRTD:                0.150,
+// DeriveConfig returns the protocol parameters for a deployment: gaps and
+// stop offsets follow the vehicle size, the re-request threshold follows
+// the sensing buffer (the lag a plan may accumulate before it threatens the
+// safety contract), and the RTD bound comes from the spec. hold is how long
+// the IM may hold a reply (the policy's registry entry); the response
+// timeout and the command latency budget for it.
+func DeriveConfig(protocol im.Protocol, hold float64, spec safety.Spec, params kinematics.Params) Config {
+	cfg := Config{
+		Protocol:             protocol,
+		WCRTD:                spec.WorstRTD,
 		NumSyncExchanges:     4,
 		SyncInterval:         0.02,
 		RetryInterval:        0.35,
 		SlowdownFactor:       0.75,
 		ControlGain:          2.0,
-		MinGap:               0.15,
-		ReRequestLag:         0.06,
+		MinGap:               math.Max(0.15, 0.25*params.Length),
+		ReRequestLag:         math.Max(0.05, 0.75*spec.SensingBuffer()),
 		ReRequestMinInterval: 0.50,
-		StopLineOffset:       0.05,
-		HeadwayTau:           0.25,
-		MaxTimeout:           2.0,
+		// The stop line sits behind the conflict-zone lip: a waiting
+		// vehicle's buffered nose must clear a crossing movement's buffered
+		// corridor (half the corridor width plus both buffers plus slack).
+		StopLineOffset: params.Width/2 + 2*spec.SensingBuffer() + 0.05,
+		CommandLatency: spec.WorstRTD,
+		HeadwayTau:     0.25,
+		MaxTimeout:     2.0,
 	}
-}
-
-// DeriveConfig scales the protocol parameters to a deployment: gaps and
-// stop offsets follow the vehicle size, the re-request threshold follows
-// the sensing buffer (the lag a plan may accumulate before it threatens the
-// safety contract), and the RTD bound comes from the spec.
-func DeriveConfig(policy Policy, spec safety.Spec, params kinematics.Params) Config {
-	cfg := DefaultConfig(policy)
-	cfg.WCRTD = spec.WorstRTD
-	cfg.CommandLatency = spec.WorstRTD
-	cfg.MinGap = math.Max(0.15, 0.25*params.Length)
-	cfg.ReRequestLag = math.Max(0.05, 0.75*spec.SensingBuffer())
-	// The stop line sits behind the conflict-zone lip: a waiting vehicle's
-	// buffered nose must clear a crossing movement's buffered corridor
-	// (half the corridor width plus both buffers plus slack).
-	cfg.StopLineOffset = params.Width/2 + 2*spec.SensingBuffer() + 0.05
+	if hold > 0 {
+		cfg.ResponseTimeout = hold + spec.WorstRTD + 0.05
+		cfg.CommandLatency = hold + spec.WorstRTD
+	}
 	return cfg
 }
-
-// debugAgent enables actuation traces (diagnostic runs only).
-var debugAgent = os.Getenv("CROSSROADS_DEBUG_AGENT") != ""
 
 // LeaderInfo describes the vehicle ahead in the same lane corridor.
 type LeaderInfo struct {

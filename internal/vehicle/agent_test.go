@@ -29,7 +29,7 @@ type harness struct {
 	respond func(msg network.Message)
 }
 
-func newHarness(t *testing.T, policy Policy) *harness {
+func newHarness(t *testing.T, protocol im.Protocol) *harness {
 	t.Helper()
 	x, err := intersection.New(intersection.ScaleModelConfig())
 	if err != nil {
@@ -44,7 +44,7 @@ func newHarness(t *testing.T, policy Policy) *harness {
 		t.Fatal(err)
 	}
 	clk := timesync.NewSyncedClock(timesync.Clock{Offset: 0.05}, 8)
-	cfg := DeriveConfig(policy, safety.TestbedSpec(), params)
+	cfg := DeriveConfig(protocol, 0, safety.TestbedSpec(), params)
 	h := &harness{sim: sim, net: net, pl: pl, m: m}
 	agent, err := New(1, m, pl, clk, cfg, sim, net, nil)
 	if err != nil {
@@ -89,7 +89,7 @@ func (h *harness) kinds(k network.Kind) []network.Message {
 }
 
 func TestAgentSyncThenRequest(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	h.agent.Start()
 	h.drive(0.5)
 	syncs := h.kinds(network.KindSyncRequest)
@@ -115,7 +115,7 @@ func TestAgentSyncThenRequest(t *testing.T) {
 }
 
 func TestAgentRetransmitsWithBackoff(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	h.respond = nil // IM never answers
 	h.agent.Start()
 	h.drive(3.0)
@@ -135,7 +135,7 @@ func TestAgentRetransmitsWithBackoff(t *testing.T) {
 }
 
 func TestAgentSafeStopWithoutGrant(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	h.respond = nil // never granted
 	h.agent.Start()
 	h.drive(4.0)
@@ -153,7 +153,7 @@ func TestAgentSafeStopWithoutGrant(t *testing.T) {
 }
 
 func TestAgentFollowsTimedCommand(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	var granted im.Response
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
@@ -194,7 +194,7 @@ func TestAgentFollowsTimedCommand(t *testing.T) {
 }
 
 func TestAgentStopCommandThenRetry(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	grants := 0
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
@@ -213,7 +213,7 @@ func TestAgentStopCommandThenRetry(t *testing.T) {
 }
 
 func TestAgentAIMRejectSlowsAndRetries(t *testing.T) {
-	h := newHarness(t, PolicyAIM)
+	h := newHarness(t, im.ProtocolQuery)
 	var proposals []im.Request
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
@@ -234,7 +234,7 @@ func TestAgentAIMRejectSlowsAndRetries(t *testing.T) {
 }
 
 func TestAgentAIMAcceptHoldsSpeed(t *testing.T) {
-	h := newHarness(t, PolicyAIM)
+	h := newHarness(t, im.ProtocolQuery)
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
 		h.net.Send(network.Message{Kind: network.KindAccept, From: im.EndpointName,
@@ -255,7 +255,7 @@ func TestAgentAIMAcceptHoldsSpeed(t *testing.T) {
 }
 
 func TestAgentStaleResponseIgnored(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
 		// Reply with a WRONG sequence number.
@@ -273,7 +273,7 @@ func TestAgentStaleResponseIgnored(t *testing.T) {
 }
 
 func TestAgentExitNotification(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
 		te := req.TransmitTime + 0.15
@@ -302,7 +302,7 @@ func TestAgentExitNotification(t *testing.T) {
 }
 
 func TestAgentCarFollowingBrakes(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	// A stopped phantom leader 2 m ahead.
 	h.agent.leader = func() (LeaderInfo, bool) {
 		gap := 2.0 - h.pl.S()
@@ -353,8 +353,8 @@ func TestSafeFollowSpeed(t *testing.T) {
 }
 
 func TestDeriveConfigScales(t *testing.T) {
-	scale := DeriveConfig(PolicyCrossroads, safety.TestbedSpec(), kinematics.ScaleModelParams())
-	full := DeriveConfig(PolicyCrossroads, safety.FullScaleSpec(), kinematics.FullScaleParams())
+	scale := DeriveConfig(im.ProtocolTimed, 0, safety.TestbedSpec(), kinematics.ScaleModelParams())
+	full := DeriveConfig(im.ProtocolTimed, 0, safety.FullScaleSpec(), kinematics.FullScaleParams())
 	if !(full.MinGap > scale.MinGap) {
 		t.Errorf("MinGap did not scale: %v vs %v", full.MinGap, scale.MinGap)
 	}
@@ -369,15 +369,27 @@ func TestDeriveConfigScales(t *testing.T) {
 	}
 }
 
+// TestDeriveConfigBudgetsReplyHold pins how a policy's reply hold reaches
+// the agent: added to the response timeout and the command latency, and
+// absent when the hold is zero.
+func TestDeriveConfigBudgetsReplyHold(t *testing.T) {
+	spec, params := safety.TestbedSpec(), kinematics.ScaleModelParams()
+	plain := DeriveConfig(im.ProtocolTimed, 0, spec, params)
+	if plain.ResponseTimeout != 0 || plain.CommandLatency != spec.WorstRTD {
+		t.Errorf("hold 0: ResponseTimeout %v, CommandLatency %v; want 0 and %v",
+			plain.ResponseTimeout, plain.CommandLatency, spec.WorstRTD)
+	}
+	held := DeriveConfig(im.ProtocolTimed, 0.25, spec, params)
+	if held.ResponseTimeout != 0.25+spec.WorstRTD+0.05 || held.CommandLatency != 0.25+spec.WorstRTD {
+		t.Errorf("hold 0.25: ResponseTimeout %v, CommandLatency %v", held.ResponseTimeout, held.CommandLatency)
+	}
+	held.ResponseTimeout, held.CommandLatency = plain.ResponseTimeout, plain.CommandLatency
+	if held != plain {
+		t.Errorf("the hold changed more than the two budgets:\n%+v\n%+v", held, plain)
+	}
+}
+
 func TestPolicyAndStateStrings(t *testing.T) {
-	for _, p := range []Policy{PolicyVTIM, PolicyCrossroads, PolicyAIM} {
-		if p.String() == "" {
-			t.Error("empty policy string")
-		}
-	}
-	if Policy(9).String() != "policy(9)" {
-		t.Errorf("unknown policy = %q", Policy(9).String())
-	}
 	for s := StateSync; s <= StateDone; s++ {
 		if s.String() == "" {
 			t.Error("empty state string")

@@ -16,7 +16,7 @@ import (
 // the IM never acknowledging, retransmission gaps must grow exponentially
 // and cap at MaxTimeout — a stalled IM is not flooded.
 func TestExitRetransmitBackoffGrows(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	h.respond = func(msg network.Message) {
 		req := msg.Payload.(im.Request)
 		te := req.TransmitTime + 0.15
@@ -60,7 +60,7 @@ func TestExitRetransmitBackoffGrows(t *testing.T) {
 // fault, re-plan quiet), blocked mid-approach by a stopped leader, must
 // abandon the plan, record a failsafe, and re-enter the request loop.
 func TestGrantExpiryFailsafe(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	rec := trace.NewFull()
 	h.agent.cfg.GrantTTL = 0.3
 	h.agent.cfg.Trace = rec
@@ -111,7 +111,7 @@ func TestGrantExpiryFailsafe(t *testing.T) {
 // with no grant (IM silent) records exactly one no-grant failsafe per halt,
 // and only when the TTL arms the fault paths.
 func TestNoGrantLatch(t *testing.T) {
-	h := newHarness(t, PolicyCrossroads)
+	h := newHarness(t, im.ProtocolTimed)
 	rec := trace.NewFull()
 	h.agent.cfg.GrantTTL = 1.5
 	h.agent.cfg.Trace = rec
@@ -132,7 +132,7 @@ func TestNoGrantLatch(t *testing.T) {
 	}
 
 	// Disarmed (clean run): the same starvation must record nothing.
-	h2 := newHarness(t, PolicyCrossroads)
+	h2 := newHarness(t, im.ProtocolTimed)
 	rec2 := trace.NewFull()
 	h2.agent.cfg.Trace = rec2
 	h2.respond = nil

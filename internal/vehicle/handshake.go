@@ -90,7 +90,7 @@ func (a *Agent) handle(now float64, msg network.Message) {
 			// crossed must not rewrite the next leg's plan.
 			if msg.From == a.imAddr &&
 				resp.Kind == im.RespTimed && a.hasArrival && a.state == StateFollow &&
-				a.cfg.Policy.Timed() {
+				a.cfg.Protocol == im.ProtocolTimed {
 				a.applyTimedCommand(now, resp)
 			}
 			return
@@ -134,16 +134,16 @@ func (a *Agent) sendRequest(retransmit bool) {
 		Movement:  a.Movement.ID,
 		Params:    a.Plant.Params,
 	}
-	switch {
-	case a.cfg.Policy.Timed():
+	switch a.cfg.Protocol {
+	case im.ProtocolTimed:
 		req.CurrentSpeed = vc
 		req.DistToEntry = dt
 		req.TransmitTime = tt
 		req.Priority = a.cfg.Priority
-	case a.cfg.Policy == PolicyVTIM:
+	case im.ProtocolVelocity:
 		req.CurrentSpeed = vc
 		req.DistToEntry = dt
-	case a.cfg.Policy == PolicyAIM:
+	case im.ProtocolQuery:
 		if vc >= 0.15*a.Plant.Params.MaxSpeed {
 			// Constant-speed proposal (Algorithm 6): TOA dictated by the
 			// current speed.
@@ -203,7 +203,7 @@ func (a *Agent) sendCommittedRequest() {
 		Priority:     a.cfg.Priority,
 		Params:       a.Plant.Params,
 	}
-	if a.cfg.Policy == PolicyAIM {
+	if a.cfg.Protocol == im.ProtocolQuery {
 		// Report the truthful (full-throttle) arrival from the current
 		// state; the IM re-reserves it unconditionally.
 		eta, vArr, _ := kinematics.EarliestArrival(0, dt, vc, a.Plant.Params)
@@ -252,8 +252,8 @@ func (a *Agent) sendConfirm() {
 
 // handleResponse consumes the IM's reply per policy.
 func (a *Agent) handleResponse(now float64, resp im.Response) {
-	switch {
-	case a.cfg.Policy == PolicyVTIM:
+	switch a.cfg.Protocol {
+	case im.ProtocolVelocity:
 		if resp.Kind != im.RespVelocity {
 			return
 		}
@@ -272,7 +272,7 @@ func (a *Agent) handleResponse(now float64, resp im.Response) {
 		a.originS = s
 		a.hasProfile = true
 		a.setState(StateFollow)
-	case a.cfg.Policy.Timed():
+	case im.ProtocolTimed:
 		if resp.Kind == im.RespVelocity && resp.TargetSpeed <= 0.01 {
 			// Degenerate-request stop command.
 			a.stopAndRetry()
@@ -282,7 +282,7 @@ func (a *Agent) handleResponse(now float64, resp im.Response) {
 			return
 		}
 		a.applyTimedCommand(now, resp)
-	case a.cfg.Policy == PolicyAIM:
+	case im.ProtocolQuery:
 		switch resp.Kind {
 		case im.RespAccept:
 			a.applyAIMAccept(now, resp)

@@ -6,7 +6,8 @@
 // The facade covers three things:
 //
 //   - the IM policy registry, so out-of-tree schedulers can register
-//     themselves and be served, swept, and load-tested like the built-ins;
+//     themselves and be simulated, swept, served, and load-tested like the
+//     built-ins;
 //   - the experiment entry points (single-intersection sweeps, topology
 //     sweeps, fault matrices, scale-scenario replication);
 //   - the serve-mode wire protocol types, so clients can speak to
@@ -24,17 +25,12 @@ import (
 	"crossroads/internal/sim"
 	"crossroads/internal/sweep"
 
-	_ "crossroads/internal/core"          // register crossroads
-	_ "crossroads/internal/im/aim"        // register aim
-	_ "crossroads/internal/im/auction"    // register auction
-	_ "crossroads/internal/im/batch"      // register batch
-	_ "crossroads/internal/im/dot"        // register dot
-	_ "crossroads/internal/im/signalized" // register signalized
-	_ "crossroads/internal/im/vtim"       // register vt-im
+	_ "crossroads/internal/im/builtin" // register the built-in policies
 )
 
-// Policy registry: implement im.Scheduler, register a factory under a
-// name, and every harness in the repo (sim, sweeps, serve mode) can run it.
+// Policy registry: implement im.Scheduler, register an entry naming its
+// factory and the wire protocol its vehicles speak, and every harness in
+// the repo (sim, sweeps, serve mode) can run it.
 type (
 	// Scheduler is the IM policy interface.
 	Scheduler = im.Scheduler
@@ -42,10 +38,25 @@ type (
 	PolicyOptions = im.PolicyOptions
 	// PolicyFactory builds a scheduler for one intersection.
 	PolicyFactory = im.PolicyFactory
+	// PolicyEntry is a registered policy: its factory, its wire protocol,
+	// and the reply hold its vehicles budget for.
+	PolicyEntry = im.PolicyEntry
+	// Protocol is the wire protocol a policy's vehicles speak.
+	Protocol = im.Protocol
+)
+
+// The three wire protocols a policy entry may declare.
+const (
+	// ProtocolVelocity is VT-IM's held velocity.
+	ProtocolVelocity = im.ProtocolVelocity
+	// ProtocolQuery is AIM's yes/no query.
+	ProtocolQuery = im.ProtocolQuery
+	// ProtocolTimed is Crossroads' command executed at TE = TT + WC-RTD.
+	ProtocolTimed = im.ProtocolTimed
 )
 
 var (
-	// RegisterPolicy adds a scheduler factory under a unique name.
+	// RegisterPolicy adds a policy entry under a unique name.
 	RegisterPolicy = im.RegisterPolicy
 	// NewScheduler instantiates a registered policy by name.
 	NewScheduler = im.NewScheduler
@@ -90,7 +101,6 @@ var (
 	WithClockError     = sim.WithClockError
 	WithOmitRTDBuffer  = sim.WithOmitRTDBuffer
 	WithPolicyParams   = sim.WithPolicyParams
-	WithAgentOverrides = sim.WithAgentOverrides
 	WithCollisionEvery = sim.WithCollisionEvery
 	WithObserver       = sim.WithObserver
 	WithTrace          = sim.WithTrace

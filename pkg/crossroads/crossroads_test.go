@@ -10,8 +10,8 @@ import (
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
+	"crossroads/internal/topology"
 	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
 
 // TestBuiltinsRegistered proves importing the facade is enough to get every
@@ -32,9 +32,12 @@ func TestBuiltinsRegistered(t *testing.T) {
 // scheduler registered through the facade must be constructible by name.
 func TestRegisterAndBuildPolicy(t *testing.T) {
 	called := false
-	crossroads.RegisterPolicy("facade-test-null", func(x *intersection.Intersection, opts crossroads.PolicyOptions, rng *rand.Rand) (crossroads.Scheduler, error) {
-		called = true
-		return crossroads.NewScheduler("crossroads", x, opts, rng)
+	crossroads.RegisterPolicy("facade-test-null", crossroads.PolicyEntry{
+		Factory: func(x *intersection.Intersection, opts crossroads.PolicyOptions, rng *rand.Rand) (crossroads.Scheduler, error) {
+			called = true
+			return crossroads.NewScheduler("crossroads", x, opts, rng)
+		},
+		Protocol: crossroads.ProtocolTimed,
 	})
 	x, err := intersection.New(intersection.ScaleModelConfig())
 	if err != nil {
@@ -58,7 +61,7 @@ func TestSimEntryPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, err := crossroads.NewSimConfig(
-		crossroads.WithPolicy(vehicle.PolicyCrossroads),
+		crossroads.WithPolicy("crossroads"),
 		crossroads.WithSeed(7),
 	)
 	if err != nil {
@@ -70,6 +73,61 @@ func TestSimEntryPoint(t *testing.T) {
 	}
 	if res.Summary.Completed != len(arrivals) {
 		t.Fatalf("completed %d of %d", res.Summary.Completed, len(arrivals))
+	}
+}
+
+// TestRegisteredTimedPolicyRunsEverywhere registers a timed policy through
+// the facade and runs it where the built-ins run: one simulation, and a
+// topology sweep over a 2x2 grid, whose safety gate counts it as timed.
+func TestRegisteredTimedPolicyRunsEverywhere(t *testing.T) {
+	const name = "facade-test-timed"
+	crossroads.RegisterPolicy(name, crossroads.PolicyEntry{
+		Factory: func(x *intersection.Intersection, opts crossroads.PolicyOptions, rng *rand.Rand) (crossroads.Scheduler, error) {
+			return crossroads.NewScheduler("crossroads", x, opts, rng)
+		},
+		Protocol: crossroads.ProtocolTimed,
+	})
+
+	arrivals, err := traffic.ScaleScenario(1, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := crossroads.NewSimConfig(crossroads.WithPolicy(name), crossroads.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := crossroads.RunSim(cfg, arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := res.Summary; s.Completed != len(arrivals) || s.Collisions != 0 || s.BufferViolations != 0 || res.Incomplete != 0 {
+		t.Errorf("sim: completed %d of %d, collisions %d, buffer violations %d, incomplete %d",
+			s.Completed, len(arrivals), s.Collisions, s.BufferViolations, res.Incomplete)
+	}
+
+	grid, err := topology.Grid(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := crossroads.RunTopologySweep(crossroads.TopoConfig{
+		Topology:    grid,
+		NumVehicles: 12,
+		Policies:    []string{name},
+		Seed:        7,
+		ScaleModel:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := topo.Cells[0]
+	if c.Journey.Completed != 12 || c.Journey.Collisions != 0 || c.Journey.BufferViolations != 0 || c.Incomplete != 0 {
+		t.Errorf("grid: completed %d of 12, collisions %d, buffer violations %d, incomplete %d",
+			c.Journey.Completed, c.Journey.Collisions, c.Journey.BufferViolations, c.Incomplete)
+	}
+	// The gate must see the policy as timed: a cell with a collision counts.
+	topo.Cells[0].Journey.Collisions = 1
+	if v := topo.SafetyViolations(); v != 1 {
+		t.Errorf("safety gate counts %d violation(s) in a colliding cell of a timed policy, want 1", v)
 	}
 }
 
