@@ -113,8 +113,12 @@ serve-demo:
 	./loadgen-demo-bin -addr ./serve-grid.sock -grid 2x2 -conns 4 -rate 1 -duration 5s; \
 	stop_server
 
+## vet also covers crbench/, the benchmark's own module: the root ./...
+## pattern skips it, yet it imports internal packages. Its only
+## requirement is this repo, through a replace, so it vets offline.
 vet:
 	$(GO) vet ./...
+	cd crbench && $(GO) vet ./...
 
 ## staticcheck runs honnef.co/go/tools over the whole module. The tool is
 ## not vendored, so the target fetches it via `go run` and needs network

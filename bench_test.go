@@ -27,9 +27,9 @@ import (
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
+	"crossroads/internal/metrics"
 	"crossroads/internal/network"
 	"crossroads/internal/safety"
-	"crossroads/internal/scale"
 	"crossroads/internal/sim"
 	"crossroads/internal/sweep"
 	"crossroads/internal/topology"
@@ -84,9 +84,9 @@ func BenchmarkCalibrateRTD(b *testing.B) {
 // VT-IM and Crossroads. Paper: 1.24x (worst case) to 1.08x (best case)
 // lower wait, ~24% on average.
 func BenchmarkScaleModelScenarios(b *testing.B) {
-	var res scale.Result
+	var res sweep.ScaleResult
 	for i := 0; i < b.N; i++ {
-		r, err := scale.Run(scale.Config{Repetitions: 3, Seed: int64(i + 1), Noisy: true})
+		r, err := sweep.RunScale(sweep.ScaleConfig{Repetitions: 3, Seed: int64(i + 1), Noisy: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,9 +124,9 @@ func runSweepBench(b *testing.B, rates []float64, policies []string) sweep.Resul
 func BenchmarkFlowSweep(b *testing.B) {
 	rates := []float64{0.1, 0.4, 1.0}
 	res := runSweepBench(b, rates, nil)
-	last := res.Cells[len(res.Cells)-1]
-	for _, c := range last {
-		b.ReportMetric(c.Throughput, c.Policy+"-tput@1.0")
+	last := len(res.Rates) - 1
+	for pi, pol := range res.Policies {
+		b.ReportMetric(res.Cell(last, pi).Summary.Throughput, pol+"-tput@1.0")
 	}
 	if worst, avg, err := res.Headline("vt-im"); err == nil {
 		b.ReportMetric(worst, "vs-vtim-worst")
@@ -167,8 +167,8 @@ func BenchmarkFlowSweepPerPolicy(b *testing.B) {
 		pol := pol
 		b.Run(pol, func(b *testing.B) {
 			res := runSweepBench(b, []float64{0.4}, []string{pol})
-			b.ReportMetric(res.Cells[0][0].Throughput, "tput")
-			b.ReportMetric(float64(res.Cells[0][0].Messages), "messages")
+			b.ReportMetric(res.Cell(0, 0).Summary.Throughput, "tput")
+			b.ReportMetric(float64(res.Cell(0, 0).Summary.Messages), "messages")
 		})
 	}
 }
@@ -178,9 +178,9 @@ func BenchmarkFlowSweepPerPolicy(b *testing.B) {
 // designs.
 func BenchmarkOverheadComparison(b *testing.B) {
 	res := runSweepBench(b, []float64{0.6}, nil)
-	byName := map[string]sweep.Cell{}
-	for _, c := range res.Cells[0] {
-		byName[c.Policy] = c
+	byName := map[string]metrics.Summary{}
+	for pi, pol := range res.Policies {
+		byName[pol] = res.Cell(0, pi).Summary
 	}
 	aim, cr := byName["aim"], byName["crossroads"]
 	if cr.SchedulerSimDelay > 0 {

@@ -115,8 +115,8 @@ func main() {
 	fmt.Println("benchreport: measuring fault-injection overhead (mix scenario)...")
 	fm, matrix := benchFaultMatrix()
 	m := record("FaultMatrix/mix/crossroads", fm)
-	clean := matrix.Cells[0][0][0].Throughput
-	faulted := matrix.Cells[1][0][0].Throughput
+	clean := matrix.CleanThroughput(0, 0)
+	faulted := matrix.Cell(1, 0, 0).Summary.Throughput
 	m.Extra = map[string]float64{
 		"clean_tput":   clean,
 		"faulted_tput": faulted,
@@ -220,7 +220,7 @@ func benchSweep(workers int) testing.BenchmarkResult {
 // iteration and returns the timing plus the heaviest-rate cell, so every
 // registered scheduler family carries a comparable cost and outcome row in
 // the report.
-func benchPolicySweep(pol string) (testing.BenchmarkResult, sweep.Cell) {
+func benchPolicySweep(pol string) (testing.BenchmarkResult, metrics.Summary) {
 	cfg := sweep.Config{
 		Rates:       []float64{0.1, 0.4, 1.0},
 		NumVehicles: 24,
@@ -228,7 +228,7 @@ func benchPolicySweep(pol string) (testing.BenchmarkResult, sweep.Cell) {
 		Seed:        42,
 		Workers:     1,
 	}
-	var last sweep.Cell
+	var last metrics.Summary
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -236,7 +236,7 @@ func benchPolicySweep(pol string) (testing.BenchmarkResult, sweep.Cell) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			last = res.Cells[len(res.Cells)-1][0]
+			last = res.Cell(len(res.Rates)-1, 0).Summary
 			if last.Collisions != 0 || last.BufferViolations != 0 {
 				b.Fatalf("policy %v: %d collisions, %d buffer violations",
 					pol, last.Collisions, last.BufferViolations)
@@ -303,12 +303,12 @@ func benchCoordCorridor(coord bool) (testing.BenchmarkResult, metrics.Summary) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cell := res.Cells[0]
-			if cell.Journey.Completed != 200 || cell.Journey.Collisions != 0 || cell.Incomplete != 0 {
+			cell := res.Cell(0)
+			if cell.Summary.Completed != 200 || cell.Summary.Collisions != 0 || cell.Incomplete != 0 {
 				b.Fatalf("corridor run unhealthy: completed=%d collisions=%d incomplete=%d",
-					cell.Journey.Completed, cell.Journey.Collisions, cell.Incomplete)
+					cell.Summary.Completed, cell.Summary.Collisions, cell.Incomplete)
 			}
-			last = cell.Journey
+			last = cell.Summary
 		}
 	})
 	return r, last

@@ -6,127 +6,171 @@
 // With -corridor or -grid it instead runs the multi-intersection
 // experiment: one routed Poisson workload over the topology, each
 // intersection managed by its own IM shard, reporting end-to-end journey
-// statistics plus a per-node breakdown.
+// statistics plus a per-node breakdown. With -faults it runs the
+// fault-injection robustness matrix.
+//
+// Each mode rejects the flags it does not read (see modes).
 //
 // Usage:
 //
-//	crossroads-sim [-n 160] [-seed 42] [-workers 1] [-scale] [-noise] [-overhead] [-summary] [-csv] [-trace out.jsonl]
-//	crossroads-sim -corridor 3 [-rate 0.3] [...]
-//	crossroads-sim -grid 2x2 [-rate 0.3] [...]
+//	crossroads-sim [-n 160] [-seed 42] [-workers 1] [-scale] [-noise] [-overhead] [-summary] [-csv] [-trace out.jsonl [-trace-des]]
+//	crossroads-sim -corridor 3 [-rate 0.3] [-seglen 0] [-coord on] [...]
+//	crossroads-sim -grid 2x2 [-rate 0.3] [-seglen 0] [-coord on] [...]
+//	crossroads-sim -faults matrix|<scenario> [-n 36] [-rate 0.4] [-seed 1] [-trace out.jsonl] [...]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"crossroads/internal/cliflags"
+	"crossroads/internal/metrics"
 	"crossroads/internal/sweep"
-	"crossroads/internal/topology"
 )
 
+// Mode names, as error messages print them.
+const (
+	sweepMode = "the rate sweep"
+	topoMode  = "-corridor/-grid runs"
+	faultMode = "-faults runs"
+)
+
+// modes lists the flags each mode reads. Any other flag on the command
+// line fails the run, so a mode never silently runs something other than
+// what was asked.
+var modes = map[string][]string{
+	sweepMode: {"n", "seed", "workers", "csv", "trace", "trace-des", "policy", "policy-opt",
+		"scale", "noise", "overhead", "summary"},
+	topoMode: {"n", "seed", "workers", "csv", "trace", "trace-des", "policy", "policy-opt",
+		"scale", "noise", "corridor", "grid", "rate", "seglen", "coord"},
+	faultMode: {"n", "seed", "workers", "csv", "trace", "policy", "policy-opt",
+		"faults", "rate"},
+}
+
+// flags is crossroads-sim's command line.
+type flags struct {
+	n          *int
+	common     *cliflags.Common
+	scaleModel *bool
+	noisy      *bool
+	overhead   *bool
+	summary    *bool
+	topo       *cliflags.Topology
+	coord      *cliflags.Coord
+	policy     *cliflags.Policy
+	faults     *string
+}
+
+func addFlags(fs *flag.FlagSet) *flags {
+	return &flags{
+		n:          fs.Int("n", 160, "vehicles routed per run (paper: 160)"),
+		common:     cliflags.AddCommon(fs, 42),
+		scaleModel: fs.Bool("scale", false, "use the 1/10-scale geometry instead of full-scale"),
+		noisy:      fs.Bool("noise", false, "enable plant actuation/sensing noise"),
+		overhead:   fs.Bool("overhead", false, "also print the computation/network overhead table"),
+		summary:    fs.Bool("summary", false, "also print the headline throughput ratios"),
+		topo:       cliflags.AddTopology(fs),
+		coord:      cliflags.AddCoord(fs),
+		policy:     cliflags.AddPolicy(fs),
+		faults:     cliflags.AddFaults(fs),
+	}
+}
+
+// mode selects the experiment the parsed command line asks for and fails
+// on any flag that experiment would ignore.
+func (f *flags) mode(fs *flag.FlagSet) (string, error) {
+	m := sweepMode
+	switch {
+	case *f.faults != "":
+		m = faultMode
+	case f.topo.Corridor != 0 || f.topo.Grid != "":
+		m = topoMode
+	}
+	var err error
+	fs.VisitAll(func(fl *flag.Flag) {
+		if err != nil || slices.Contains(modes[m], fl.Name) || !cliflags.WasSet(fs, fl.Name) {
+			return
+		}
+		var readers []string
+		for _, other := range []string{sweepMode, topoMode, faultMode} {
+			if slices.Contains(modes[other], fl.Name) {
+				readers = append(readers, other)
+			}
+		}
+		err = fmt.Errorf("-%s is not read by %s; use it with %s", fl.Name, m, strings.Join(readers, " or "))
+	})
+	if err != nil {
+		return "", err
+	}
+	return m, f.common.Check()
+}
+
 func main() {
-	n := flag.Int("n", 160, "vehicles routed per run (paper: 160)")
-	common := cliflags.AddCommon(flag.CommandLine, 42)
-	scaleModel := flag.Bool("scale", false, "use the 1/10-scale geometry instead of full-scale")
-	noisy := flag.Bool("noise", false, "enable plant actuation/sensing noise")
-	overhead := flag.Bool("overhead", false, "also print the computation/network overhead table")
-	summary := flag.Bool("summary", false, "also print the headline throughput ratios")
-	topoFlags := cliflags.AddTopology(flag.CommandLine)
-	coordFlags := cliflags.AddCoord(flag.CommandLine)
-	policyFlags := cliflags.AddPolicy(flag.CommandLine)
-	faults := cliflags.AddFaults(flag.CommandLine)
+	f := addFlags(flag.CommandLine)
 	flag.Parse()
-	if policyFlags.List() {
-		fmt.Println(policyFlags.ListText())
+	if f.policy.List() {
+		fmt.Println(f.policy.ListText())
 		return
 	}
-	policies, err := policyFlags.Policies(nil)
+	m, err := f.mode(flag.CommandLine)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	policyParams, err := policyFlags.Params()
+	policies, err := f.policy.Policies(nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	coordOn, coordPeriod, err := coordFlags.Parse()
+	policyParams, err := f.policy.Params()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
-	}
-	seed, workers := common.Seed, common.Workers
-	csv, tracePath, traceDES := common.CSV, common.TracePath, common.TraceDES
-	if coordOn && topoFlags.Corridor == 0 && topoFlags.Grid == "" {
-		fmt.Fprintln(os.Stderr, "crossroads-sim: -coord on needs a -corridor/-grid topology (a single IM has no peers)")
-		os.Exit(1)
-	}
-	if coordOn && *faults != "" {
-		fmt.Fprintln(os.Stderr, "crossroads-sim: -coord is mutually exclusive with -faults (the fault matrix is single-intersection)")
-		os.Exit(1)
+		fail(err)
 	}
 
-	if *faults != "" {
-		if topoFlags.Corridor != 0 || topoFlags.Grid != "" {
-			fmt.Fprintln(os.Stderr, "crossroads-sim: -faults is mutually exclusive with -corridor/-grid")
-			os.Exit(1)
-		}
-		// The matrix has its own fleet/rate defaults tuned so every
-		// scenario window catches vehicles mid-handshake; -n and -rate
-		// override them only when given explicitly.
-		nOverride, rateOverride := 0, 0.0
-		if cliflags.WasSet(flag.CommandLine, "n") {
-			nOverride = *n
-		}
-		if cliflags.WasSet(flag.CommandLine, "rate") {
-			rateOverride = topoFlags.Rate
-		}
-		runFaultMatrix(*faults, seed, workers, csv, tracePath, nOverride, rateOverride, policies, policyParams)
-		return
+	switch m {
+	case faultMode:
+		runFaultMatrix(f, policies, policyParams)
+	case topoMode:
+		runTopology(f, policies, policyParams)
+	default:
+		runSweep(f, policies, policyParams)
 	}
+}
 
-	topo, err := topoFlags.Build()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
-	}
-	if topo != nil {
-		runTopology(topo, topoFlags.Rate, *n, seed, workers,
-			*scaleModel, *noisy, csv, tracePath, traceDES, coordOn, coordPeriod,
-			policies, policyParams)
-		return
-	}
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
+	os.Exit(1)
+}
 
+// runSweep executes the Fig. 7.2 flow sweep.
+func runSweep(f *flags, policies []string, policyParams map[string]string) {
+	c := f.common
 	cfg := sweep.DefaultConfig()
-	cfg.NumVehicles = *n
-	cfg.Seed = seed
-	cfg.Workers = workers
-	cfg.ScaleModel = *scaleModel
-	cfg.Noisy = *noisy
+	cfg.NumVehicles = *f.n
+	cfg.Seed = c.Seed
+	cfg.Workers = c.Workers
+	cfg.ScaleModel = *f.scaleModel
+	cfg.Noisy = *f.noisy
 	cfg.Policies = policies
 	cfg.PolicyParams = policyParams
-	if tracePath != "" {
-		cfg.TraceFull = true
-		cfg.TraceDES = traceDES
-	}
+	cfg.TraceFull = c.TracePath != ""
+	cfg.TraceDES = c.TraceDES
 
 	res, err := sweep.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	fmt.Println("Fig. 7.2 — throughput (vehicles / total wait) vs input flow rate")
-	fmt.Printf("fleet=%d seed=%d geometry=%s noise=%v\n\n", *n, seed, geometry(*scaleModel), *noisy)
-	emit := emitter(csv)
-	emit(res.ThroughputTable())
+	fmt.Printf("fleet=%d seed=%d geometry=%s noise=%v\n\n", *f.n, c.Seed, geometry(*f.scaleModel), *f.noisy)
+	emit(c.CSV, res.ThroughputTable())
 
-	if *overhead {
+	if *f.overhead {
 		fmt.Println("\nOverhead (paper: AIM up to ~16x compute, ~20x traffic vs VT/Crossroads)")
-		emit(res.OverheadTable())
+		emit(c.CSV, res.OverheadTable())
 	}
-	if *summary {
+	if *f.summary {
 		fmt.Println("\nHeadline ratios (Crossroads throughput / baseline throughput):")
 		if w, a, err := res.Headline("vt-im"); err == nil {
 			fmt.Printf("  vs VT-IM: worst %.2fx, average %.2fx (paper: 1.62x / 1.36x)\n", w, a)
@@ -135,12 +179,9 @@ func main() {
 			fmt.Printf("  vs AIM:   worst %.2fx, average %.2fx (paper: 1.28x / 1.15x)\n", w, a)
 		}
 	}
-	if tracePath != "" {
-		if err := res.WriteTrace(tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "crossroads-sim: trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nTrace written to %s\n%s", tracePath, res.TraceSummary())
+	if c.TracePath != "" {
+		writeTrace(res.Runs, c.TracePath)
+		fmt.Printf("%s", res.TraceSummary())
 	}
 }
 
@@ -148,71 +189,74 @@ func main() {
 // with every policy and three consecutive seeds. Exits non-zero when any
 // timed policy collides, violates a buffer, or strands a vehicle — the
 // matrix doubles as the resilience acceptance gate.
-func runFaultMatrix(spec string, seed int64, workers int, csv bool, tracePath string, n int, rate float64,
-	policies []string, policyParams map[string]string) {
-	cfg := sweep.DefaultFaultMatrixConfig()
-	if spec != "matrix" {
-		cfg.Scenarios = []string{spec}
+func runFaultMatrix(f *flags, policies []string, policyParams map[string]string) {
+	c := f.common
+	cfg := sweep.FaultMatrixConfig{
+		Seeds:        []int64{c.Seed, c.Seed + 1, c.Seed + 2},
+		Workers:      c.Workers,
+		Policies:     policies,
+		PolicyParams: policyParams,
+		TraceFull:    c.TracePath != "",
 	}
-	cfg.Seeds = []int64{seed, seed + 1, seed + 2}
-	cfg.Workers = workers
-	cfg.NumVehicles = n
-	cfg.Rate = rate
-	cfg.Policies = policies
-	cfg.PolicyParams = policyParams
-	cfg.TraceFull = tracePath != ""
+	if *f.faults != "matrix" {
+		cfg.Scenarios = []string{*f.faults}
+	}
+	// The matrix has its own fleet/rate defaults tuned so every scenario
+	// window catches vehicles mid-handshake; -n and -rate override them
+	// only when given explicitly.
+	if cliflags.WasSet(flag.CommandLine, "n") {
+		cfg.NumVehicles = *f.n
+	}
+	if cliflags.WasSet(flag.CommandLine, "rate") {
+		cfg.Rate = f.topo.Rate
+	}
 
 	res, err := sweep.RunFaultMatrix(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	fmt.Println("Robustness matrix — faulted throughput relative to the clean baseline")
 	fmt.Printf("scenarios=%v seeds=%v\n\n", res.Scenarios, res.Seeds)
-	emit := emitter(csv)
-	emit(res.Table())
+	emit(c.CSV, res.Table())
 	fmt.Println("\nPer-scenario summary (seed-averaged):")
-	emit(res.SummaryTable())
+	emit(c.CSV, res.SummaryTable())
 
-	if tracePath != "" {
-		if err := res.WriteTrace(tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "crossroads-sim: trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nTrace written to %s\n", tracePath)
+	if c.TracePath != "" {
+		writeTrace(res.Runs, c.TracePath)
 	}
-	if v := res.SafetyViolations(); v > 0 {
-		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", v)
-		os.Exit(1)
-	}
-	fmt.Println("\nPASS: zero collisions, buffer violations, and stranded vehicles for timed policies")
+	gate(res.SafetyViolations(), "zero collisions, buffer violations, and stranded vehicles for timed policies")
 }
 
-func runTopology(topo *topology.Topology, rate float64, n int, seed int64, workers int,
-	scaleModel, noisy, csv bool, tracePath string, traceDES bool,
-	coordOn bool, coordPeriod float64, policies []string, policyParams map[string]string) {
-	cfg := sweep.TopoConfig{
+// runTopology executes a multi-intersection run and, like the fault
+// matrix, exits non-zero on any timed-policy safety violation.
+func runTopology(f *flags, policies []string, policyParams map[string]string) {
+	c := f.common
+	topo, err := f.topo.Build()
+	if err != nil {
+		fail(err)
+	}
+	coordOn, coordPeriod, err := f.coord.Parse()
+	if err != nil {
+		fail(err)
+	}
+	res, err := sweep.RunTopology(sweep.TopoConfig{
 		Topology:     topo,
-		Rate:         rate,
-		NumVehicles:  n,
-		Seed:         seed,
-		Workers:      workers,
-		ScaleModel:   scaleModel,
-		Noisy:        noisy,
+		Rate:         f.topo.Rate,
+		NumVehicles:  *f.n,
+		Seed:         c.Seed,
+		Workers:      c.Workers,
+		ScaleModel:   *f.scaleModel,
+		Noisy:        *f.noisy,
+		TraceFull:    c.TracePath != "",
+		TraceDES:     c.TraceDES,
 		Coord:        coordOn,
 		CoordPeriod:  coordPeriod,
 		Policies:     policies,
 		PolicyParams: policyParams,
-	}
-	if tracePath != "" {
-		cfg.TraceFull = true
-		cfg.TraceDES = traceDES
-	}
-	res, err := sweep.RunTopology(cfg)
+	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crossroads-sim:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("Multi-IM topology %s — end-to-end journeys\n", topo)
 	coordLabel := "off"
@@ -220,39 +264,39 @@ func runTopology(topo *topology.Topology, rate float64, n int, seed int64, worke
 		coordLabel = "on"
 	}
 	fmt.Printf("fleet=%d rate=%g seed=%d geometry=%s noise=%v seglen=%gm coord=%s\n\n",
-		n, rate, seed, geometry(scaleModel), noisy, topo.SegmentLen(), coordLabel)
-	emit := emitter(csv)
-	emit(res.JourneyTable())
+		*f.n, f.topo.Rate, c.Seed, geometry(*f.scaleModel), *f.noisy, topo.SegmentLen(), coordLabel)
+	emit(c.CSV, res.JourneyTable())
 	fmt.Println("\nPer-intersection breakdown (wait vs unimpeded arrival at each node)")
-	emit(res.PerNodeTable())
-	if tracePath != "" {
-		if err := res.WriteTrace(tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "crossroads-sim: trace:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nTrace written to %s\n", tracePath)
+	emit(c.CSV, res.PerNodeTable())
+	if c.TracePath != "" {
+		writeTrace(res.Runs, c.TracePath)
 	}
-	// Topology runs double as a safety gate, as the fault matrix does.
-	if v := res.SafetyViolations(); v > 0 {
-		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", v)
-		os.Exit(1)
-	}
-	fmt.Println("\nPASS: zero collisions, buffer violations, and incomplete journeys for timed policies")
+	gate(res.SafetyViolations(), "zero collisions, buffer violations, and incomplete journeys for timed policies")
 }
 
-func emitter(csv bool) func(t interface {
-	String() string
-	CSV() string
-}) {
-	return func(t interface {
-		String() string
-		CSV() string
-	}) {
-		if csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Print(t.String())
-		}
+func writeTrace(runs sweep.Runs, path string) {
+	if err := runs.WriteTrace(path); err != nil {
+		fmt.Fprintln(os.Stderr, "crossroads-sim: trace:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("\nTrace written to %s\n", path)
+}
+
+// gate makes a run a safety gate: it exits non-zero on any timed-policy
+// safety violation and otherwise prints the pass line.
+func gate(violations int, pass string) {
+	if violations > 0 {
+		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", violations)
+		os.Exit(1)
+	}
+	fmt.Println("\nPASS: " + pass)
+}
+
+func emit(csv bool, t *metrics.Table) {
+	if csv {
+		fmt.Print(t.CSV())
+	} else {
+		fmt.Print(t.String())
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 	"slices"
 
 	"crossroads/internal/cliflags"
-	"crossroads/internal/scale"
+	"crossroads/internal/sweep"
 )
 
 func main() {
@@ -27,6 +27,10 @@ func main() {
 		fmt.Println(policyFlags.ListText())
 		return
 	}
+	if err := common.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, "scale-model:", err)
+		os.Exit(1)
+	}
 	policies, err := policyFlags.Policies(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scale-model:", err)
@@ -38,7 +42,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := scale.Config{
+	cfg := sweep.ScaleConfig{
 		Repetitions:  *reps,
 		Seed:         common.Seed,
 		Noisy:        !*noiseless,
@@ -50,7 +54,7 @@ func main() {
 		cfg.TraceFull = true
 		cfg.TraceDES = common.TraceDES
 	}
-	res, err := scale.Run(cfg)
+	res, err := sweep.RunScale(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scale-model:", err)
 		os.Exit(1)

@@ -36,6 +36,15 @@ func AddCommon(fs *flag.FlagSet, defaultSeed int64) *Common {
 	return c
 }
 
+// Check rejects -trace-des without -trace: the kernel events would have
+// nowhere to go.
+func (c *Common) Check() error {
+	if c.TraceDES && c.TracePath == "" {
+		return fmt.Errorf("-trace-des needs -trace (the kernel events are written to the trace file)")
+	}
+	return nil
+}
+
 // Topology are the road-network selection flags.
 type Topology struct {
 	Corridor int
@@ -49,7 +58,7 @@ func AddTopology(fs *flag.FlagSet) *Topology {
 	t := &Topology{}
 	fs.IntVar(&t.Corridor, "corridor", 0, "run an N-intersection east-west corridor instead of the single-intersection sweep")
 	fs.StringVar(&t.Grid, "grid", "", "run an RxC Manhattan grid (e.g. 2x2) instead of the single-intersection sweep")
-	fs.Float64Var(&t.Rate, "rate", 0.3, "input flow per boundary entry lane for -corridor/-grid runs (car/lane/s)")
+	fs.Float64Var(&t.Rate, "rate", 0.3, "input flow per boundary entry lane for -corridor/-grid runs (car/lane/s); -faults reads it too, defaulting to 0.4 when unset")
 	fs.Float64Var(&t.SegLen, "seglen", 0, "extra road between adjacent intersections for -corridor/-grid runs (m); 0 abuts them")
 	return t
 }

@@ -33,6 +33,34 @@ func TestCommonDefaultsAndParse(t *testing.T) {
 	}
 }
 
+// TestCommonCheck pins the rule both experiment commands share: -trace-des
+// without -trace fails, naming the flag, instead of being ignored.
+func TestCommonCheck(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr bool
+	}{
+		{nil, false},
+		{[]string{"-trace", "t.jsonl"}, false},
+		{[]string{"-trace", "t.jsonl", "-trace-des"}, false},
+		{[]string{"-trace-des"}, true},
+		{[]string{"-seed", "3", "-trace-des"}, true},
+	} {
+		fs := newFS()
+		c := AddCommon(fs, 1)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Check()
+		if tc.wantErr && (err == nil || !strings.Contains(err.Error(), "-trace-des")) {
+			t.Errorf("%q: error %v, want one naming -trace-des", tc.args, err)
+		}
+		if !tc.wantErr && err != nil {
+			t.Errorf("%q: %v", tc.args, err)
+		}
+	}
+}
+
 func TestTopologyBuild(t *testing.T) {
 	fs := newFS()
 	tp := AddTopology(fs)

@@ -3,6 +3,7 @@ package im
 import (
 	"crossroads/internal/intersection"
 	"crossroads/internal/network"
+	"crossroads/internal/topology"
 	"crossroads/internal/trace"
 )
 
@@ -85,6 +86,39 @@ func DefaultCoordConfig() CoordConfig {
 		GreenMargin: 0.25,
 		StaleAfter:  2.5,
 	}
+}
+
+// NewCoordConfig resolves the coordination-plane settings for a topology
+// in sim and serve alike: period overrides the digest period when
+// positive, and the segment transit estimate covers, at cruise speed, the
+// path from granted box entry at one node to box entry at the next —
+// entry→despawn upstream, the inter-node segment, then line→entry
+// downstream, which sum to one full straight-movement path plus the
+// segment.
+func NewCoordConfig(period float64, x *intersection.Intersection, topo *topology.Topology, cruise float64) CoordConfig {
+	ccfg := DefaultCoordConfig()
+	if period > 0 {
+		ccfg.Period = period
+	}
+	m := x.Movement(intersection.MovementID{Approach: intersection.East, Lane: 0, Turn: intersection.Straight})
+	if m != nil && cruise > 0 {
+		ccfg.SegmentTransit = (m.Length + topo.SegmentLen()) / cruise
+	}
+	return ccfg
+}
+
+// CoordPeers resolves node k's slice of the coordination plane: the
+// broadcast peer set (all adjacent IMs — grid adjacency is symmetric) and
+// the downstream neighbor per exit direction.
+func CoordPeers(topo *topology.Topology, k int) ([]CoordPeer, map[intersection.Approach]CoordPeer) {
+	var peers []CoordPeer
+	downstream := make(map[intersection.Approach]CoordPeer)
+	for _, e := range topo.OutEdges(topology.NodeID(k)) {
+		p := CoordPeer{Node: int(e.To), Endpoint: NodeEndpoint(int(e.To))}
+		peers = append(peers, p)
+		downstream[e.Dir] = p
+	}
+	return peers, downstream
 }
 
 // FlowReporter is an optional Scheduler extension the coordination plane

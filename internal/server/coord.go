@@ -2,9 +2,7 @@ package server
 
 import (
 	"crossroads/internal/im"
-	"crossroads/internal/intersection"
 	"crossroads/internal/network"
-	"crossroads/internal/topology"
 )
 
 // This file wires the IM↔IM coordination plane into the sharded server:
@@ -46,41 +44,14 @@ func (s *Server) wireCoordination() {
 	for k := range s.shards {
 		s.peerShard[im.NodeEndpoint(k)] = k
 	}
-	ccfg := s.coordConfig()
+	// Serving cannot scan the workload the way the DES harness does, so
+	// segment transit is estimated at the geometry's reference vehicle's
+	// cruise speed; the reference footprint already bounds every admitted
+	// vehicle.
+	ccfg := im.NewCoordConfig(s.cfg.CoordPeriod, s.shards[0].world.x, s.topo, refParams(s.cfg.Geometry).MaxSpeed)
 	for k, sh := range s.shards {
 		sh.world.net.SetRouter(peerRouter{s: s, node: k})
-		peers, downstream := coordPeersAt(s.topo, k)
+		peers, downstream := im.CoordPeers(s.topo, k)
 		sh.world.im.EnableCoordination(ccfg, peers, downstream)
 	}
-}
-
-// coordConfig derives the serve-mode coordination parameters. The segment
-// transit estimate uses the geometry's reference vehicle at cruise speed —
-// serving cannot scan the workload the way the DES harness does, and the
-// reference footprint already bounds every admitted vehicle.
-func (s *Server) coordConfig() im.CoordConfig {
-	ccfg := im.DefaultCoordConfig()
-	if s.cfg.CoordPeriod > 0 {
-		ccfg.Period = s.cfg.CoordPeriod
-	}
-	ref := refParams(s.cfg.Geometry)
-	x := s.shards[0].world.x
-	m := x.Movement(intersection.MovementID{Approach: intersection.East, Lane: 0, Turn: intersection.Straight})
-	if m != nil && ref.MaxSpeed > 0 {
-		ccfg.SegmentTransit = (m.Length + s.topo.SegmentLen()) / ref.MaxSpeed
-	}
-	return ccfg
-}
-
-// coordPeersAt resolves one node's coordination neighbors from the
-// topology's outgoing edges (mirrors the in-DES wiring in internal/sim).
-func coordPeersAt(topo *topology.Topology, k int) ([]im.CoordPeer, map[intersection.Approach]im.CoordPeer) {
-	var peers []im.CoordPeer
-	downstream := make(map[intersection.Approach]im.CoordPeer)
-	for _, e := range topo.OutEdges(topology.NodeID(k)) {
-		p := im.CoordPeer{Node: int(e.To), Endpoint: im.NodeEndpoint(int(e.To))}
-		peers = append(peers, p)
-		downstream[e.Dir] = p
-	}
-	return peers, downstream
 }

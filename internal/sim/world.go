@@ -253,42 +253,6 @@ func Run(cfg Config, arrivals []traffic.Arrival) (Result, error) {
 	return w.run()
 }
 
-// coordConfigFor resolves the coordination-plane settings for a run: the
-// caller's period and the segment transit estimate. Transit from granted
-// box entry at one node to box entry at the next — entry→despawn upstream,
-// the inter-node segment, then line→entry downstream — sums to one full
-// straight-movement path plus the segment, covered at the fleet's cruise
-// (top) speed.
-func coordConfigFor(cfg *Config, arrivals []traffic.Arrival, x *intersection.Intersection) im.CoordConfig {
-	ccfg := im.DefaultCoordConfig()
-	if cfg.CoordPeriod > 0 {
-		ccfg.Period = cfg.CoordPeriod
-	}
-	cruise := 0.0
-	for _, a := range arrivals {
-		cruise = math.Max(cruise, a.Params.MaxSpeed)
-	}
-	m := x.Movement(intersection.MovementID{Approach: intersection.East, Lane: 0, Turn: intersection.Straight})
-	if m != nil && cruise > 0 {
-		ccfg.SegmentTransit = (m.Length + cfg.Topology.SegmentLen()) / cruise
-	}
-	return ccfg
-}
-
-// coordPeersFor resolves node k's slice of the coordination plane: the
-// broadcast peer set (all adjacent IMs — grid adjacency is symmetric) and
-// the downstream neighbor per exit direction.
-func coordPeersFor(topo *topology.Topology, k int) ([]im.CoordPeer, map[intersection.Approach]im.CoordPeer) {
-	var peers []im.CoordPeer
-	downstream := make(map[intersection.Approach]im.CoordPeer)
-	for _, e := range topo.OutEdges(topology.NodeID(k)) {
-		p := im.CoordPeer{Node: int(e.To), Endpoint: im.NodeEndpoint(int(e.To))}
-		peers = append(peers, p)
-		downstream[e.Dir] = p
-	}
-	return peers, downstream
-}
-
 // worldNode is one intersection's IM shard and its node-local accounting.
 type worldNode struct {
 	server *im.Server
@@ -417,9 +381,14 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 	}
 
 	if cfg.Coord && numNodes > 1 {
-		ccfg := coordConfigFor(&cfg, arrivals, x)
+		// Segment transit is estimated at the fleet's cruise (top) speed.
+		cruise := 0.0
+		for _, a := range arrivals {
+			cruise = math.Max(cruise, a.Params.MaxSpeed)
+		}
+		ccfg := im.NewCoordConfig(cfg.CoordPeriod, x, cfg.Topology, cruise)
 		for k := range nodes {
-			peers, downstream := coordPeersFor(cfg.Topology, k)
+			peers, downstream := im.CoordPeers(cfg.Topology, k)
 			nodes[k].server.EnableCoordination(ccfg, peers, downstream)
 		}
 	}

@@ -4,20 +4,17 @@
 // coordinated policies must keep zero collisions and zero buffer violations,
 // and every vehicle must either complete or end standing in a failsafe stop
 // (never stranded mid-intersection).
+
 package sweep
 
 import (
 	"fmt"
-	"math/rand"
 
 	"crossroads/internal/fault"
 	"crossroads/internal/im"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
-	"crossroads/internal/parallel"
 	"crossroads/internal/sim"
-	"crossroads/internal/trace"
-	"crossroads/internal/traffic"
 )
 
 // CleanScenario labels the fault-free baseline column every matrix carries;
@@ -53,51 +50,28 @@ type FaultMatrixConfig struct {
 	PolicyParams map[string]string
 }
 
-// DefaultFaultMatrixConfig returns the standard matrix: all named scenarios
-// x all four policies x three seeds at the scale-model geometry.
-func DefaultFaultMatrixConfig() FaultMatrixConfig {
-	return FaultMatrixConfig{}
-}
-
-// FaultCell is one (scenario, policy, seed) outcome.
-type FaultCell struct {
-	Scenario string
-	Policy   string
-	Seed     int64
-
-	Throughput       float64
-	MeanWait         float64
-	Collisions       int
-	BufferViolations int
-	Completed        int
-	Incomplete       int
-	FailsafeStopped  int
-	Stranded         int
-	// Dropped and Duplicated are the network's loss and fault-duplication
-	// counters — the scenario's observable footprint on the radio.
-	Dropped    int
-	Duplicated int
-}
-
-// FaultMatrixResult is the full matrix.
+// FaultMatrixResult is the full matrix. Its runs are in (scenario,
+// policy, seed) order, labelled "<scenario>/<policy>/seed=<seed>".
 type FaultMatrixResult struct {
+	Runs
 	// Scenarios always starts with CleanScenario.
 	Scenarios []string
 	Policies  []string
 	Seeds     []int64
-	// Cells[scenarioIdx][policyIdx][seedIdx]
-	Cells [][][]FaultCell
-	// Traces mirrors Cells when FaultMatrixConfig.TraceFull is set.
-	Traces [][][]*trace.Recorder
+}
+
+// Cell returns the outcome of the (scenario, policy, seed) cell.
+func (r FaultMatrixResult) Cell(si, pi, wi int) sim.Result {
+	return r.Results[(si*len(r.Policies)+pi)*len(r.Seeds)+wi]
 }
 
 // CleanThroughput returns the baseline throughput for a (policy, seed)
 // column, or 0 when the matrix is empty.
 func (r FaultMatrixResult) CleanThroughput(pi, wi int) float64 {
-	if len(r.Cells) == 0 {
+	if len(r.Results) == 0 {
 		return 0
 	}
-	return r.Cells[0][pi][wi].Throughput
+	return r.Cell(0, pi, wi).Summary.Throughput
 }
 
 // timed reports whether a policy speaks the timed protocol, per its
@@ -114,13 +88,14 @@ func timed(policy string) bool {
 // protocols predate the committed-rebook machinery the bar depends on.
 func (r FaultMatrixResult) SafetyViolations() int {
 	n := 0
-	for _, row := range r.Cells {
-		for pi, col := range row {
-			if !timed(r.Policies[pi]) {
+	for si := range r.Scenarios {
+		for pi, pol := range r.Policies {
+			if !timed(pol) {
 				continue
 			}
-			for _, c := range col {
-				n += c.Collisions + c.BufferViolations + c.Stranded
+			for wi := range r.Seeds {
+				c := r.Cell(si, pi, wi)
+				n += c.Summary.Collisions + c.Summary.BufferViolations + c.Stranded
 			}
 		}
 	}
@@ -132,16 +107,17 @@ func (r FaultMatrixResult) SafetyViolations() int {
 func (r FaultMatrixResult) Table() *metrics.Table {
 	t := metrics.NewTable("scenario", "policy", "seed", "tput", "tput/clean",
 		"coll", "bufviol", "failsafe", "stranded", "dropped", "dup")
-	for si, row := range r.Cells {
-		for pi, col := range row {
-			for wi, c := range col {
+	for si, scen := range r.Scenarios {
+		for pi, pol := range r.Policies {
+			for wi, seed := range r.Seeds {
+				c := r.Cell(si, pi, wi)
 				rel := 0.0
 				if base := r.CleanThroughput(pi, wi); base > 0 {
-					rel = c.Throughput / base
+					rel = c.Summary.Throughput / base
 				}
-				t.AddRow(r.Scenarios[si], c.Policy, c.Seed, c.Throughput, rel,
-					c.Collisions, c.BufferViolations, c.FailsafeStopped, c.Stranded,
-					c.Dropped, c.Duplicated)
+				t.AddRow(scen, pol, seed, c.Summary.Throughput, rel,
+					c.Summary.Collisions, c.Summary.BufferViolations, c.FailsafeStopped, c.Stranded,
+					c.Network.Dropped, c.Network.Duplicated)
 			}
 		}
 	}
@@ -153,18 +129,19 @@ func (r FaultMatrixResult) Table() *metrics.Table {
 func (r FaultMatrixResult) SummaryTable() *metrics.Table {
 	t := metrics.NewTable("scenario", "policy", "tput/clean",
 		"coll", "bufviol", "incomplete", "failsafe", "stranded")
-	for si, row := range r.Cells {
-		for pi, col := range row {
+	for si, scen := range r.Scenarios {
+		for pi, pol := range r.Policies {
 			var rel float64
 			var coll, buf, inc, fs, str int
 			n := 0
-			for wi, c := range col {
+			for wi := range r.Seeds {
+				c := r.Cell(si, pi, wi)
 				if base := r.CleanThroughput(pi, wi); base > 0 {
-					rel += c.Throughput / base
+					rel += c.Summary.Throughput / base
 					n++
 				}
-				coll += c.Collisions
-				buf += c.BufferViolations
+				coll += c.Summary.Collisions
+				buf += c.Summary.BufferViolations
 				inc += c.Incomplete
 				fs += c.FailsafeStopped
 				str += c.Stranded
@@ -172,30 +149,10 @@ func (r FaultMatrixResult) SummaryTable() *metrics.Table {
 			if n > 0 {
 				rel /= float64(n)
 			}
-			t.AddRow(r.Scenarios[si], col[0].Policy, rel, coll, buf, inc, fs, str)
+			t.AddRow(scen, pol, rel, coll, buf, inc, fs, str)
 		}
 	}
 	return t
-}
-
-// WriteTrace streams every cell's events as JSONL in deterministic cell
-// order, labelled "scenario/policy/seed".
-func (r FaultMatrixResult) WriteTrace(path string) error {
-	var recs []*trace.Recorder
-	var labels []string
-	for si, row := range r.Traces {
-		for pi, col := range row {
-			for wi, rec := range col {
-				if rec == nil {
-					continue
-				}
-				recs = append(recs, rec)
-				labels = append(labels, fmt.Sprintf("%s/%s/seed=%d",
-					r.Scenarios[si], r.Cells[si][pi][wi].Policy, r.Seeds[wi]))
-			}
-		}
-	}
-	return trace.WriteJSONLMulti(path, recs, labels)
 }
 
 // RunFaultMatrix executes the robustness matrix.
@@ -232,81 +189,26 @@ func RunFaultMatrix(cfg FaultMatrixConfig) (FaultMatrixResult, error) {
 		schedules = append(schedules, s)
 	}
 
-	res := FaultMatrixResult{Scenarios: scenarios, Policies: cfg.Policies, Seeds: cfg.Seeds}
-	nP, nW := len(cfg.Policies), len(cfg.Seeds)
-	res.Cells = make([][][]FaultCell, len(scenarios))
-	for si := range res.Cells {
-		res.Cells[si] = make([][]FaultCell, nP)
-		for pi := range res.Cells[si] {
-			res.Cells[si][pi] = make([]FaultCell, nW)
-		}
-	}
-	if cfg.TraceFull {
-		res.Traces = make([][][]*trace.Recorder, len(scenarios))
-		for si := range res.Traces {
-			res.Traces[si] = make([][]*trace.Recorder, nP)
-			for pi := range res.Traces[si] {
-				res.Traces[si][pi] = make([]*trace.Recorder, nW)
+	// The matrix runs the noiseless scale model at the simulator's default
+	// geometry.
+	params := kinematics.ScaleModelParams()
+	var cells []cell
+	for si, scen := range scenarios {
+		for _, pol := range cfg.Policies {
+			for _, seed := range cfg.Seeds {
+				cells = append(cells, cell{
+					label:    fmt.Sprintf("%s/%s/seed=%d", scen, pol, seed),
+					policy:   pol,
+					seed:     seed,
+					workload: poisson(cfg.Rate, cfg.NumVehicles, params),
+					opts:     []sim.Option{sim.WithFaults(schedules[si])},
+				})
 			}
 		}
 	}
-
-	params := kinematics.ScaleModelParams()
-	err := parallel.ForEach(len(scenarios)*nP*nW, cfg.Workers, func(job int) error {
-		si := job / (nP * nW)
-		pi := job % (nP * nW) / nW
-		wi := job % nW
-		pol, seed := cfg.Policies[pi], cfg.Seeds[wi]
-		arrivals, err := traffic.Poisson(traffic.PoissonConfig{
-			Rate:         cfg.Rate,
-			NumVehicles:  cfg.NumVehicles,
-			LanesPerRoad: 1,
-			Mix:          traffic.DefaultTurnMix(),
-			Params:       params,
-		}, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return err
-		}
-		opts := []sim.Option{
-			sim.WithPolicy(pol),
-			sim.WithSeed(seed),
-			sim.WithFaults(schedules[si]),
-		}
-		if len(cfg.PolicyParams) > 0 {
-			opts = append(opts, sim.WithPolicyParams(cfg.PolicyParams))
-		}
-		if cfg.TraceFull {
-			rec := trace.NewFull()
-			res.Traces[si][pi][wi] = rec
-			opts = append(opts, sim.WithTrace(rec))
-		}
-		simCfg, err := sim.NewConfig(opts...)
-		if err != nil {
-			return err
-		}
-		out, err := sim.Run(simCfg, arrivals)
-		if err != nil {
-			return fmt.Errorf("sweep: %s/%v/seed=%d: %w", scenarios[si], pol, seed, err)
-		}
-		res.Cells[si][pi][wi] = FaultCell{
-			Scenario:         scenarios[si],
-			Policy:           out.Policy,
-			Seed:             seed,
-			Throughput:       out.Summary.Throughput,
-			MeanWait:         out.Summary.MeanWait,
-			Collisions:       out.Summary.Collisions,
-			BufferViolations: out.Summary.BufferViolations,
-			Completed:        out.Summary.Completed,
-			Incomplete:       out.Incomplete,
-			FailsafeStopped:  out.FailsafeStopped,
-			Stranded:         out.Stranded,
-			Dropped:          out.Network.Dropped,
-			Duplicated:       out.Network.Duplicated,
-		}
-		return nil
-	})
+	runs, err := runCells(cells, shared{workers: cfg.Workers, policyParams: cfg.PolicyParams, traceFull: cfg.TraceFull})
 	if err != nil {
 		return FaultMatrixResult{}, err
 	}
-	return res, nil
+	return FaultMatrixResult{Runs: runs, Scenarios: scenarios, Policies: cfg.Policies, Seeds: cfg.Seeds}, nil
 }

@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"crossroads/internal/metrics"
+	"crossroads/internal/sim"
 )
 
 // TestFaultMatrixAcceptance runs the full robustness matrix — every named
@@ -16,7 +19,7 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full robustness matrix")
 	}
-	res, err := RunFaultMatrix(DefaultFaultMatrixConfig())
+	res, err := RunFaultMatrix(FaultMatrixConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,30 +29,29 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 	if n := res.SafetyViolations(); n != 0 {
 		t.Errorf("SafetyViolations() = %d, want 0\n%s", n, res.Table().String())
 	}
-	for si, row := range res.Cells {
-		for pi, col := range row {
-			for _, c := range col {
+	for si, scen := range res.Scenarios {
+		for pi, p := range res.Policies {
+			for wi, seed := range res.Seeds {
+				c := res.Cell(si, pi, wi)
 				if c.Incomplete != c.FailsafeStopped+c.Stranded {
 					t.Errorf("%s/%s/seed=%d: incomplete=%d != failsafe=%d + stranded=%d",
-						res.Scenarios[si], c.Policy, c.Seed, c.Incomplete, c.FailsafeStopped, c.Stranded)
+						scen, p, seed, c.Incomplete, c.FailsafeStopped, c.Stranded)
 				}
-				p := res.Policies[pi]
 				if p != "crossroads" && p != "batch" {
 					continue
 				}
 				if c.Stranded != 0 {
-					t.Errorf("%s/%s/seed=%d: %d stranded vehicles",
-						res.Scenarios[si], c.Policy, c.Seed, c.Stranded)
+					t.Errorf("%s/%s/seed=%d: %d stranded vehicles", scen, p, seed, c.Stranded)
 				}
 			}
 		}
 	}
 	// The clean baseline itself must be spotless and fully completed.
-	for pi := range res.Policies {
-		for wi := range res.Seeds {
-			c := res.Cells[0][pi][wi]
-			if c.Collisions != 0 || c.BufferViolations != 0 || c.Incomplete != 0 {
-				t.Errorf("clean/%s/seed=%d not clean: %+v", c.Policy, c.Seed, c)
+	for pi, pol := range res.Policies {
+		for wi, seed := range res.Seeds {
+			c := res.Cell(0, pi, wi)
+			if c.Summary.Collisions != 0 || c.Summary.BufferViolations != 0 || c.Incomplete != 0 {
+				t.Errorf("clean/%s/seed=%d not clean: %+v", pol, seed, c.Summary)
 			}
 		}
 	}
@@ -74,7 +76,7 @@ func TestFaultMatrixDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial.Cells, parallel.Cells) {
+	if !reflect.DeepEqual(simulated(serial.Runs), simulated(parallel.Runs)) {
 		t.Errorf("matrix differs between 1 and 3 workers:\n%s\nvs\n%s",
 			serial.Table().String(), parallel.Table().String())
 	}
@@ -109,5 +111,33 @@ func TestFaultMatrixTables(t *testing.T) {
 	}
 	if base := res.CleanThroughput(0, 0); base <= 0 {
 		t.Errorf("CleanThroughput = %v, want > 0", base)
+	}
+}
+
+// TestFaultSafetyViolations pins the matrix's safety gate on hand-built
+// cells: timed policies are charged collisions, buffer violations, and
+// stranded vehicles, but not failsafe stops; VT-IM and AIM are not
+// charged at all.
+func TestFaultSafetyViolations(t *testing.T) {
+	cell := func(coll, buf, failsafe, stranded int) sim.Result {
+		return sim.Result{
+			Summary:         metrics.Summary{Collisions: coll, BufferViolations: buf},
+			Incomplete:      failsafe + stranded,
+			FailsafeStopped: failsafe,
+			Stranded:        stranded,
+		}
+	}
+	// Two scenarios x three policies x one seed, in cell order.
+	r := FaultMatrixResult{
+		Runs: Runs{Results: []sim.Result{
+			cell(0, 0, 0, 0), cell(1, 1, 1, 1), cell(0, 0, 4, 0),
+			cell(0, 0, 0, 0), cell(0, 2, 0, 3), cell(5, 5, 5, 5),
+		}},
+		Scenarios: []string{CleanScenario, "mix"},
+		Policies:  []string{"crossroads", "batch", "aim"},
+		Seeds:     []int64{1},
+	}
+	if got, want := r.SafetyViolations(), 1+1+1+2+3; got != want {
+		t.Errorf("SafetyViolations() = %d, want %d", got, want)
 	}
 }

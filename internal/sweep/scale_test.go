@@ -1,4 +1,4 @@
-package scale
+package sweep
 
 import (
 	"reflect"
@@ -7,9 +7,9 @@ import (
 )
 
 // runSmall runs a reduced experiment (2 repetitions) shared by the tests.
-func runSmall(t *testing.T) Result {
+func runSmall(t *testing.T) ScaleResult {
 	t.Helper()
-	res, err := Run(Config{Repetitions: 2, Seed: 7, Noisy: true})
+	res, err := RunScale(ScaleConfig{Repetitions: 2, Seed: 7, Noisy: true})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -18,22 +18,24 @@ func runSmall(t *testing.T) Result {
 
 func TestScaleExperimentShape(t *testing.T) {
 	res := runSmall(t)
-	if len(res.PerScenario) != 10 {
-		t.Fatalf("scenarios = %d", len(res.PerScenario))
+	if len(res.Results) != 10*2*2 {
+		t.Fatalf("cells = %d", len(res.Results))
 	}
-	for i, row := range res.PerScenario {
-		if len(row) != 2 {
-			t.Fatalf("scenario %d has %d policies", i+1, len(row))
+	if len(res.Policies) != 2 {
+		t.Fatalf("%d policies", len(res.Policies))
+	}
+	for i, sr := range res.Results {
+		if sr.Summary.Collisions != 0 {
+			t.Errorf("%s: %d collisions", res.Labels[i], sr.Summary.Collisions)
 		}
-		for _, sr := range row {
-			if sr.Collisions != 0 {
-				t.Errorf("scenario %d %s: %d collisions", i+1, sr.Policy, sr.Collisions)
-			}
-			if sr.Incomplete != 0 {
-				t.Errorf("scenario %d %s: %d incomplete", i+1, sr.Policy, sr.Incomplete)
-			}
-			if sr.MeanWait < 0 {
-				t.Errorf("scenario %d %s: negative wait", i+1, sr.Policy)
+		if sr.Incomplete != 0 {
+			t.Errorf("%s: %d incomplete", res.Labels[i], sr.Incomplete)
+		}
+	}
+	for scen := 1; scen <= 10; scen++ {
+		for pi, pol := range res.Policies {
+			if res.MeanWait(scen, pi) < 0 {
+				t.Errorf("scenario %d %s: negative wait", scen, pol)
 			}
 		}
 	}
@@ -78,23 +80,23 @@ func TestTableRenders(t *testing.T) {
 }
 
 func TestScaleParallelMatchesSerial(t *testing.T) {
-	cfg := Config{Repetitions: 1, Seed: 7, Noisy: true, Workers: 1}
-	serial, err := Run(cfg)
+	cfg := ScaleConfig{Repetitions: 1, Seed: 7, Noisy: true, Workers: 1}
+	serial, err := RunScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 8
-	par, err := Run(cfg)
+	par, err := RunScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, par) {
+	if !reflect.DeepEqual(simulated(serial.Runs), simulated(par.Runs)) {
 		t.Errorf("parallel scale result diverged from serial")
 	}
 }
 
 func TestCustomPolicies(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunScale(ScaleConfig{
 		Repetitions: 1,
 		Seed:        3,
 		Policies:    []string{"aim"},
@@ -102,7 +104,7 @@ func TestCustomPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Policies) != 1 || res.PerScenario[0][0].Policy != "aim" {
-		t.Errorf("custom policy not honored: %+v", res.PerScenario[0])
+	if len(res.Policies) != 1 || res.Cell(1, 0, 0).Policy != "aim" {
+		t.Errorf("custom policy not honored: %v", res.Policies)
 	}
 }

@@ -1,23 +1,27 @@
-// Package sweep drives the paper's §7.2 scalability study (Fig. 7.2 and the
-// overhead comparison): Poisson input flows from 0.05 to 1.25 vehicles per
-// lane-second routing a fixed fleet through a single-lane four-way, under
-// all three IM policies, reporting throughput (vehicles per total wait
-// time, the paper's definition), computation, and network load.
+// Package sweep runs the repo's experiments as grids of independent,
+// seeded simulations over one cell runner, keeping each cell's sim.Result
+// as its outcome:
+//
+//   - the §7.2 rate sweep (Fig. 7.2 and the overhead comparison): Poisson
+//     input flows from 0.05 to 1.25 vehicles per lane-second routing a fixed
+//     fleet through a single-lane four-way under the chosen IM policies
+//     (any registered one; VT-IM, AIM, and Crossroads by default),
+//     reporting throughput (vehicles per total wait time, the paper's
+//     definition), computation, and network load;
+//   - the §7.1 scale-model scenarios (Fig. 7.1);
+//   - the fault-injection robustness matrix;
+//   - multi-intersection corridor and grid runs.
+//
+// Every cell derives its RNGs from its own seed and lands in its own slot,
+// so each experiment's result is bit-identical for any worker count.
 package sweep
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
-	"crossroads/internal/intersection"
-	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
-	"crossroads/internal/parallel"
-	"crossroads/internal/plant"
-	"crossroads/internal/safety"
 	"crossroads/internal/sim"
-	"crossroads/internal/trace"
-	"crossroads/internal/traffic"
 )
 
 // PaperRates returns the paper's x-axis: 0.05 to 1.25 car/lane/second.
@@ -35,8 +39,8 @@ type Config struct {
 	Policies []string
 	// Seed drives workload generation and simulation noise.
 	Seed int64
-	// FullScale selects the full-size geometry (default) versus the
-	// 1/10-scale model.
+	// ScaleModel selects the 1/10-scale geometry instead of the
+	// full-size default.
 	ScaleModel bool
 	// Noisy enables plant noise.
 	Noisy bool
@@ -66,69 +70,22 @@ func DefaultConfig() Config {
 	}
 }
 
-// Cell is one (rate, policy) outcome.
-type Cell struct {
-	Rate                 float64
-	Policy               string
-	Throughput           float64 // completed / total travel time (paper definition)
-	MeanWait             float64 // excess delay over free flow
-	MeanTravel           float64
-	Messages             int
-	Bytes                int
-	MeanRetries          float64
-	SchedulerSimDelay    float64
-	SchedulerInvocations int
-	Collisions           int
-	BufferViolations     int
-	Incomplete           int
-	// FailsafeStopped and Stranded split Incomplete the way sim.Result
-	// does: failsafe-stopped vehicles ended the run standing short of the
-	// box (graceful saturation), stranded ones in any other state.
-	FailsafeStopped int
-	Stranded        int
-}
-
-// Result is the full sweep.
+// Result is the full sweep. Its runs are in (rate, policy) order,
+// labelled "rate=<rate>/<policy>".
 type Result struct {
+	Runs
+	Rates    []float64
 	Policies []string
-	// Cells[rateIdx][policyIdx]
-	Cells [][]Cell
-	// Traces[rateIdx][policyIdx] holds each cell's event recorder when
-	// Config.TraceFull is set (nil otherwise).
-	Traces [][]*trace.Recorder
 }
 
-// TraceSummary merges every cell's per-kind counts, latency histogram, and
-// queue high-water mark into one sweep-wide summary.
-func (r Result) TraceSummary() trace.Summary {
-	var s trace.Summary
-	for _, row := range r.Traces {
-		for _, rec := range row {
-			s.Merge(rec.Summary())
-		}
-	}
-	return s
+// Cell returns the outcome of the (rate, policy) cell.
+func (r Result) Cell(ri, pi int) sim.Result {
+	return r.Results[ri*len(r.Policies)+pi]
 }
 
-// WriteTrace streams every cell's events as JSONL in deterministic cell
-// order, labelling each event's run field "rate=<rate>/<policy>" so a
-// single file holds the whole sweep unambiguously.
-func (r Result) WriteTrace(path string) error {
-	recs := make([]*trace.Recorder, 0, len(r.Traces)*len(r.Policies))
-	labels := make([]string, 0, cap(recs))
-	for ri, row := range r.Traces {
-		for pi, rec := range row {
-			if rec == nil {
-				continue
-			}
-			recs = append(recs, rec)
-			labels = append(labels, fmt.Sprintf("rate=%g/%s", r.Cells[ri][pi].Rate, r.Cells[ri][pi].Policy))
-		}
-	}
-	return trace.WriteJSONLMulti(path, recs, labels)
-}
-
-// Run executes the sweep.
+// Run executes the sweep. Every (rate, policy) cell regenerates the
+// workload from the same seed, so the policies at one rate face identical
+// arrivals.
 func Run(cfg Config) (Result, error) {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = PaperRates()
@@ -140,96 +97,24 @@ func Run(cfg Config) (Result, error) {
 	if len(policies) == 0 {
 		policies = []string{"vt-im", "aim", "crossroads"}
 	}
-	params := kinematics.FullScaleParams()
-	interCfg := intersection.FullScaleConfig()
-	spec := safety.FullScaleSpec()
-	if cfg.ScaleModel {
-		params = kinematics.ScaleModelParams()
-		interCfg = intersection.ScaleModelConfig()
-		spec = safety.TestbedSpec()
-	}
-	res := Result{Policies: policies}
-	res.Cells = make([][]Cell, len(cfg.Rates))
-	for i := range res.Cells {
-		res.Cells[i] = make([]Cell, len(policies))
-	}
-	if cfg.TraceFull {
-		res.Traces = make([][]*trace.Recorder, len(cfg.Rates))
-		for i := range res.Traces {
-			res.Traces[i] = make([]*trace.Recorder, len(policies))
+	params, geo := geometry(cfg.ScaleModel)
+	var cells []cell
+	for _, rate := range cfg.Rates {
+		for _, pol := range policies {
+			cells = append(cells, cell{
+				label:    fmt.Sprintf("rate=%g/%s", rate, pol),
+				policy:   pol,
+				seed:     cfg.Seed,
+				workload: poisson(rate, cfg.NumVehicles, params),
+				opts:     geo,
+			})
 		}
 	}
-
-	// Every (rate, policy) cell is an independent simulation: the
-	// workload is regenerated per cell from the same seed (so policies
-	// at one rate still face identical arrivals, exactly as the serial
-	// code shared one slice), and each result lands in its own
-	// pre-allocated slot. That makes the fan-out embarrassingly parallel
-	// and the output bit-identical for any worker count.
-	err := parallel.ForEach(len(cfg.Rates)*len(policies), cfg.Workers, func(job int) error {
-		ri, pi := job/len(policies), job%len(policies)
-		rate, pol := cfg.Rates[ri], policies[pi]
-		arrivals, err := traffic.Poisson(traffic.PoissonConfig{
-			Rate:         rate,
-			NumVehicles:  cfg.NumVehicles,
-			LanesPerRoad: 1,
-			Mix:          traffic.DefaultTurnMix(),
-			Params:       params,
-		}, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return err
-		}
-		opts := []sim.Option{
-			sim.WithPolicy(pol),
-			sim.WithSeed(cfg.Seed),
-			sim.WithIntersection(interCfg),
-			sim.WithSpec(spec),
-		}
-		if len(cfg.PolicyParams) > 0 {
-			opts = append(opts, sim.WithPolicyParams(cfg.PolicyParams))
-		}
-		if cfg.Noisy {
-			opts = append(opts, sim.WithNoise(plant.TestbedNoise()))
-		}
-		if cfg.TraceFull {
-			rec := trace.NewFull()
-			res.Traces[ri][pi] = rec
-			opts = append(opts, sim.WithTrace(rec))
-			if cfg.TraceDES {
-				opts = append(opts, sim.WithDESTrace())
-			}
-		}
-		simCfg, err := sim.NewConfig(opts...)
-		if err != nil {
-			return err
-		}
-		out, err := sim.Run(simCfg, arrivals)
-		if err != nil {
-			return fmt.Errorf("sweep: rate %v %v: %w", rate, pol, err)
-		}
-		res.Cells[ri][pi] = Cell{
-			Rate:                 rate,
-			Policy:               out.Policy,
-			Throughput:           out.Summary.Throughput,
-			MeanWait:             out.Summary.MeanWait,
-			MeanTravel:           out.Summary.MeanTravel,
-			Messages:             out.Summary.Messages,
-			Bytes:                out.Summary.Bytes,
-			MeanRetries:          out.Summary.MeanRetries,
-			SchedulerSimDelay:    out.Summary.SchedulerSimDelay,
-			SchedulerInvocations: out.Summary.SchedulerInvocations,
-			Collisions:           out.Summary.Collisions,
-			BufferViolations:     out.Summary.BufferViolations,
-			Incomplete:           out.Incomplete,
-			FailsafeStopped:      out.FailsafeStopped,
-			Stranded:             out.Stranded,
-		}
-		return nil
-	})
+	runs, err := runCells(cells, shared{cfg.Workers, cfg.PolicyParams, cfg.Noisy, cfg.TraceFull, cfg.TraceDES})
 	if err != nil {
 		return Result{}, err
 	}
-	return res, nil
+	return Result{Runs: runs, Rates: cfg.Rates, Policies: policies}, nil
 }
 
 // ThroughputTable renders the Fig. 7.2 series.
@@ -239,10 +124,10 @@ func (r Result) ThroughputTable() *metrics.Table {
 		headers = append(headers, p+" tput")
 	}
 	t := metrics.NewTable(headers...)
-	for _, row := range r.Cells {
-		cells := []any{row[0].Rate}
-		for _, c := range row {
-			cells = append(cells, c.Throughput)
+	for ri, rate := range r.Rates {
+		cells := []any{rate}
+		for pi := range r.Policies {
+			cells = append(cells, r.Cell(ri, pi).Summary.Throughput)
 		}
 		t.AddRow(cells...)
 	}
@@ -253,42 +138,31 @@ func (r Result) ThroughputTable() *metrics.Table {
 // to ~16x compute and ~20x traffic versus the velocity-transaction IMs).
 func (r Result) OverheadTable() *metrics.Table {
 	t := metrics.NewTable("rate", "policy", "messages", "bytes", "IM calls", "IM busy (s)", "retries/veh")
-	for _, row := range r.Cells {
-		for _, c := range row {
-			t.AddRow(c.Rate, c.Policy, c.Messages, c.Bytes, c.SchedulerInvocations, c.SchedulerSimDelay, c.MeanRetries)
+	for ri, rate := range r.Rates {
+		for pi, pol := range r.Policies {
+			s := r.Cell(ri, pi).Summary
+			t.AddRow(rate, pol, s.Messages, s.Bytes, s.SchedulerInvocations, s.SchedulerSimDelay, s.MeanRetries)
 		}
 	}
 	return t
 }
 
-// policyIndex finds a policy column, or -1 (including on an empty sweep).
-func (r Result) policyIndex(name string) int {
-	if len(r.Cells) == 0 {
-		return -1
-	}
-	for i := range r.Cells[0] {
-		if r.Cells[0][i].Policy == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Headline computes the paper's summary ratios: Crossroads versus another
 // policy's throughput, worst-case (max over rates) and average.
 func (r Result) Headline(other string) (worst, avg float64, err error) {
-	ci := r.policyIndex("crossroads")
-	oi := r.policyIndex(other)
+	ci := slices.Index(r.Policies, "crossroads")
+	oi := slices.Index(r.Policies, other)
 	if ci < 0 || oi < 0 {
 		return 0, 0, fmt.Errorf("sweep: policies missing for headline (%q)", other)
 	}
 	var sum float64
 	n := 0
-	for _, row := range r.Cells {
-		if row[oi].Throughput <= 0 {
+	for ri := range r.Rates {
+		o := r.Cell(ri, oi).Summary.Throughput
+		if o <= 0 {
 			continue
 		}
-		ratio := row[ci].Throughput / row[oi].Throughput
+		ratio := r.Cell(ri, ci).Summary.Throughput / o
 		if ratio > worst {
 			worst = ratio
 		}

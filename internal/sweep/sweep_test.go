@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"crossroads/internal/metrics"
+	"crossroads/internal/sim"
 )
 
 func smallSweep(t *testing.T) Result {
@@ -20,24 +23,40 @@ func smallSweep(t *testing.T) Result {
 	return res
 }
 
+// simulated returns the runs' results with the host-time SchedulerWall
+// zeroed, leaving only simulation output to compare across worker counts.
+func simulated(r Runs) []sim.Result {
+	out := make([]sim.Result, len(r.Results))
+	for i, c := range r.Results {
+		c.Summary.SchedulerWall = 0
+		c.PerNode = append([]metrics.Summary(nil), c.PerNode...)
+		for k := range c.PerNode {
+			c.PerNode[k].SchedulerWall = 0
+		}
+		out[i] = c
+	}
+	return out
+}
+
 func TestSweepShape(t *testing.T) {
 	res := smallSweep(t)
-	if len(res.Cells) != 2 {
-		t.Fatalf("rate rows = %d", len(res.Cells))
+	if len(res.Results) != 6 {
+		t.Fatalf("cells = %d", len(res.Results))
 	}
 	if len(res.Policies) != 3 {
 		t.Fatalf("policies = %d", len(res.Policies))
 	}
-	for _, row := range res.Cells {
-		for _, c := range row {
-			if c.Collisions != 0 {
-				t.Errorf("%s @ %v: %d collisions", c.Policy, c.Rate, c.Collisions)
+	for ri, rate := range res.Rates {
+		for pi, pol := range res.Policies {
+			c := res.Cell(ri, pi)
+			if c.Summary.Collisions != 0 {
+				t.Errorf("%s @ %v: %d collisions", pol, rate, c.Summary.Collisions)
 			}
 			if c.Incomplete != 0 {
-				t.Errorf("%s @ %v: %d incomplete", c.Policy, c.Rate, c.Incomplete)
+				t.Errorf("%s @ %v: %d incomplete", pol, rate, c.Incomplete)
 			}
-			if c.Throughput <= 0 {
-				t.Errorf("%s @ %v: throughput %v", c.Policy, c.Rate, c.Throughput)
+			if c.Summary.Throughput <= 0 {
+				t.Errorf("%s @ %v: throughput %v", pol, rate, c.Summary.Throughput)
 			}
 		}
 	}
@@ -45,10 +64,9 @@ func TestSweepShape(t *testing.T) {
 
 func TestSweepCrossroadsWinsUnderLoad(t *testing.T) {
 	res := smallSweep(t)
-	heavy := res.Cells[1] // rate 0.8
-	byName := map[string]Cell{}
-	for _, c := range heavy {
-		byName[c.Policy] = c
+	byName := map[string]metrics.Summary{}
+	for pi, pol := range res.Policies {
+		byName[pol] = res.Cell(1, pi).Summary // rate 0.8
 	}
 	cr := byName["crossroads"]
 	if cr.Throughput <= byName["vt-im"].Throughput {
@@ -93,10 +111,9 @@ func TestSweepTables(t *testing.T) {
 
 func TestSweepAIMMessageOverhead(t *testing.T) {
 	res := smallSweep(t)
-	heavy := res.Cells[1]
-	byName := map[string]Cell{}
-	for _, c := range heavy {
-		byName[c.Policy] = c
+	byName := map[string]metrics.Summary{}
+	for pi, pol := range res.Policies {
+		byName[pol] = res.Cell(1, pi).Summary
 	}
 	// AIM's reject loop must cost it more messages and IM busy time than
 	// Crossroads under load (the paper's overhead comparison).
@@ -121,8 +138,8 @@ func TestSweepCustomPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells[0]) != 1 || res.Cells[0][0].Policy != "crossroads" {
-		t.Errorf("custom policies not honored: %+v", res.Cells[0])
+	if len(res.Results) != 1 || res.Cell(0, 0).Policy != "crossroads" {
+		t.Errorf("custom policies not honored: %v", res.Labels)
 	}
 }
 
@@ -138,9 +155,6 @@ func TestHeadlineEmptyCells(t *testing.T) {
 	var r Result
 	if _, _, err := r.Headline("vt-im"); err == nil {
 		t.Error("empty Result accepted")
-	}
-	if idx := r.policyIndex("crossroads"); idx != -1 {
-		t.Errorf("policyIndex on empty Result = %d, want -1", idx)
 	}
 }
 
@@ -161,7 +175,8 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallel sweep diverged from serial:\nserial: %+v\nparallel: %+v", serial, par)
+	if !reflect.DeepEqual(simulated(serial.Runs), simulated(par.Runs)) {
+		t.Errorf("parallel sweep diverged from serial:\nserial:\n%s\nparallel:\n%s",
+			serial.ThroughputTable(), par.ThroughputTable())
 	}
 }

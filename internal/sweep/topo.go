@@ -5,15 +5,9 @@ import (
 	"math/rand"
 
 	"crossroads/internal/im/signalized"
-	"crossroads/internal/intersection"
-	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
-	"crossroads/internal/parallel"
-	"crossroads/internal/plant"
-	"crossroads/internal/safety"
 	"crossroads/internal/sim"
 	"crossroads/internal/topology"
-	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
 )
 
@@ -51,24 +45,18 @@ type TopoConfig struct {
 	PolicyParams map[string]string
 }
 
-// TopoCell is one policy's outcome over the topology.
-type TopoCell struct {
-	Policy string
-	// Journey aggregates end-to-end (route-level) records.
-	Journey metrics.Summary
-	// PerNode holds each intersection's own crossing summary.
-	PerNode    []metrics.Summary
-	Incomplete int
-}
-
-// TopoResult is the full comparison.
+// TopoResult is the full comparison. Its runs are in policy order,
+// labelled "<topology>/<policy>"; each run's Summary aggregates the
+// end-to-end (route-level) journeys and its PerNode holds each
+// intersection's own crossing summary.
 type TopoResult struct {
+	Runs
 	Topology *topology.Topology
 	Policies []string
-	Cells    []TopoCell
-	// Traces[policyIdx] holds each cell's recorder when TraceFull is set.
-	Traces []*trace.Recorder
 }
+
+// Cell returns the outcome of one policy's run.
+func (r TopoResult) Cell(pi int) sim.Result { return r.Results[pi] }
 
 // RunTopology routes one Poisson workload through the topology under every
 // policy. Policies run in parallel (bounded by Workers) and each faces the
@@ -88,80 +76,30 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 	if len(policies) == 0 {
 		policies = []string{"vt-im", "aim", "crossroads"}
 	}
-	params := kinematics.FullScaleParams()
-	interCfg := intersection.FullScaleConfig()
-	spec := safety.FullScaleSpec()
-	if cfg.ScaleModel {
-		params = kinematics.ScaleModelParams()
-		interCfg = intersection.ScaleModelConfig()
-		spec = safety.TestbedSpec()
+	params, geo := geometry(cfg.ScaleModel)
+	flow := poissonFlow(cfg.Rate, cfg.NumVehicles, params)
+	routes := func(rng *rand.Rand) ([]traffic.Arrival, error) {
+		return traffic.PoissonRoutes(flow, cfg.Topology, 0, rng)
 	}
-	res := TopoResult{
-		Topology: cfg.Topology,
-		Policies: policies,
-		Cells:    make([]TopoCell, len(policies)),
+	opts := append(geo, sim.WithTopology(cfg.Topology))
+	if cfg.Coord {
+		opts = append(opts, sim.WithCoordination(cfg.CoordPeriod))
 	}
-	if cfg.TraceFull {
-		res.Traces = make([]*trace.Recorder, len(policies))
+	cells := make([]cell, len(policies))
+	for pi, pol := range policies {
+		cells[pi] = cell{
+			label:    fmt.Sprintf("%s/%s", cfg.Topology, pol),
+			policy:   pol,
+			seed:     cfg.Seed,
+			workload: routes,
+			opts:     opts,
+		}
 	}
-	err := parallel.ForEach(len(policies), cfg.Workers, func(pi int) error {
-		pol := policies[pi]
-		// Regenerated per cell from the same seed so every policy faces
-		// identical arrivals without sharing a slice across goroutines.
-		arrivals, err := traffic.PoissonRoutes(traffic.PoissonConfig{
-			Rate:         cfg.Rate,
-			NumVehicles:  cfg.NumVehicles,
-			LanesPerRoad: 1,
-			Mix:          traffic.DefaultTurnMix(),
-			Params:       params,
-		}, cfg.Topology, 0, rand.New(rand.NewSource(cfg.Seed)))
-		if err != nil {
-			return err
-		}
-		opts := []sim.Option{
-			sim.WithTopology(cfg.Topology),
-			sim.WithPolicy(pol),
-			sim.WithSeed(cfg.Seed),
-			sim.WithIntersection(interCfg),
-			sim.WithSpec(spec),
-		}
-		if len(cfg.PolicyParams) > 0 {
-			opts = append(opts, sim.WithPolicyParams(cfg.PolicyParams))
-		}
-		if cfg.Coord {
-			opts = append(opts, sim.WithCoordination(cfg.CoordPeriod))
-		}
-		if cfg.Noisy {
-			opts = append(opts, sim.WithNoise(plant.TestbedNoise()))
-		}
-		if cfg.TraceFull {
-			rec := trace.NewFull()
-			res.Traces[pi] = rec
-			opts = append(opts, sim.WithTrace(rec))
-			if cfg.TraceDES {
-				opts = append(opts, sim.WithDESTrace())
-			}
-		}
-		simCfg, err := sim.NewConfig(opts...)
-		if err != nil {
-			return err
-		}
-		out, err := sim.Run(simCfg, arrivals)
-		if err != nil {
-			return fmt.Errorf("sweep: topology %s %v: %w", cfg.Topology, pol, err)
-		}
-		res.Cells[pi] = TopoCell{
-			Policy:     out.Policy,
-			Journey:    out.Summary,
-			PerNode:    out.PerNode,
-			Incomplete: out.Incomplete,
-		}
-		return nil
-	})
+	runs, err := runCells(cells, shared{cfg.Workers, cfg.PolicyParams, cfg.Noisy, cfg.TraceFull, cfg.TraceDES})
 	if err != nil {
 		return TopoResult{}, err
 	}
-	return res, nil
+	return TopoResult{Runs: runs, Topology: cfg.Topology, Policies: policies}, nil
 }
 
 // SafetyViolations counts the hard failures of the timed (commanded-
@@ -172,12 +110,12 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 // collide. VT-IM and AIM are exempt, as in the fault matrix.
 func (r TopoResult) SafetyViolations() int {
 	n := 0
-	for pi, c := range r.Cells {
-		pol := r.Policies[pi]
+	for pi, pol := range r.Policies {
 		if !timed(pol) {
 			continue
 		}
-		n += c.Journey.Collisions + c.Journey.BufferViolations
+		c := r.Cell(pi)
+		n += c.Summary.Collisions + c.Summary.BufferViolations
 		if pol != signalized.PolicyName {
 			n += c.Incomplete
 		}
@@ -190,11 +128,11 @@ func (r TopoResult) SafetyViolations() int {
 func (r TopoResult) JourneyTable() *metrics.Table {
 	t := metrics.NewTable("policy", "veh", "done", "mean wait (s)", "p95 wait (s)",
 		"mean travel (s)", "tput (veh/s)", "messages", "IM calls", "collisions", "buf viol", "incomplete")
-	for _, c := range r.Cells {
-		t.AddRow(c.Policy, c.Journey.Vehicles, c.Journey.Completed, c.Journey.MeanWait,
-			c.Journey.P95Wait, c.Journey.MeanTravel, c.Journey.Throughput,
-			c.Journey.Messages, c.Journey.SchedulerInvocations, c.Journey.Collisions,
-			c.Journey.BufferViolations, c.Incomplete)
+	for pi, pol := range r.Policies {
+		c := r.Cell(pi)
+		j := c.Summary
+		t.AddRow(pol, j.Vehicles, j.Completed, j.MeanWait, j.P95Wait, j.MeanTravel, j.Throughput,
+			j.Messages, j.SchedulerInvocations, j.Collisions, j.BufferViolations, c.Incomplete)
 	}
 	return t
 }
@@ -205,26 +143,11 @@ func (r TopoResult) JourneyTable() *metrics.Table {
 func (r TopoResult) PerNodeTable() *metrics.Table {
 	t := metrics.NewTable("policy", "node", "crossings", "mean wait (s)", "max wait (s)",
 		"IM calls", "IM busy (s)", "collisions")
-	for _, c := range r.Cells {
-		for node, s := range c.PerNode {
-			t.AddRow(c.Policy, node, s.Completed, s.MeanWait, s.MaxWait,
+	for pi, pol := range r.Policies {
+		for node, s := range r.Cell(pi).PerNode {
+			t.AddRow(pol, node, s.Completed, s.MeanWait, s.MaxWait,
 				s.SchedulerInvocations, s.SchedulerSimDelay, s.Collisions)
 		}
 	}
 	return t
-}
-
-// WriteTrace streams every policy cell's events as JSONL in deterministic
-// order, labelling each event's run field "<topology>/<policy>".
-func (r TopoResult) WriteTrace(path string) error {
-	recs := make([]*trace.Recorder, 0, len(r.Traces))
-	labels := make([]string, 0, len(r.Traces))
-	for pi, rec := range r.Traces {
-		if rec == nil {
-			continue
-		}
-		recs = append(recs, rec)
-		labels = append(labels, fmt.Sprintf("%s/%s", r.Topology, r.Cells[pi].Policy))
-	}
-	return trace.WriteJSONLMulti(path, recs, labels)
 }

@@ -6,21 +6,9 @@ import (
 	"testing"
 
 	"crossroads/internal/metrics"
+	"crossroads/internal/sim"
 	"crossroads/internal/topology"
 )
-
-func scrubWall(cells []TopoCell) []TopoCell {
-	out := make([]TopoCell, len(cells))
-	for i, c := range cells {
-		c.Journey.SchedulerWall = 0
-		c.PerNode = append([]metrics.Summary(nil), c.PerNode...)
-		for k := range c.PerNode {
-			c.PerNode[k].SchedulerWall = 0
-		}
-		out[i] = c
-	}
-	return out
-}
 
 // TestRunTopologyCorridor smoke-tests the corridor experiment end to end:
 // every policy completes the fleet, per-node summaries cover all nodes, and
@@ -41,15 +29,15 @@ func TestRunTopologyCorridor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 3 {
-		t.Fatalf("got %d cells, want 3", len(res.Cells))
+	if len(res.Results) != 3 {
+		t.Fatalf("got %d cells, want 3", len(res.Results))
 	}
-	for _, c := range res.Cells {
+	for _, c := range res.Results {
 		if c.Incomplete != 0 {
 			t.Errorf("%s: %d incomplete", c.Policy, c.Incomplete)
 		}
-		if c.Journey.Collisions != 0 {
-			t.Errorf("%s: %d collisions", c.Policy, c.Journey.Collisions)
+		if c.Summary.Collisions != 0 {
+			t.Errorf("%s: %d collisions", c.Policy, c.Summary.Collisions)
 		}
 		if len(c.PerNode) != 3 {
 			t.Errorf("%s: %d node summaries, want 3", c.Policy, len(c.PerNode))
@@ -92,8 +80,8 @@ func TestRunTopologyParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(scrubWall(a.Cells), scrubWall(b.Cells)) {
-		t.Errorf("workers=1 and workers=4 disagree:\n a: %+v\n b: %+v", a.Cells, b.Cells)
+	if !reflect.DeepEqual(simulated(a.Runs), simulated(b.Runs)) {
+		t.Errorf("workers=1 and workers=4 disagree:\n a:\n%s\n b:\n%s", a.JourneyTable(), b.JourneyTable())
 	}
 }
 
@@ -115,8 +103,8 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.Cells[0]
-	if c.Incomplete != 0 || c.Journey.Completed != 16 {
+	c := res.Cell(0)
+	if c.Incomplete != 0 || c.Summary.Completed != 16 {
 		t.Fatalf("single-node topology run unhealthy: %+v", c)
 	}
 	if len(c.PerNode) != 1 {
@@ -124,7 +112,7 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 	}
 	// The lone node's summary and the journey summary must be the same
 	// numbers: one intersection, so per-node wait IS end-to-end wait.
-	j, n := c.Journey, c.PerNode[0]
+	j, n := c.Summary, c.PerNode[0]
 	j.SchedulerWall, n.SchedulerWall = 0, 0
 	// Journey carries network-global message totals that the node view
 	// deliberately omits on multi-node runs; on single-node they share the
@@ -139,17 +127,17 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 // incomplete journeys; signalized is charged everything but incomplete
 // journeys; VT-IM and AIM are not charged at all.
 func TestTopoSafetyViolations(t *testing.T) {
-	cell := func(pol string, coll, buf, inc int) TopoCell {
-		return TopoCell{
+	cell := func(pol string, coll, buf, inc int) sim.Result {
+		return sim.Result{
 			Policy:     pol,
-			Journey:    metrics.Summary{Collisions: coll, BufferViolations: buf},
+			Summary:    metrics.Summary{Collisions: coll, BufferViolations: buf},
 			Incomplete: inc,
 		}
 	}
 	cases := []struct {
 		name string
 		pol  string
-		cell TopoCell
+		cell sim.Result
 		want int
 	}{
 		{"clean crossroads", "crossroads", cell("crossroads", 0, 0, 0), 0},
@@ -165,12 +153,12 @@ func TestTopoSafetyViolations(t *testing.T) {
 	var all TopoResult
 	wantAll := 0
 	for _, tc := range cases {
-		r := TopoResult{Policies: []string{tc.pol}, Cells: []TopoCell{tc.cell}}
+		r := TopoResult{Runs: Runs{Results: []sim.Result{tc.cell}}, Policies: []string{tc.pol}}
 		if got := r.SafetyViolations(); got != tc.want {
 			t.Errorf("%s: SafetyViolations() = %d, want %d", tc.name, got, tc.want)
 		}
 		all.Policies = append(all.Policies, tc.pol)
-		all.Cells = append(all.Cells, tc.cell)
+		all.Results = append(all.Results, tc.cell)
 		wantAll += tc.want
 	}
 	if got := all.SafetyViolations(); got != wantAll {

@@ -21,7 +21,6 @@ package crossroads
 import (
 	"crossroads/internal/im"
 	"crossroads/internal/protocol"
-	"crossroads/internal/scale"
 	"crossroads/internal/sim"
 	"crossroads/internal/sweep"
 
@@ -123,9 +122,9 @@ type (
 	// FaultMatrixResult holds one fault matrix's cells.
 	FaultMatrixResult = sweep.FaultMatrixResult
 	// ScaleConfig parameterizes the paper's scale-model scenario table.
-	ScaleConfig = scale.Config
+	ScaleConfig = sweep.ScaleConfig
 	// ScaleResult holds the replicated scenario table.
-	ScaleResult = scale.Result
+	ScaleResult = sweep.ScaleResult
 )
 
 var (
@@ -136,7 +135,7 @@ var (
 	// RunFaultMatrix runs a fault-scenario × policy resilience matrix.
 	RunFaultMatrix = sweep.RunFaultMatrix
 	// RunScaleScenarios replicates the paper's scale-model scenarios.
-	RunScaleScenarios = scale.Run
+	RunScaleScenarios = sweep.RunScale
 )
 
 // Wire protocol: the serve-mode frame types and codec, enough to write a

@@ -119,13 +119,13 @@ func TestRegisteredTimedPolicyRunsEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := topo.Cells[0]
-	if c.Journey.Completed != 12 || c.Journey.Collisions != 0 || c.Journey.BufferViolations != 0 || c.Incomplete != 0 {
+	c := topo.Cell(0)
+	if c.Summary.Completed != 12 || c.Summary.Collisions != 0 || c.Summary.BufferViolations != 0 || c.Incomplete != 0 {
 		t.Errorf("grid: completed %d of 12, collisions %d, buffer violations %d, incomplete %d",
-			c.Journey.Completed, c.Journey.Collisions, c.Journey.BufferViolations, c.Incomplete)
+			c.Summary.Completed, c.Summary.Collisions, c.Summary.BufferViolations, c.Incomplete)
 	}
 	// The gate must see the policy as timed: a cell with a collision counts.
-	topo.Cells[0].Journey.Collisions = 1
+	topo.Results[0].Summary.Collisions = 1
 	if v := topo.SafetyViolations(); v != 1 {
 		t.Errorf("safety gate counts %d violation(s) in a colliding cell of a timed policy, want 1", v)
 	}
