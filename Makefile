@@ -21,12 +21,18 @@ bench:
 bench-grid:
 	$(GO) test -bench 'BenchmarkGrid' -benchmem -run '^$$'
 
-## bench-layers times single layers of the simulator in isolation.
-## BenchmarkSafetyCheck is the world's safety check (body and buffer
-## overlap of every same-node vehicle pair) at a dense moment of a
-## saturated scale-model run.
+## bench-layers times single layers of the simulator in isolation, five
+## rungs: the reservation book's slot search (BookEarliestFeasible), the
+## conflict-table build (ConflictTableBuild), one scheduler request under
+## Crossroads and under the dot tile scheduler (SchedulerCrossroadsRequest,
+## SchedulerDotRequest), and the world's safety check, body and buffer
+## overlap of every same-node vehicle pair at a dense moment of a saturated
+## scale-model run (SafetyCheck). BENCHFLAGS passes extra flags, e.g.
+## BENCHFLAGS='-benchtime 1x' for a one-iteration smoke run.
+BENCHFLAGS ?=
 bench-layers:
-	$(GO) test ./internal/sim -bench 'BenchmarkSafetyCheck' -benchmem -run '^$$'
+	$(GO) test . -bench '^Benchmark(BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest)$$' -benchmem -run '^$$' $(BENCHFLAGS)
+	$(GO) test ./internal/sim -bench '^BenchmarkSafetyCheck$$' -benchmem -run '^$$' $(BENCHFLAGS)
 
 ## bench-report writes a new machine-readable benchmark artifact to the
 ## first free BENCH_N.json, so the committed ones are never overwritten.

@@ -347,6 +347,34 @@ func BenchmarkSchedulerCrossroadsRequest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchRequestStream(b, sched)
+}
+
+// BenchmarkSchedulerDotRequest sends the Crossroads rung's request stream
+// to the space-time tile scheduler, built through its registry entry:
+// each request rasterises candidate footprints and scans the reservation
+// table.
+func BenchmarkSchedulerDotRequest(b *testing.B) {
+	x, err := intersection.New(intersection.ScaleModelConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := im.LookupPolicy("dot")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := im.PolicyOptions{Spec: safety.TestbedSpec(), Cost: im.TestbedCostModel()}
+	sched, err := e.Factory(x, opts, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchRequestStream(b, sched)
+}
+
+// benchRequestStream times one scheduler request per iteration: sixteen
+// vehicles, 0.1 s apart, cycling over the four straight movements, all
+// exiting after every sixteenth request.
+func benchRequestStream(b *testing.B, sched im.Scheduler) {
 	params := kinematics.ScaleModelParams()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,9 +57,12 @@ func (r Rect) Inflate(dl, dw float64) Rect {
 }
 
 // Corners returns the four corners in CCW order starting from front-left.
-func (r Rect) Corners() [4]Vec2 {
-	f := Heading(r.Heading).Scale(r.HalfL)
-	s := Heading(r.Heading).Perp().Scale(r.HalfW)
+func (r Rect) Corners() [4]Vec2 { return r.corners(Heading(r.Heading)) }
+
+// corners places the four corners given the unit heading vector h.
+func (r Rect) corners(h Vec2) [4]Vec2 {
+	f := h.Scale(r.HalfL)
+	s := h.Perp().Scale(r.HalfW)
 	return [4]Vec2{
 		r.Center.Add(f).Add(s), // front-left
 		r.Center.Sub(f).Add(s), // rear-left
@@ -69,8 +72,10 @@ func (r Rect) Corners() [4]Vec2 {
 }
 
 // AABB returns the axis-aligned bounding box of the rectangle.
-func (r Rect) AABB() AABB {
-	c := r.Corners()
+func (r Rect) AABB() AABB { return boundsOf(r.Corners()) }
+
+// boundsOf returns the axis-aligned box around four corners.
+func boundsOf(c [4]Vec2) AABB {
 	min, max := c[0], c[0]
 	for _, p := range c[1:] {
 		min.X = math.Min(min.X, p.X)
@@ -93,25 +98,57 @@ func (r Rect) Area() float64 { return 4 * r.HalfL * r.HalfW }
 // Intersects reports whether two oriented rectangles overlap, using the
 // separating-axis theorem. Touching edges count as intersecting.
 func (r Rect) Intersects(o Rect) bool {
-	// Quick reject on bounding circles.
+	// Quick reject on bounding circles, before paying for the axes.
 	rr := math.Hypot(r.HalfL, r.HalfW)
 	or := math.Hypot(o.HalfL, o.HalfW)
 	if r.Center.Dist(o.Center) > rr+or {
 		return false
 	}
-	axes := [4]Vec2{
-		Heading(r.Heading),
-		Heading(r.Heading).Perp(),
-		Heading(o.Heading),
-		Heading(o.Heading).Perp(),
+	a, b := r.prepare(rr), o.prepare(or)
+	return a.overlapsOnAxes(&b)
+}
+
+// PreparedRect is a Rect with its two axes, four corners and bounding
+// radius computed once, for rectangles tested against many others (the
+// tiles of a reservation grid, or a vehicle body against them).
+type PreparedRect struct {
+	center  Vec2
+	axes    [2]Vec2 // the heading and its left perpendicular
+	corners [4]Vec2 // as Rect.Corners
+	radius  float64 // bounding-circle radius
+}
+
+// Prepare computes the rectangle's axes, corners and bounding radius with
+// one Heading call.
+func (r Rect) Prepare() PreparedRect { return r.prepare(math.Hypot(r.HalfL, r.HalfW)) }
+
+func (r Rect) prepare(radius float64) PreparedRect {
+	h := Heading(r.Heading)
+	return PreparedRect{center: r.Center, axes: [2]Vec2{h, h.Perp()}, corners: r.corners(h), radius: radius}
+}
+
+// AABB returns the axis-aligned bounding box of the rectangle.
+func (p *PreparedRect) AABB() AABB { return boundsOf(p.corners) }
+
+// Intersects reports whether two prepared rectangles overlap; it answers
+// exactly as Rect.Intersects does on the rectangles they came from.
+func (p *PreparedRect) Intersects(o *PreparedRect) bool {
+	if p.center.Dist(o.center) > p.radius+o.radius {
+		return false
 	}
-	rc := r.Corners()
-	oc := o.Corners()
-	for _, ax := range axes {
-		rmin, rmax := projectExtent(rc[:], ax)
-		omin, omax := projectExtent(oc[:], ax)
-		if rmax < omin-Eps || omax < rmin-Eps {
-			return false
+	return p.overlapsOnAxes(o)
+}
+
+// overlapsOnAxes is the separating-axis test: the rectangles overlap iff
+// their projections overlap, within Eps, on each of the four axes.
+func (p *PreparedRect) overlapsOnAxes(o *PreparedRect) bool {
+	for _, axes := range [2]*[2]Vec2{&p.axes, &o.axes} {
+		for _, ax := range axes {
+			pmin, pmax := projectExtent(p.corners[:], ax)
+			omin, omax := projectExtent(o.corners[:], ax)
+			if pmax < omin-Eps || omax < pmin-Eps {
+				return false
+			}
 		}
 	}
 	return true

@@ -260,3 +260,94 @@ func TestSegmentLengthAndPointAt(t *testing.T) {
 		t.Errorf("PointAt(0.5) = %v", s.PointAt(0.5))
 	}
 }
+
+// referenceIntersects is the separating-axis test as first written, with
+// every axis and corner recomputed from the headings on each call; the
+// prepared form must answer exactly as it does.
+func referenceIntersects(r, o Rect) bool {
+	rr := math.Hypot(r.HalfL, r.HalfW)
+	or := math.Hypot(o.HalfL, o.HalfW)
+	if r.Center.Dist(o.Center) > rr+or {
+		return false
+	}
+	axes := [4]Vec2{
+		Heading(r.Heading),
+		Heading(r.Heading).Perp(),
+		Heading(o.Heading),
+		Heading(o.Heading).Perp(),
+	}
+	corners := func(x Rect) [4]Vec2 {
+		f := Heading(x.Heading).Scale(x.HalfL)
+		s := Heading(x.Heading).Perp().Scale(x.HalfW)
+		return [4]Vec2{x.Center.Add(f).Add(s), x.Center.Sub(f).Add(s), x.Center.Sub(f).Sub(s), x.Center.Add(f).Sub(s)}
+	}
+	rc, oc := corners(r), corners(o)
+	for _, ax := range axes {
+		rmin, rmax := projectExtent(rc[:], ax)
+		omin, omax := projectExtent(oc[:], ax)
+		if rmax < omin-Eps || omax < rmin-Eps {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPreparedIntersectsMatchesReference: Rect.Intersects and the
+// prepared test agree with the reference on random rectangles, on pairs
+// placed to touch, to miss by just under and just over Eps, and on
+// axis-aligned pairs that share an edge, as tile neighbours do.
+func TestPreparedIntersectsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	random := func() Rect {
+		return NewRect(V(rng.Float64()*4-2, rng.Float64()*4-2), rng.Float64()*2+0.05, rng.Float64()+0.05, rng.Float64()*2*math.Pi)
+	}
+	var pairs [][2]Rect
+	for i := 0; i < 5000; i++ {
+		pairs = append(pairs, [2]Rect{random(), random()})
+	}
+	for i := 0; i < 2000; i++ {
+		// b sits gap metres beyond a's front face, along a's heading.
+		a := random()
+		if i%2 == 0 {
+			a.Heading = float64(rng.Intn(4)) * math.Pi / 2
+		}
+		b := a
+		b.HalfL = rng.Float64() + 0.05
+		gap := []float64{0, Eps / 2, Eps, 2 * Eps, -Eps / 2}[i%5]
+		b.Center = a.Center.Add(Heading(a.Heading).Scale(a.HalfL + b.HalfL + gap))
+		pairs = append(pairs, [2]Rect{a, b})
+	}
+	// Tiles of a grid: edge and corner neighbours share a boundary.
+	const side = 0.15
+	for j := 0; j < 4; j++ {
+		for i := 0; i < 4; i++ {
+			tile := func(i, j int) Rect {
+				min := V(-0.6+float64(i)*side, -0.6+float64(j)*side)
+				box := AABB{Min: min, Max: min.Add(V(side, side))}
+				return NewRect(box.Center(), box.Width(), box.Height(), 0)
+			}
+			pairs = append(pairs, [2]Rect{tile(i, j), tile(i+1, j)}, [2]Rect{tile(i, j), tile(i+1, j+1)}, [2]Rect{tile(i, j), tile(i+2, j)})
+		}
+	}
+	hits := 0
+	for _, pr := range pairs {
+		a, b := pr[0], pr[1]
+		want := referenceIntersects(a, b)
+		pa, pb := a.Prepare(), b.Prepare()
+		if got := a.Intersects(b); got != want {
+			t.Fatalf("Rect.Intersects(%+v, %+v) = %v, reference %v", a, b, got, want)
+		}
+		if got := pa.Intersects(&pb); got != want {
+			t.Fatalf("PreparedRect.Intersects(%+v, %+v) = %v, reference %v", a, b, got, want)
+		}
+		if pa.AABB() != a.AABB() {
+			t.Fatalf("prepared AABB %v, Rect.AABB %v", pa.AABB(), a.AABB())
+		}
+		if want {
+			hits++
+		}
+	}
+	if hits == 0 || hits == len(pairs) {
+		t.Fatalf("%d of %d pairs intersect: the cases do not exercise both answers", hits, len(pairs))
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 
-	"crossroads/internal/geom"
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/safety"
@@ -62,7 +61,7 @@ type Scheduler struct {
 	// exits tracks live reservations' box-exit crossings per exit lane so
 	// merges beyond the tile grid stay separated (a faster follower would
 	// otherwise catch a slow leader on the exit road, outside any tile).
-	exits map[int64]exitCrossing
+	exits map[int64]im.ExitCrossing
 	// order tracks physical queue order per entry lane.
 	order *im.LaneOrder
 	// Rejections counts denied proposals (the paper's trial-and-error
@@ -72,26 +71,17 @@ type Scheduler struct {
 	Accepts int
 }
 
-// exitCrossing records when and how fast a reserved crossing leaves the box.
-type exitCrossing struct {
-	exit    intersection.Approach
-	lane    int
-	time    float64
-	speed   float64
-	planLen float64
-}
-
 // New builds the AIM scheduler over the intersection.
 func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*Scheduler, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TimeStep <= 0 {
-		return nil, fmt.Errorf("aim: TimeStep %v must be positive", cfg.TimeStep)
+	if !(cfg.TimeStep > 0) || math.IsInf(cfg.TimeStep, 1) {
+		return nil, fmt.Errorf("aim: TimeStep %v (aim.step) must be finite and positive", cfg.TimeStep)
 	}
 	grid, err := intersection.NewTileGrid(x.Box(), cfg.GridN)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("aim: aim.grid: %w", err)
 	}
 	return &Scheduler{
 		x:        x,
@@ -101,7 +91,7 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*Scheduler, 
 		rng:      rng,
 		buffers:  cfg.Spec.ForAIM(),
 		accepted: make(map[int64]float64),
-		exits:    make(map[int64]exitCrossing),
+		exits:    make(map[int64]im.ExitCrossing),
 		order:    im.NewLaneOrder(),
 	}, nil
 }
@@ -151,27 +141,21 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 	// Exit-merge check: the proposal's box exit must clear every live
 	// same-exit-lane reservation with enough margin that a faster follower
 	// cannot catch its leader on the exit road.
-	candExit := exitCrossing{
-		exit:    m.Exit,
-		lane:    req.Movement.Lane,
-		time:    cross.TimeAtArc(m.InsideLen()),
-		speed:   cross.SpeedAtArc(m.InsideLen()),
-		planLen: planLen,
-	}
+	candExit := im.ExitOf(m, cross, planLen)
 	for _, r := range s.exits {
 		if req.Committed {
 			break
 		}
-		if r.exit != candExit.exit || r.lane != candExit.lane {
+		if !r.SameLane(candExit) {
 			continue
 		}
-		if !exitSeparated(candExit, r, s.x.Config().ExitLen) {
+		if !im.ExitSeparated(candExit, r, s.x.Config().ExitLen) {
 			s.Rejections++
 			return im.Response{Kind: im.RespReject}, s.cfg.Cost.SimulationCost(s.rng, 1)
 		}
 	}
 
-	steps, nSamples := s.sweep(m, cross, planLen, planWid)
+	steps, nSamples := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep)
 	cost := s.cfg.Cost.SimulationCost(s.rng, nSamples)
 	if req.Committed {
 		// A committed vehicle's crossing is a physical fact: re-reserve it
@@ -202,38 +186,6 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 	}, cost
 }
 
-// sweep simulates the box crossing: the vehicle center moves from just
-// before the entry to just past the exit along the reserved trajectory. It
-// returns the (step -> tiles) map and the number of trajectory samples
-// evaluated.
-func (s *Scheduler) sweep(m *intersection.Movement, cross im.Reservation, planLen, planWid float64) (map[int64][]int, int) {
-	arcStart := -planLen / 2
-	arcEnd := m.InsideLen() + planLen/2
-	steps := make(map[int64][]int)
-	n := 0
-	tStart := cross.TimeAtArc(arcStart)
-	tEnd := cross.TimeAtArc(arcEnd)
-	for t := tStart; t <= tEnd; t += s.cfg.TimeStep {
-		arc := cross.ArcAtTime(t)
-		pose := m.Path.PoseAt(m.EnterS + arc)
-		rect := geom.NewRect(pose.Pos, planLen, planWid, pose.Heading)
-		tiles := s.grid.TilesFor(rect)
-		n++
-		if len(tiles) == 0 {
-			continue
-		}
-		step := int64(math.Floor(t / s.cfg.TimeStep))
-		// Claim one step of slack on both sides: the vehicle occupies
-		// these tiles somewhere within [t, t+dt) and its true passage may
-		// deviate by up to a step (tracking tolerance before the agents'
-		// time-lag re-request triggers).
-		for d := int64(-1); d <= 2; d++ {
-			steps[step+d] = appendUnique(steps[step+d], tiles)
-		}
-	}
-	return steps, n
-}
-
 // HandleExit implements im.Scheduler: free the vehicle's tiles.
 func (s *Scheduler) HandleExit(now float64, vehicleID int64) {
 	s.res.Release(vehicleID)
@@ -253,37 +205,5 @@ func (s *Scheduler) PruneGhost(now float64, vehicleID int64) bool {
 	return true
 }
 
-// exitSeparated reports whether two same-exit-lane crossings are ordered
-// with enough margin: their exit-point passages must not overlap, and when
-// the later one is faster it additionally needs the catch-up time over the
-// exit road.
-func exitSeparated(a, b exitCrossing, exitLen float64) bool {
-	first, second := a, b
-	if b.time < a.time {
-		first, second = b, a
-	}
-	margin := (first.planLen/first.speed + second.planLen/second.speed) / 2
-	if second.speed > first.speed {
-		margin += exitLen * (1/first.speed - 1/second.speed)
-	}
-	return second.time-first.time >= margin
-}
-
 // HeldPairs reports the current (tile, step) reservation count.
 func (s *Scheduler) HeldPairs() int { return s.res.HeldPairs() }
-
-func appendUnique(dst []int, src []int) []int {
-	for _, v := range src {
-		found := false
-		for _, d := range dst {
-			if d == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}

@@ -2,11 +2,13 @@ package aim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
+	"crossroads/internal/safety"
 )
 
 func newSched(t *testing.T) *Scheduler {
@@ -184,24 +186,6 @@ func TestAIMExitMergeSeparation(t *testing.T) {
 	}
 }
 
-func TestExitSeparated(t *testing.T) {
-	a := exitCrossing{time: 10, speed: 3, planLen: 0.724}
-	b := exitCrossing{time: 10.1, speed: 3, planLen: 0.724}
-	if exitSeparated(a, b, 1.5) {
-		t.Error("0.1 s apart at 3 m/s should not be separated")
-	}
-	c := exitCrossing{time: 12, speed: 3, planLen: 0.724}
-	if !exitSeparated(a, c, 1.5) {
-		t.Error("2 s apart should be separated")
-	}
-	// Faster follower needs the catch-up margin.
-	fast := exitCrossing{time: 10.4, speed: 3, planLen: 0.724}
-	slowLead := exitCrossing{time: 10, speed: 0.8, planLen: 0.724}
-	if exitSeparated(slowLead, fast, 1.5) {
-		t.Error("fast follower behind slow leader should need more margin")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	x, _ := intersection.New(intersection.ScaleModelConfig())
 	cfg := DefaultConfig()
@@ -218,5 +202,80 @@ func TestNewValidation(t *testing.T) {
 	cfg.Spec.MaxSpeed = 0
 	if _, err := New(x, cfg, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+// TestRegistryEntry: the registry builds AIM from its -policy-opt knobs and
+// rejects, naming the knob, values that would hang a sweep or leave the
+// tile grid unused.
+func TestRegistryEntry(t *testing.T) {
+	e, err := im.LookupPolicy(PolicyName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Protocol != im.ProtocolQuery {
+		t.Errorf("protocol %v, want query", e.Protocol)
+	}
+	x, err := intersection.New(intersection.ScaleModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(params map[string]string) (*Scheduler, error) {
+		opts := im.PolicyOptions{Spec: safety.TestbedSpec(), Params: params}
+		s, err := e.Factory(x, opts, rand.New(rand.NewSource(1)))
+		if err != nil {
+			return nil, err
+		}
+		return s.(*Scheduler), nil
+	}
+	s, err := build(map[string]string{"aim.grid": "12", "aim.step": "0.02"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := s.cfg; c.GridN != 12 || c.TimeStep != 0.02 {
+		t.Errorf("knobs did not reach the config: %+v", c)
+	}
+	for _, tc := range []struct {
+		params  map[string]string
+		wantErr string
+	}{
+		{map[string]string{"aim.grid": "0"}, "tile grid size 0"},
+		{map[string]string{"aim.grid": "33"}, "aim.grid"},
+		{map[string]string{"aim.step": "0"}, "aim.step"},
+		{map[string]string{"aim.step": "-0.05"}, "aim.step"},
+		{map[string]string{"aim.step": "NaN"}, "aim.step"},
+		{map[string]string{"aim.step": "Inf"}, "aim.step"},
+		{map[string]string{"aim.slack": "1"}, "unknown parameter aim.slack"},
+	} {
+		if _, err := build(tc.params); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%v: error %v, want one mentioning %q", tc.params, err, tc.wantErr)
+		}
+	}
+	if _, err := build(map[string]string{"aim.grid": "32"}); err != nil {
+		t.Errorf("aim.grid=32: %v", err)
+	}
+}
+
+// TestAIMFarFutureProposal: a proposal far beyond every held reservation,
+// as a malformed served request may carry, is judged like any other and
+// leaves near-term proposals unaffected.
+func TestAIMFarFutureProposal(t *testing.T) {
+	s := newSched(t)
+	if r, _ := s.HandleRequest(0.1, proposal(1, intersection.East, 1.1, 3.0, 3.0)); r.Kind != im.RespAccept {
+		t.Fatal("near proposal rejected")
+	}
+	held := s.HeldPairs()
+	if r, _ := s.HandleRequest(0.1, proposal(2, intersection.North, 1e6, 3.0, 3.0)); r.Kind != im.RespAccept {
+		t.Fatal("far proposal rejected")
+	}
+	if s.HeldPairs() <= held {
+		t.Errorf("far proposal holds no tiles: %d pairs, %d before", s.HeldPairs(), held)
+	}
+	if r, _ := s.HandleRequest(0.15, proposal(3, intersection.South, 1.15, 3.0, 3.0)); r.Kind != im.RespReject {
+		t.Error("proposal conflicting with the near reservation accepted")
+	}
+	s.HandleExit(1e6, 2)
+	if s.HeldPairs() != held {
+		t.Errorf("after the far vehicle's exit %d pairs held, want %d", s.HeldPairs(), held)
 	}
 }

@@ -20,11 +20,11 @@
 package dot
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 
-	"crossroads/internal/geom"
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
@@ -73,19 +73,8 @@ type grant struct {
 	params   kinematics.Params
 	toa      float64
 	res      im.Reservation
-	planLen  float64
-	steps    map[int64][]int
-	exit     exitCrossing
-}
-
-// exitCrossing records when and how fast a granted crossing leaves the
-// box, for the same exit-merge separation rule AIM uses.
-type exitCrossing struct {
-	exit    intersection.Approach
-	lane    int
-	time    float64
-	speed   float64
-	planLen float64
+	steps    intersection.Occupancy
+	exit     im.ExitCrossing
 }
 
 // Scheduler is the dot intersection manager for one node.
@@ -115,9 +104,15 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*Scheduler, 
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
+	if !(cfg.TimeStep > 0) || math.IsInf(cfg.TimeStep, 1) {
+		return nil, fmt.Errorf("dot: TimeStep %v (dot.step) must be finite and positive", cfg.TimeStep)
+	}
+	if !(cfg.Horizon > 0) || math.IsInf(cfg.Horizon, 1) {
+		return nil, fmt.Errorf("dot: Horizon %v (dot.horizon) must be finite and positive", cfg.Horizon)
+	}
 	grid, err := intersection.NewTileGrid(x.Box(), cfg.GridN)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dot: dot.grid: %w", err)
 	}
 	return &Scheduler{
 		x:        x,
@@ -208,10 +203,10 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		s.res.Reserve(req.VehicleID, steps)
 		s.grants[req.VehicleID] = &grant{
 			movement: req.Movement, params: req.Params, toa: toa,
-			res:     im.Reservation{ToA: toa, Plan: plan},
-			planLen: candExit.planLen, steps: steps, exit: candExit,
+			res:   im.Reservation{ToA: toa, Plan: plan},
+			steps: steps, exit: candExit,
 		}
-		s.reviseVictims(now, req.VehicleID, steps)
+		s.reviseVictims(now, req.VehicleID, &steps)
 		return im.Response{
 			Kind:        im.RespTimed,
 			TargetSpeed: plan.EntrySpeed,
@@ -242,8 +237,8 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 	s.res.Reserve(req.VehicleID, steps)
 	s.grants[req.VehicleID] = &grant{
 		movement: req.Movement, params: req.Params, toa: toa,
-		res:     im.Reservation{ToA: toa, Plan: plan},
-		planLen: candExit.planLen, steps: steps, exit: candExit,
+		res:   im.Reservation{ToA: toa, Plan: plan},
+		steps: steps, exit: candExit,
 	}
 	s.Grants++
 	s.res.PruneBefore(int64(math.Floor((now - 5) / s.cfg.TimeStep)))
@@ -259,7 +254,7 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 // returns the first whose approach is realizable, whose exit clears the
 // merge rule, and whose swept footprint fits the free tiles. Excluded
 // grants (the requester itself) are skipped in the exit check.
-func (s *Scheduler) findSlot(m *intersection.Movement, self int64, p kinematics.Params, te, de, vc, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, map[int64][]int, exitCrossing, int, bool) {
+func (s *Scheduler) findSlot(m *intersection.Movement, self int64, p kinematics.Params, te, de, vc, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, intersection.Occupancy, im.ExitCrossing, int, bool) {
 	lip := s.lipFor(p)
 	end := math.Min(latest, earliest+s.cfg.Horizon)
 	n := 0
@@ -279,7 +274,7 @@ func (s *Scheduler) findSlot(m *intersection.Movement, self int64, p kinematics.
 			return toa, plan, steps, candExit, n, true
 		}
 	}
-	return 0, im.CrossingPlan{}, nil, exitCrossing{}, n + 1, false
+	return 0, im.CrossingPlan{}, intersection.Occupancy{}, im.ExitCrossing{}, n + 1, false
 }
 
 // realizable mirrors the Crossroads slot verifier: the approach plan must
@@ -323,69 +318,28 @@ func (s *Scheduler) buildPlan(te, de, vc, toa, earliest, vEarliest float64, p ki
 	return plan
 }
 
-// footprint simulates the box crossing and returns its (step -> tiles)
-// occupancy map, its exit crossing, and the sample count for the cost
-// model. The same one-step slack AIM claims absorbs tracking tolerance.
-func (s *Scheduler) footprint(m *intersection.Movement, p kinematics.Params, toa float64, plan im.CrossingPlan) (map[int64][]int, exitCrossing, int) {
+// footprint simulates the box crossing and returns its tile footprint,
+// its exit crossing, and the sample count for the cost model. The same
+// one-step slack AIM claims absorbs tracking tolerance.
+func (s *Scheduler) footprint(m *intersection.Movement, p kinematics.Params, toa float64, plan im.CrossingPlan) (intersection.Occupancy, im.ExitCrossing, int) {
 	planLen, planWid := s.buffers.InflatedDims(p.Length, p.Width)
 	cross := im.Reservation{ToA: toa, Plan: plan}
-	arcStart := -planLen / 2
-	arcEnd := m.InsideLen() + planLen/2
-	steps := make(map[int64][]int)
-	n := 0
-	tEnd := cross.TimeAtArc(arcEnd)
-	for t := cross.TimeAtArc(arcStart); t <= tEnd; t += s.cfg.TimeStep {
-		arc := cross.ArcAtTime(t)
-		pose := m.Path.PoseAt(m.EnterS + arc)
-		rect := geom.NewRect(pose.Pos, planLen, planWid, pose.Heading)
-		tiles := s.grid.TilesFor(rect)
-		n++
-		if len(tiles) == 0 {
-			continue
-		}
-		step := int64(math.Floor(t / s.cfg.TimeStep))
-		for d := int64(-1); d <= 2; d++ {
-			steps[step+d] = appendUnique(steps[step+d], tiles)
-		}
-	}
-	ex := exitCrossing{
-		exit:    m.Exit,
-		lane:    m.ID.Lane,
-		time:    cross.TimeAtArc(m.InsideLen()),
-		speed:   cross.SpeedAtArc(m.InsideLen()),
-		planLen: planLen,
-	}
-	return steps, ex, n
+	steps, n := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep)
+	return steps, im.ExitOf(m, cross, planLen), n
 }
 
 // exitClear checks the candidate exit against every live same-exit-lane
 // grant (except self).
-func (s *Scheduler) exitClear(self int64, cand exitCrossing) bool {
+func (s *Scheduler) exitClear(self int64, cand im.ExitCrossing) bool {
 	for id, g := range s.grants {
-		if id == self || g.exit.exit != cand.exit || g.exit.lane != cand.lane {
+		if id == self || !g.exit.SameLane(cand) {
 			continue
 		}
-		if !exitSeparated(cand, g.exit, s.x.Config().ExitLen) {
+		if !im.ExitSeparated(cand, g.exit, s.x.Config().ExitLen) {
 			return false
 		}
 	}
 	return true
-}
-
-// exitSeparated reports whether two same-exit-lane crossings are ordered
-// with enough margin: their exit-point passages must not overlap, and
-// when the later one is faster it additionally needs the catch-up time
-// over the exit road.
-func exitSeparated(a, b exitCrossing, exitLen float64) bool {
-	first, second := a, b
-	if b.time < a.time {
-		first, second = b, a
-	}
-	margin := (first.planLen/first.speed + second.planLen/second.speed) / 2
-	if second.speed > first.speed {
-		margin += exitLen * (1/first.speed - 1/second.speed)
-	}
-	return second.time-first.time >= margin
 }
 
 // reviseVictims pushes every grant the cause's footprint overlaps onto a
@@ -394,10 +348,10 @@ func exitSeparated(a, b exitCrossing, exitLen float64) bool {
 // new plan starts from its deterministic state then. A victim that
 // cannot be moved (it is itself past the point of no return) keeps its
 // slot — physics allows nothing else — exactly like the book's cascade.
-func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps map[int64][]int) {
+func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps *intersection.Occupancy) {
 	var victims []int64
 	for id, g := range s.grants {
-		if id != cause && stepsOverlap(causeSteps, g.steps) {
+		if id != cause && causeSteps.Overlaps(&g.steps) {
 			victims = append(victims, id)
 		}
 	}
@@ -438,7 +392,6 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps map[int64
 		s.res.Reserve(id, steps)
 		g.toa = toa
 		g.res = im.Reservation{ToA: toa, Plan: plan}
-		g.planLen = candExit.planLen
 		g.steps = steps
 		g.exit = candExit
 		s.pushes = append(s.pushes, im.Push{VehicleID: id, Resp: im.Response{
@@ -448,27 +401,6 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps map[int64
 			ArriveAt:    toa,
 		}})
 	}
-}
-
-// stepsOverlap reports whether two footprints share any (tile, step).
-func stepsOverlap(a, b map[int64][]int) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for step, tiles := range a {
-		other, ok := b[step]
-		if !ok {
-			continue
-		}
-		for _, t := range tiles {
-			for _, u := range other {
-				if t == u {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // TakePushes implements im.Pusher: drain pending IM-initiated revisions.
@@ -498,19 +430,3 @@ func (s *Scheduler) PruneGhost(now float64, vehicleID int64) bool {
 
 // HeldPairs reports the current (tile, step) reservation count.
 func (s *Scheduler) HeldPairs() int { return s.res.HeldPairs() }
-
-func appendUnique(dst []int, src []int) []int {
-	for _, v := range src {
-		found := false
-		for _, d := range dst {
-			if d == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}

@@ -68,12 +68,24 @@ func TestRegistryEntry(t *testing.T) {
 		wantErr string
 	}{
 		{map[string]string{"dot.grid": "-4"}, "tile grid size -4"},
+		{map[string]string{"dot.grid": "33"}, "dot.grid"},
 		{map[string]string{"dot.step": "fine"}, "dot.step"},
+		{map[string]string{"dot.step": "0"}, "dot.step"},
+		{map[string]string{"dot.step": "-0.1"}, "dot.step"},
+		{map[string]string{"dot.step": "NaN"}, "dot.step"},
+		{map[string]string{"dot.step": "+Inf"}, "dot.step"},
+		{map[string]string{"dot.horizon": "-1"}, "dot.horizon"},
+		{map[string]string{"dot.horizon": "0"}, "dot.horizon"},
+		{map[string]string{"dot.horizon": "NaN"}, "dot.horizon"},
+		{map[string]string{"dot.horizon": "Inf"}, "dot.horizon"},
 		{map[string]string{"dot.slack": "2"}, "unknown parameter dot.slack"},
 	} {
 		if _, err := build(t, tc.params); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%v: error %v, want one mentioning %q", tc.params, err, tc.wantErr)
 		}
+	}
+	if _, err := build(t, map[string]string{"dot.grid": "32"}); err != nil {
+		t.Errorf("dot.grid=32: %v", err)
 	}
 }
 
@@ -115,10 +127,125 @@ func TestSimultaneousConflictsGetDisjointCrossings(t *testing.T) {
 		t.Errorf("conflicting crossings not serialized: ToA %v then %v", r1.ArriveAt, r2.ArriveAt)
 	}
 	g1, g2 := s.grants[1], s.grants[2]
-	if len(g1.steps) == 0 || len(g2.steps) == 0 {
+	if g1.steps.Pairs() == 0 || g2.steps.Pairs() == 0 {
 		t.Fatal("a grant booked no tiles")
 	}
-	if stepsOverlap(g1.steps, g2.steps) {
+	if g1.steps.Overlaps(&g2.steps) {
 		t.Error("granted footprints share a tile in the same time step")
+	}
+}
+
+// committedAt is a committed (cannot-stop) North-straight report sent at
+// now, DT metres from the box at 3 m/s: dot books its truthful arrival
+// unconditionally.
+func committedAt(id int64, now, dt float64) im.Request {
+	r := req(id, intersection.North, now-0.01)
+	r.DistToEntry = dt
+	r.Committed = true
+	return r
+}
+
+// footprintPairs is the number of (tile, step) pairs the committed report
+// books on an otherwise empty scheduler.
+func footprintPairs(t *testing.T, r im.Request) int {
+	t.Helper()
+	s, err := build(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, _ := s.HandleRequest(r.TransmitTime+0.01, r); resp.Kind != im.RespTimed {
+		t.Fatalf("committed report not booked: %+v", resp)
+	}
+	return s.HeldPairs()
+}
+
+// TestCommittedBookingRevisesVictim: a committed vehicle booked over a
+// standing grant moves the grant to a later slot whose footprint is
+// disjoint from the committed one, and queues the revision as a push
+// that executes at now + WC-RTD.
+func TestCommittedBookingRevisesVictim(t *testing.T) {
+	s, err := build(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := req(1, intersection.East, 0.04)
+	victim.DistToEntry = 6
+	r1, _ := s.HandleRequest(0.05, victim)
+	if r1.Kind != im.RespTimed {
+		t.Fatalf("victim not granted: %+v", r1)
+	}
+	// The committed report arrives at the victim's arrival time.
+	const now = 1.0
+	c := committedAt(2, now, 3.15)
+	f2 := footprintPairs(t, c)
+	r2, _ := s.HandleRequest(now, c)
+	if r2.Kind != im.RespTimed || math.Abs(r2.ArriveAt-r1.ArriveAt) > 1e-9 {
+		t.Fatalf("committed booking %+v, want a timed grant at the victim's ToA %v", r2, r1.ArriveAt)
+	}
+	g := s.grants[1]
+	if g.toa <= r1.ArriveAt {
+		t.Fatalf("victim kept ToA %v, want a later slot than %v", g.toa, r1.ArriveAt)
+	}
+	pushes := s.TakePushes()
+	if len(pushes) != 1 {
+		t.Fatalf("pushes = %+v, want one revision", pushes)
+	}
+	p := pushes[0]
+	te := now + safety.TestbedSpec().WorstRTD
+	if p.VehicleID != 1 || p.Resp.Kind != im.RespTimed || p.Resp.ArriveAt != g.toa || math.Abs(p.Resp.ExecuteAt-te) > 1e-9 {
+		t.Errorf("push %+v, want a timed revision of vehicle 1 to ToA %v at TE %v", p, g.toa, te)
+	}
+	if again := s.TakePushes(); len(again) != 0 {
+		t.Errorf("TakePushes did not drain: %+v", again)
+	}
+	// The victim's revised booking was the last Reserve, so it would own
+	// any shared pair; the committed vehicle's exit freeing its whole
+	// footprint shows the two are disjoint.
+	held := s.HeldPairs()
+	s.HandleExit(2, 2)
+	if freed := held - s.HeldPairs(); freed != f2 {
+		t.Errorf("committed exit freed %d pairs, want its whole footprint %d", freed, f2)
+	}
+}
+
+// TestUnmovableVictimKeepsContestedPairs: a victim with no later slot
+// keeps its grant and is restored over the committed booking, so the
+// shared pairs stay contested. The restore is the last Reserve, so it
+// owns them: the victim's exit frees them and leaves held exactly the
+// committed vehicle's pairs outside the victim's footprint.
+func TestUnmovableVictimKeepsContestedPairs(t *testing.T) {
+	s, err := build(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := req(1, intersection.East, 0.04)
+	victim.DistToEntry = 2
+	r1, _ := s.HandleRequest(0.05, victim)
+	if r1.Kind != im.RespTimed {
+		t.Fatalf("victim not granted: %+v", r1)
+	}
+	f1 := s.HeldPairs()
+	c := committedAt(2, 0.45, 0.6)
+	f2 := footprintPairs(t, c)
+	if r2, _ := s.HandleRequest(0.45, c); r2.Kind != im.RespTimed {
+		t.Fatalf("committed report not booked: %+v", r2)
+	}
+	if g := s.grants[1]; g.toa != r1.ArriveAt {
+		t.Errorf("unmovable victim moved: ToA %v, was %v", g.toa, r1.ArriveAt)
+	}
+	if p := s.TakePushes(); len(p) != 0 {
+		t.Errorf("unmovable victim pushed: %+v", p)
+	}
+	union := s.HeldPairs()
+	if union >= f1+f2 {
+		t.Fatalf("held %d pairs with footprints of %d and %d: nothing contested", union, f1, f2)
+	}
+	s.HandleExit(1, 1)
+	if got, want := s.HeldPairs(), union-f1; got != want {
+		t.Errorf("after the victim's exit %d pairs held, want the committed vehicle's %d uncontested ones", got, want)
+	}
+	s.HandleExit(1, 2)
+	if got := s.HeldPairs(); got != 0 {
+		t.Errorf("after both exits %d pairs held", got)
 	}
 }

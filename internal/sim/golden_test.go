@@ -8,8 +8,10 @@ import (
 	"strconv"
 	"testing"
 
+	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/plant"
+	"crossroads/internal/safety"
 	"crossroads/internal/traffic"
 )
 
@@ -26,6 +28,11 @@ type goldenCase struct {
 	Scenario int     // >0: scale scenario; 0: Poisson
 	Rate     float64 // Poisson rate when Scenario == 0
 	Vehicles int     // Poisson fleet when Scenario == 0
+	// FullScale runs the full-scale geometry, vehicles and bounds instead
+	// of the 1/10-scale testbed (Poisson only).
+	FullScale bool
+	// Params carries -policy-opt knobs ("<policy>.<knob>" keys).
+	Params map[string]string
 }
 
 func goldenCases() []goldenCase {
@@ -34,6 +41,9 @@ func goldenCases() []goldenCase {
 		{Name: "scenario4-vtim-noisy", Policy: "vt-im", Seed: 5, Noisy: true, Scenario: 4},
 		{Name: "poisson-aim-lossy", Policy: "aim", Seed: 9, LossProb: 0.02, Rate: 0.6, Vehicles: 24},
 		{Name: "poisson-batch", Policy: "batch", Seed: 3, Rate: 0.4, Vehicles: 16},
+		{Name: "poisson-dot", Policy: "dot", Seed: 4, Rate: 0.3, Vehicles: 24},
+		{Name: "poisson-dot-grid12", Policy: "dot", Seed: 8, Rate: 0.4, Vehicles: 24, Params: map[string]string{"dot.grid": "12"}},
+		{Name: "fullscale-dot-noisy", Policy: "dot", Seed: 42, Noisy: true, Rate: 0.5, Vehicles: 24, FullScale: true},
 	}
 }
 
@@ -54,6 +64,10 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenRecord {
 	t.Helper()
 	var arrivals []traffic.Arrival
 	var err error
+	params := kinematics.ScaleModelParams()
+	if gc.FullScale {
+		params = kinematics.FullScaleParams()
+	}
 	if gc.Scenario > 0 {
 		arrivals, err = traffic.ScaleScenario(gc.Scenario, rand.New(rand.NewSource(gc.Seed)))
 	} else {
@@ -62,13 +76,17 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenRecord {
 			NumVehicles:  gc.Vehicles,
 			LanesPerRoad: 1,
 			Mix:          traffic.DefaultTurnMix(),
-			Params:       kinematics.ScaleModelParams(),
+			Params:       params,
 		}, rand.New(rand.NewSource(gc.Seed)))
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Policy: gc.Policy, Seed: gc.Seed, LossProb: gc.LossProb}
+	cfg := Config{Policy: gc.Policy, Seed: gc.Seed, LossProb: gc.LossProb, PolicyParams: gc.Params}
+	if gc.FullScale {
+		cfg.Intersection = intersection.FullScaleConfig()
+		cfg.Spec = safety.FullScaleSpec()
+	}
 	if gc.Noisy {
 		cfg.Noise = plant.TestbedNoise()
 	}
