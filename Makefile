@@ -21,27 +21,42 @@ bench:
 bench-grid:
 	$(GO) test -bench 'BenchmarkGrid' -benchmem -run '^$$'
 
-## bench-layers times single layers of the simulator in isolation, five
-## rungs: the reservation book's slot search (BookEarliestFeasible), the
-## conflict-table build (ConflictTableBuild), one scheduler request under
-## Crossroads and under the dot tile scheduler (SchedulerCrossroadsRequest,
-## SchedulerDotRequest), and the world's safety check, body and buffer
+## LAYER_BENCH names the layer rungs, each timing one layer of the
+## simulator alone: the reservation book's slot search
+## (BookEarliestFeasible), the conflict-table build (ConflictTableBuild),
+## one scheduler request under Crossroads and under the dot tile scheduler
+## (SchedulerCrossroadsRequest, SchedulerDotRequest), all in the root
+## package, and the world's safety check in ./internal/sim, body and buffer
 ## overlap of every same-node vehicle pair at a dense moment of a saturated
-## scale-model run (SafetyCheck). BENCHFLAGS passes extra flags, e.g.
+## scale-model run (SafetyCheck).
+LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|SafetyCheck
+## REPORT_BENCH is the benchmark artifact's set: the layer rungs plus the
+## whole workloads, the sweep engine at one and all cores, the routed
+## corridor and grids, E9's coordinated corridor, the fault matrix's mix
+## column, and one reduced sweep per scheduler family.
+REPORT_BENCH = $(LAYER_BENCH)|SweepParallel|Corridor|CorridorCoord|Grid|FaultMatrixMix|PolicySweep
+BENCH_PKGS = . ./internal/sim
+
+## bench-layers times the layer rungs. BENCHFLAGS passes extra flags, e.g.
 ## BENCHFLAGS='-benchtime 1x' for a one-iteration smoke run.
 BENCHFLAGS ?=
 bench-layers:
-	$(GO) test . -bench '^Benchmark(BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest)$$' -benchmem -run '^$$' $(BENCHFLAGS)
-	$(GO) test ./internal/sim -bench '^BenchmarkSafetyCheck$$' -benchmem -run '^$$' $(BENCHFLAGS)
+	$(GO) test -run '^$$' -bench '^Benchmark($(LAYER_BENCH))$$' -benchmem $(BENCHFLAGS) $(BENCH_PKGS)
 
-## bench-report writes a new machine-readable benchmark artifact to the
-## first free BENCH_N.json, so the committed ones are never overwritten.
-## Run it on a multi-core host to record the sweep speedup evidence (on a
-## single-core host the parallel sweep variant is skipped).
+## bench-report runs the artifact set through go test into a scratch
+## file, then converts it (cmd/benchreport) into the first free
+## BENCH_N.json, so the committed ones are never overwritten. A failing
+## run writes no artifact and leaves its output in bench-report.txt. Run
+## it on a multi-core host to record the sweep speedup: a single-core host
+## times SweepParallel at workers=1 only.
 bench-report:
-	@n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	echo "bench-report: writing BENCH_$$n.json"; \
-	$(GO) run ./cmd/benchreport -out BENCH_$$n.json
+	@set -e; \
+	n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
+	echo "bench-report: running $(REPORT_BENCH)"; \
+	$(GO) test -run '^$$' -bench '^Benchmark($(REPORT_BENCH))$$' -benchmem $(BENCH_PKGS) > bench-report.txt \
+		|| { cat bench-report.txt; exit 1; }; \
+	$(GO) run ./cmd/benchreport -out BENCH_$$n.json < bench-report.txt; \
+	rm -f bench-report.txt
 
 ## policy-demo is the scheduler-registry acceptance gate: each of the new
 ## policy families (dot, signalized, auction) drives a 2x2 grid of routed

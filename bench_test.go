@@ -8,18 +8,22 @@
 //	E5 BenchmarkFlowSweep            — §7.2 / Fig. 7.2 throughput vs flow
 //	E6 BenchmarkOverheadComparison   — §7.2 compute/network overhead
 //	E7 (headline ratios)             — reported by BenchmarkFlowSweep
+//	E9 BenchmarkCorridorCoord        — IM-to-IM coordination, saturated corridor
+//	E10 BenchmarkPolicySweep         — one reduced sweep per scheduler family
 //	A1 BenchmarkAblationNoRTDBuffer  — safety without the RTD buffer
 //	A2 BenchmarkAblationBufferSweep  — throughput vs RTD-buffer length
 //
 // Custom b.ReportMetric values carry the reproduced quantities (throughput,
 // ratios, millimeters, milliseconds) so `go test -bench . -benchmem`
 // prints the paper's numbers next to the runtime cost of producing them.
+// `make bench-report` runs the layer rungs and the whole-workload
+// benchmarks through cmd/benchreport, which turns each result line, these
+// values included, into a row of a BENCH_N.json artifact.
 package crossroads
 
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"crossroads/internal/calib"
@@ -29,6 +33,7 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
 	"crossroads/internal/network"
+	"crossroads/internal/parallel"
 	"crossroads/internal/safety"
 	"crossroads/internal/sim"
 	"crossroads/internal/sweep"
@@ -314,18 +319,26 @@ func BenchmarkBookEarliestFeasible(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallel runs the same small Fig. 7.2 sweep serially and
-// with one worker per core; the workers=1/workersN ns/op ratio is the
-// experiment engine's parallel speedup (≈1 on a single-core host, and the
-// two runs produce bit-identical Results at any width).
+// BenchmarkSweepParallel runs the same small Fig. 7.2 sweep serially and,
+// on a multi-core host, with one worker per core; the workers=1/workers=N
+// ns/op ratio is the experiment engine's parallel speedup (the two runs
+// produce bit-identical Results at any width). One untimed sweep first
+// fills the process-wide conflict-table cache, whose full-scale build
+// would otherwise be timed as the first workers=1 iteration.
 func BenchmarkSweepParallel(b *testing.B) {
 	cfg := sweep.Config{
 		Rates:       []float64{0.1, 0.4, 0.7, 1.0},
 		NumVehicles: 40,
 		Seed:        42,
 	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		workers := workers
+	if _, err := sweep.Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	widths := []int{1}
+	if n := parallel.Workers(0); n > 1 {
+		widths = append(widths, n)
+	}
+	for _, workers := range widths {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			c := cfg
 			c.Workers = workers
@@ -334,6 +347,40 @@ func BenchmarkSweepParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkPolicySweep runs one reduced flow sweep per scheduler family,
+// so each family's scheduling cost and traffic outcome land in the same
+// benchmark artifact. The reported outcome is the heaviest-rate cell's
+// (1.0 car/lane/s), the regime that separates the families; any collision
+// or buffer violation there fails the run.
+func BenchmarkPolicySweep(b *testing.B) {
+	for _, pol := range []string{"crossroads", "dot", "signalized", "auction"} {
+		b.Run(pol, func(b *testing.B) {
+			cfg := sweep.Config{
+				Rates:       []float64{0.1, 0.4, 1.0},
+				NumVehicles: 24,
+				Policies:    []string{pol},
+				Seed:        42,
+				Workers:     1,
+			}
+			var last metrics.Summary
+			for i := 0; i < b.N; i++ {
+				res, err := sweep.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = res.Cell(len(res.Rates)-1, 0).Summary
+				if last.Collisions != 0 || last.BufferViolations != 0 {
+					b.Fatalf("policy %v: %d collisions, %d buffer violations",
+						pol, last.Collisions, last.BufferViolations)
+				}
+			}
+			b.ReportMetric(last.Throughput, "tput_veh_s")
+			b.ReportMetric(last.MeanWait, "mean_wait_s")
+			b.ReportMetric(float64(last.Collisions), "collisions")
 		})
 	}
 }
@@ -451,6 +498,51 @@ func BenchmarkCorridor(b *testing.B) {
 	b.ReportMetric(float64(crossings), "crossings")
 }
 
+// BenchmarkCorridorCoord runs the EXPERIMENTS.md E9 workload, a
+// saturated full-scale 3-intersection corridor, through the entry point
+// the CLI uses, with the IM-to-IM coordination plane off and on. The
+// reported journey outcome carries E9's wait delta; every iteration
+// asserts the whole fleet completes with zero collisions.
+func BenchmarkCorridorCoord(b *testing.B) {
+	topo, err := topology.Line(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, coord := range []bool{false, true} {
+		name := "coord=off"
+		if coord {
+			name = "coord=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := sweep.TopoConfig{
+				Topology:    topo.WithSegmentLen(120),
+				Rate:        0.6,
+				NumVehicles: 200,
+				Policies:    []string{"crossroads"},
+				Seed:        42,
+				Coord:       coord,
+			}
+			var sum metrics.Summary
+			for i := 0; i < b.N; i++ {
+				res, err := sweep.RunTopology(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cell := res.Cell(0)
+				if cell.Summary.Completed != 200 || cell.Summary.Collisions != 0 || cell.Incomplete != 0 {
+					b.Fatalf("corridor run unhealthy: completed=%d collisions=%d incomplete=%d",
+						cell.Summary.Completed, cell.Summary.Collisions, cell.Incomplete)
+				}
+				sum = cell.Summary
+			}
+			b.ReportMetric(sum.MeanWait, "mean_wait_s")
+			b.ReportMetric(sum.P95Wait, "p95_wait_s")
+			b.ReportMetric(sum.Throughput, "tput_veh_s")
+			b.ReportMetric(float64(sum.Collisions), "collisions")
+		})
+	}
+}
+
 // BenchmarkGrid runs Manhattan grids under Crossroads. The reported
 // ns/vehicle-crossing normalizes runtime by the total work done (journeys ×
 // nodes traversed), so grid sizes are directly comparable; every iteration
@@ -510,7 +602,38 @@ func BenchmarkGrid(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(crossings),
 					"ns/vehicle-crossing")
 			}
+			b.ReportMetric(float64(crossings), "crossings")
 		})
+	}
+}
+
+// BenchmarkFaultMatrixMix runs the fault matrix's clean and mix columns
+// under Crossroads at seed 1: the cost of a fully scripted disruption run,
+// and the throughput the disruption leaves against the clean run. Any
+// collision, buffer violation or stranded vehicle fails it.
+func BenchmarkFaultMatrixMix(b *testing.B) {
+	cfg := sweep.FaultMatrixConfig{
+		Scenarios: []string{"mix"},
+		Policies:  []string{"crossroads"},
+		Seeds:     []int64{1},
+		Workers:   1,
+	}
+	var res sweep.FaultMatrixResult
+	for i := 0; i < b.N; i++ {
+		r, err := sweep.RunFaultMatrix(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v := r.SafetyViolations(); v != 0 {
+			b.Fatalf("%d safety violations", v)
+		}
+		res = r
+	}
+	clean, faulted := res.CleanThroughput(0, 0), res.Cell(1, 0, 0).Summary.Throughput
+	b.ReportMetric(clean, "clean_tput")
+	b.ReportMetric(faulted, "faulted_tput")
+	if clean > 0 {
+		b.ReportMetric(faulted/clean, "tput_ratio")
 	}
 }
 

@@ -2,9 +2,9 @@
 //
 // Events are closures scheduled at absolute simulated times and executed in
 // time order; ties are broken by scheduling order (FIFO), which keeps runs
-// reproducible. The kernel also accounts wall-clock time spent inside event
-// handlers, which the experiment harnesses use to report real scheduler
-// overhead alongside simulated delays.
+// reproducible. With a trace recorder attached, every executed event is
+// recorded with its handler's wall time; without one, Run and RunUntil
+// read no clock.
 //
 // The serial hot path is allocation-free in steady state: executed and
 // cancelled events return to a per-simulator free list, and the pending
@@ -66,7 +66,6 @@ type Simulator struct {
 	live     int      // queued events not yet cancelled
 	free     []*event // pooled event objects
 	executed uint64
-	wall     time.Duration
 	running  bool
 	trace    *trace.Recorder
 }
@@ -74,12 +73,8 @@ type Simulator struct {
 // SetTrace attaches an event recorder: every executed event emits a
 // des.event record carrying its simulated time and measured handler wall
 // time. This is the kernel firehose — physics ticks dominate it — so it is
-// wired separately from the protocol-level tracing (sim.Config.TraceDES)
-// and best paired with a ring-mode recorder. nil detaches it.
-//
-// Attaching a recorder switches wall-time accounting to per-event
-// measurement; without one, HandlerWallTime is accumulated per RunUntil
-// loop (two clock reads per call instead of two per event).
+// wired separately from the protocol-level tracing (sim.Config.TraceDES).
+// nil detaches it.
 func (s *Simulator) SetTrace(rec *trace.Recorder) { s.trace = rec }
 
 // New returns a simulator with the clock at 0.
@@ -95,10 +90,6 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // queue. Cancelled events awaiting lazy removal are not counted, so code
 // gating on Pending (e.g. executive diagnostics) no longer sees phantoms.
 func (s *Simulator) Pending() int { return s.live }
-
-// HandlerWallTime returns the accumulated wall-clock time spent inside event
-// handlers. Experiment harnesses use this to report real scheduler cost.
-func (s *Simulator) HandlerWallTime() time.Duration { return s.wall }
 
 // less orders the heap by (time, seq): earliest first, FIFO on ties.
 func less(a, b *event) bool {
@@ -243,7 +234,6 @@ func (s *Simulator) Step() bool {
 	start := time.Now()
 	fn()
 	elapsed := time.Since(start)
-	s.wall += elapsed
 	s.executed++
 	if s.trace != nil {
 		s.trace.Emit(trace.Event{
@@ -284,10 +274,7 @@ func (s *Simulator) RunUntil(tEnd float64) uint64 {
 			n++
 		}
 	} else {
-		// Untraced hot path: batch the wall-time measurement around the
-		// whole dispatch loop — two clock reads per call instead of two per
-		// event.
-		start := time.Now()
+		// Untraced hot path: the dispatch loop inlined, reading no clock.
 		for len(s.queue) > 0 {
 			next := s.queue[0]
 			if next.cancelled {
@@ -306,7 +293,6 @@ func (s *Simulator) RunUntil(tEnd float64) uint64 {
 			s.executed++
 			n++
 		}
-		s.wall += time.Since(start)
 	}
 	if !math.IsInf(tEnd, 1) && tEnd > s.now {
 		s.now = tEnd

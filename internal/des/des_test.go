@@ -280,23 +280,6 @@ func TestStressRandomOrder(t *testing.T) {
 	}
 }
 
-func TestHandlerWallTimeAccumulates(t *testing.T) {
-	s := New()
-	for i := 0; i < 100; i++ {
-		s.After(float64(i), func() {
-			x := 0
-			for j := 0; j < 1000; j++ {
-				x += j
-			}
-			_ = x
-		})
-	}
-	s.Run()
-	if s.HandlerWallTime() <= 0 {
-		t.Error("wall time not accounted")
-	}
-}
-
 func TestTraceRecordsExecutedEvents(t *testing.T) {
 	s := New()
 	rec := trace.NewFull()

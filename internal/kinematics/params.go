@@ -7,12 +7,14 @@
 // arrival EToA given maximum acceleration, and profiles that arrive at the
 // intersection at an exact target time with the highest feasible velocity.
 //
-// Lateral motion uses the kinematic bicycle model of the paper's eq. (7.1):
+// The simulated plants (internal/plant) move along each movement's path
+// by arc length, so no program integrates lateral motion. bicycle.go still
+// holds the kinematic bicycle model of the paper's eq. (7.1):
 //
 //	x' = v cos(phi),  y' = v sin(phi),  phi' = (v/l) tan(psi)
 //
-// integrated with explicit Euler or RK4, with a pure-pursuit steering
-// controller to track a geometric path.
+// with explicit Euler and RK4 integrators and a pure-pursuit steering
+// controller; nothing outside its tests calls it.
 package kinematics
 
 import (

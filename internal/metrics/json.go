@@ -34,9 +34,8 @@ type BenchReport struct {
 	GoArch  string        `json:"goarch"`
 	NumCPU  int           `json:"num_cpu"`
 	Metrics []BenchMetric `json:"metrics"`
-	// Notes records measurement caveats (e.g. the parallel variant being
-	// skipped on a single-core machine, where it would duplicate the
-	// serial measurement).
+	// Notes records measurement caveats (e.g. loadgen's note that its
+	// latency percentiles stop at the run deadline).
 	Notes []string `json:"notes,omitempty"`
 }
 
@@ -67,8 +66,8 @@ func (r BenchReport) Speedup(a, b string) (float64, error) {
 
 // WriteFile serializes the report as indented JSON, newline-terminated.
 // Duplicate metric names are rejected: Speedup resolves metrics by name,
-// so a report with two entries under one name is ambiguous (the bug a
-// single-core machine used to trigger by measuring workers=1 twice).
+// so a report with two entries under one name is ambiguous (as a
+// `go test -count 2` run converted whole would be).
 func (r BenchReport) WriteFile(path string) error {
 	seen := make(map[string]bool, len(r.Metrics))
 	for _, m := range r.Metrics {

@@ -8,10 +8,10 @@ import (
 	"crossroads/internal/kinematics"
 )
 
-// This file bridges the wire types to the scheduler's native types. The
-// mapping is total in both directions for in-range values; the wire side is
-// the strict one (closed enums, finite floats), so ToIM never fails while
-// RequestFromIM validates the scheduler-side ranges.
+// This file bridges the wire types to the scheduler's native types in the
+// directions the server uses: requests in, grants out. The wire side is the
+// strict one (closed enums, finite floats), so ToIM never fails while
+// GrantFromResponse validates the scheduler-side ranges.
 
 // ToIM converts a decoded wire Request into the scheduler's request type.
 // The codec has already validated the enum ranges.
@@ -41,46 +41,6 @@ func (r Request) ToIM() im.Request {
 	}
 }
 
-// RequestFromIM converts a scheduler request into its wire form, stamped
-// with injection time t. It fails on values the wire cannot carry (movement
-// outside the single-intersection grid, negative or oversized sequence
-// numbers).
-func RequestFromIM(t float64, req im.Request) (Request, error) {
-	m := req.Movement
-	if m.Approach < 0 || m.Approach > 3 {
-		return Request{}, fmt.Errorf("protocol: approach %d outside [0,3]", m.Approach)
-	}
-	if m.Lane < 0 || m.Lane > 255 {
-		return Request{}, fmt.Errorf("protocol: lane %d outside [0,255]", m.Lane)
-	}
-	if m.Turn < 0 || m.Turn > 2 {
-		return Request{}, fmt.Errorf("protocol: turn %d outside [0,2]", m.Turn)
-	}
-	if req.Seq < 0 || int64(req.Seq) > int64(^uint32(0)) {
-		return Request{}, fmt.Errorf("protocol: seq %d outside uint32", req.Seq)
-	}
-	return Request{
-		T:            t,
-		VehicleID:    req.VehicleID,
-		Seq:          uint32(req.Seq),
-		Approach:     uint8(m.Approach),
-		Lane:         uint8(m.Lane),
-		Turn:         uint8(m.Turn),
-		CurrentSpeed: req.CurrentSpeed,
-		DistToEntry:  req.DistToEntry,
-		TransmitTime: req.TransmitTime,
-		Committed:    req.Committed,
-		ProposedToA:  req.ProposedToA,
-		CrossSpeed:   req.CrossSpeed,
-		MaxSpeed:     req.Params.MaxSpeed,
-		MaxAccel:     req.Params.MaxAccel,
-		MaxDecel:     req.Params.MaxDecel,
-		Length:       req.Params.Length,
-		Width:        req.Params.Width,
-		Wheelbase:    req.Params.Wheelbase,
-	}, nil
-}
-
 // GrantFromResponse converts a scheduler reply delivered at scheduler time
 // t to vehicle id into its wire form.
 func GrantFromResponse(t float64, id int64, resp im.Response) (Grant, error) {
@@ -99,15 +59,4 @@ func GrantFromResponse(t float64, id int64, resp im.Response) (Grant, error) {
 		ExecuteAt:   resp.ExecuteAt,
 		ArriveAt:    resp.ArriveAt,
 	}, nil
-}
-
-// Response converts a wire Grant back into the scheduler's reply type.
-func (g Grant) Response() im.Response {
-	return im.Response{
-		Kind:        im.ResponseKind(g.RespKind),
-		Seq:         int(g.Seq),
-		TargetSpeed: g.TargetSpeed,
-		ExecuteAt:   g.ExecuteAt,
-		ArriveAt:    g.ArriveAt,
-	}
 }

@@ -64,10 +64,13 @@ func (r *safetyRig) add(id int64, node int, a intersection.Approach, turn inters
 	return v
 }
 
-// place moves v to arc position s on its movement.
-func (r *safetyRig) place(v *vehState, s float64) {
+// place moves v to arc position s on its movement, at rest.
+func (r *safetyRig) place(v *vehState, s float64) { r.drive(v, s, 0) }
+
+// drive moves v to arc position s on its movement at the given speed.
+func (r *safetyRig) drive(v *vehState, s, speed float64) {
 	r.t.Helper()
-	pl, err := plant.New(v.movement.Path, kinematics.ScaleModelParams(), s, 0, plant.NoNoise(), nil)
+	pl, err := plant.New(v.movement.Path, kinematics.ScaleModelParams(), s, speed, plant.NoNoise(), nil)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -149,6 +152,24 @@ func TestSafetyCheckCrossingPairsCountEachRisingEdge(t *testing.T) {
 		t.Fatalf("after second contact: %d collisions, %d buffer violations; want 4, 4", c, b)
 	}
 	r.wantEvents(append(pairEvents, pairEvents...))
+}
+
+// TestSafetyCheckEventDetail pins the context a safety event carries for
+// offline diagnosis: each vehicle's movement, arc position and speed, the
+// event's vehicle first and its other second.
+func TestSafetyCheckEventDetail(t *testing.T) {
+	r := newSafetyRig(t, 1)
+	east := r.add(1, 0, intersection.East, intersection.Straight, 0)
+	r.drive(east, 3.9, 1.25)
+	r.add(2, 0, intersection.North, intersection.Left, 3.3)
+	r.w.checkCollisions()
+	r.wantEvents([]safetyEvent{{trace.KindSimCollision, 0, 1, 2}, {trace.KindSimBufViol, 0, 1, 2}})
+	const want = "east/l0/straight s=3.900 v=1.250; north/l0/left s=3.300 v=0.000"
+	for _, ev := range r.rec.Events() {
+		if ev.Detail != want {
+			t.Errorf("%s detail = %q, want %q", ev.Kind, ev.Detail, want)
+		}
+	}
 }
 
 // TestSafetyCheckSameApproachNeverBufferViolation overlaps an east

@@ -99,7 +99,7 @@ type Config struct {
 	// to the run's simulated clock. nil disables tracing (zero overhead).
 	Trace *trace.Recorder
 	// TraceDES additionally traces every executed kernel event (the
-	// physics-tick firehose); pair it with a ring-mode recorder.
+	// physics-tick firehose).
 	TraceDES bool
 	// Coord arms the IM↔IM coordination plane on multi-node topologies:
 	// every shard server broadcasts periodic link-state digests to its
@@ -289,8 +289,6 @@ type world struct {
 	bufOverlap  map[[2]int64]bool
 	bodies      []safeBody
 	tick        int
-	// debug dumps collision context to stdout (diagnostic runs only).
-	debug bool
 	// views is the reusable observer snapshot buffer.
 	views []VehicleView
 }
@@ -940,17 +938,8 @@ func (w *world) checkCollisions() {
 				if w.cfg.Trace != nil {
 					w.cfg.Trace.Emit(trace.Event{
 						Kind: trace.KindSimCollision, T: w.sim.Now(), Node: vi.node,
-						Vehicle: vi.arr.ID, Other: vj.arr.ID,
+						Vehicle: vi.arr.ID, Other: vj.arr.ID, Detail: pairDetail(vi, vj),
 					})
-				}
-				if w.debug {
-					fmt.Printf("[%.2f] collision veh%d(%v s=%.2f v=%.2f st=%v) x veh%d(%v s=%.2f v=%.2f st=%v)\n",
-						w.sim.Now(),
-						vi.arr.ID, vi.movement.ID, vi.plant.S(), vi.plant.V(), vi.agent.State(),
-						vj.arr.ID, vj.movement.ID, vj.plant.S(), vj.plant.V(), vj.agent.State())
-					pi, pj := vi.plant.Pose(), vj.plant.Pose()
-					fmt.Printf("    pos(veh%d)=(%.2f,%.2f h=%.2f) pos(veh%d)=(%.2f,%.2f h=%.2f)\n",
-						vi.arr.ID, pi.Pos.X, pi.Pos.Y, pi.Heading, vj.arr.ID, pj.Pos.X, pj.Pos.Y, pj.Heading)
 				}
 			}
 
@@ -964,18 +953,20 @@ func (w *world) checkCollisions() {
 				if w.cfg.Trace != nil {
 					w.cfg.Trace.Emit(trace.Event{
 						Kind: trace.KindSimBufViol, T: w.sim.Now(), Node: vi.node,
-						Vehicle: vi.arr.ID, Other: vj.arr.ID,
+						Vehicle: vi.arr.ID, Other: vj.arr.ID, Detail: pairDetail(vi, vj),
 					})
-				}
-				if w.debug {
-					fmt.Printf("[%.2f] bufviol veh%d(%v s=%.2f v=%.2f st=%v) x veh%d(%v s=%.2f v=%.2f st=%v)\n",
-						w.sim.Now(),
-						vi.arr.ID, vi.movement.ID, vi.plant.S(), vi.plant.V(), vi.agent.State(),
-						vj.arr.ID, vj.movement.ID, vj.plant.S(), vj.plant.V(), vj.agent.State())
 				}
 			}
 		}
 	}
+}
+
+// pairDetail is a safety event's Detail: the vehicle's and then the other
+// vehicle's movement, arc position along its path (m) and speed (m/s).
+// Each one's protocol state is on its own veh.state events.
+func pairDetail(a, b *vehState) string {
+	return fmt.Sprintf("%v s=%.3f v=%.3f; %v s=%.3f v=%.3f",
+		a.movement.ID, a.plant.S(), a.plant.V(), b.movement.ID, b.plant.S(), b.plant.V())
 }
 
 // risingEdge records whether pair key overlaps now in set, which holds

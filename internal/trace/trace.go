@@ -9,11 +9,10 @@
 // issued, revised, or turned into stop commands, and when each vehicle
 // crossed its commitment point.
 //
-// Two capture modes are supported: a bounded ring buffer for always-on
-// cheap capture (the summary counters still see every event, only the
-// event bodies are evicted) and a full mode that retains everything for
-// JSONL export. A nil *Recorder is valid everywhere and compiles to a
-// pointer test per call site, so un-traced runs pay near-zero overhead.
+// A recorder retains every event for JSONL export and keeps its summary
+// counters as events arrive. A nil *Recorder is valid everywhere and
+// compiles to a pointer test per call site, so un-traced runs pay
+// near-zero overhead.
 package trace
 
 import (
@@ -199,20 +198,6 @@ type Event struct {
 	Run string `json:"run,omitempty"`
 }
 
-// Mode selects the recorder's retention policy.
-type Mode int
-
-const (
-	// ModeRing keeps only the most recent events (bounded memory); the
-	// summary counters still observe every event.
-	ModeRing Mode = iota
-	// ModeFull retains every event for export.
-	ModeFull
-)
-
-// DefaultRingCapacity is the ring size used when none is given.
-const DefaultRingCapacity = 4096
-
 // Recorder captures events from one simulation run. It is not safe for
 // concurrent use: attach one recorder per simulation (parallel experiment
 // cells each get their own; see sweep.Config).
@@ -221,40 +206,20 @@ const DefaultRingCapacity = 4096
 // nil *Recorder and does nothing, so instrumented code needs only a single
 // pointer test — or no test at all — on the hot path.
 type Recorder struct {
-	mode Mode
 	// Now, when set, stamps events emitted with a zero T. The world
 	// harness points it at the simulator clock so deep layers (the
 	// reservation book) need no time plumbing of their own.
 	Now func() float64
 
-	buf   []Event
-	start int // ring read index
-	n     int // ring fill count
-
-	total   int
+	buf     []Event
 	byKind  map[string]int
 	hist    Histogram
 	queueHW int
 }
 
-// NewRing returns a bounded recorder keeping the last capacity events
-// (DefaultRingCapacity if capacity <= 0).
-func NewRing(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	return &Recorder{
-		mode:   ModeRing,
-		buf:    make([]Event, capacity),
-		byKind: make(map[string]int),
-		hist:   NewLatencyHistogram(),
-	}
-}
-
 // NewFull returns an unbounded recorder retaining every event.
 func NewFull() *Recorder {
 	return &Recorder{
-		mode:   ModeFull,
 		byKind: make(map[string]int),
 		hist:   NewLatencyHistogram(),
 	}
@@ -272,7 +237,6 @@ func (r *Recorder) Emit(ev Event) {
 	if ev.T == 0 && r.Now != nil {
 		ev.T = r.Now()
 	}
-	r.total++
 	r.byKind[ev.Kind]++
 	if ev.Kind == KindMsgDeliver {
 		r.hist.Observe(ev.Latency)
@@ -280,42 +244,24 @@ func (r *Recorder) Emit(ev Event) {
 	if ev.Kind == KindIMRequest && ev.Queue > r.queueHW {
 		r.queueHW = ev.Queue
 	}
-	if r.mode == ModeFull {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	idx := (r.start + r.n) % len(r.buf)
-	r.buf[idx] = ev
-	if r.n < len(r.buf) {
-		r.n++
-	} else {
-		r.start = (r.start + 1) % len(r.buf)
-	}
+	r.buf = append(r.buf, ev)
 }
 
-// Total returns how many events were emitted (including any evicted from
-// a ring). Safe on nil.
+// Total returns how many events were emitted. Safe on nil.
 func (r *Recorder) Total() int {
 	if r == nil {
 		return 0
 	}
-	return r.total
+	return len(r.buf)
 }
 
-// Events returns the retained events in emission order. Safe on nil.
+// Events returns the recorded events in emission order. Safe on nil.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if r.mode == ModeFull {
-		out := make([]Event, len(r.buf))
-		copy(out, r.buf)
-		return out
-	}
-	out := make([]Event, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.buf[(r.start+i)%len(r.buf)]
-	}
+	out := make([]Event, len(r.buf))
+	copy(out, r.buf)
 	return out
 }
 
@@ -327,7 +273,7 @@ func (r *Recorder) KindCount(kind string) int {
 	return r.byKind[kind]
 }
 
-// WriteJSONL writes the retained events, one JSON object per line. A
+// WriteJSONL writes the recorded events, one JSON object per line. A
 // non-empty run label is stamped into every line's "run" field. Safe on
 // nil (writes nothing).
 func (r *Recorder) WriteJSONL(w io.Writer, run string) error {
@@ -371,9 +317,7 @@ func WriteJSONLMulti(path string, recs []*Recorder, labels []string) error {
 
 // Summary aggregates a run's event stream: how many events of each kind,
 // the distribution of delivered message latencies, and the deepest the IM
-// request queue ever got. It is computed incrementally, so a ring-mode
-// recorder's summary covers every event ever emitted, not just the
-// retained tail.
+// request queue ever got. It is computed incrementally as events arrive.
 type Summary struct {
 	Total int
 	// ByKind maps event kind to count.
@@ -394,7 +338,7 @@ func (r *Recorder) Summary() Summary {
 		byKind[k] = v
 	}
 	return Summary{
-		Total:            r.total,
+		Total:            len(r.buf),
 		ByKind:           byKind,
 		Latency:          r.hist.Clone(),
 		IMQueueHighWater: r.queueHW,

@@ -37,23 +37,6 @@ func TestFullModeRetainsEverything(t *testing.T) {
 	}
 }
 
-func TestRingModeEvictsButCounts(t *testing.T) {
-	r := NewRing(8)
-	for i := 0; i < 20; i++ {
-		r.Emit(Event{Kind: KindDESEvent, T: float64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 8 {
-		t.Fatalf("ring retained %d, want 8", len(evs))
-	}
-	if evs[0].T != 12 || evs[7].T != 19 {
-		t.Errorf("ring tail wrong: first %v last %v", evs[0].T, evs[7].T)
-	}
-	if r.Total() != 20 || r.KindCount(KindDESEvent) != 20 {
-		t.Errorf("summary lost evicted events: total %d kind %d", r.Total(), r.KindCount(KindDESEvent))
-	}
-}
-
 func TestClockStampsZeroTimes(t *testing.T) {
 	r := NewFull()
 	now := 3.5
@@ -70,7 +53,7 @@ func TestClockStampsZeroTimes(t *testing.T) {
 }
 
 func TestSummaryCounters(t *testing.T) {
-	r := NewRing(4) // tiny ring: summary must still see everything
+	r := NewFull()
 	r.Emit(Event{Kind: KindMsgSend, MsgKind: "request", From: "a", To: "im"})
 	r.Emit(Event{Kind: KindMsgDeliver, MsgKind: "request", From: "a", To: "im", Latency: 0.003})
 	r.Emit(Event{Kind: KindMsgDeliver, MsgKind: "request", From: "a", To: "im", Latency: 0.050})
@@ -193,14 +176,6 @@ func TestNilEmitNearZeroOverhead(t *testing.T) {
 	const budget = 50 // ns/op; the guarded call is ~0.3 ns in practice
 	if perOp := res.NsPerOp(); perOp > budget {
 		t.Errorf("nil-recorder emit path costs %d ns/op, budget %d", perOp, budget)
-	}
-}
-
-func BenchmarkEmitRing(b *testing.B) {
-	r := NewRing(DefaultRingCapacity)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Emit(Event{Kind: KindMsgSend, T: float64(i), MsgKind: "request", From: "veh1", To: "im"})
 	}
 }
 

@@ -18,11 +18,10 @@ import (
 // grid.
 //
 // maxLegs <= 0 derives the topology's diameter (rows+cols-1), enough for
-// any loop-free straight-biased route to span the grid. For
-// topology.Single() the entry lanes and their draw order match Poisson
-// exactly, but the onward-turn draws consume additional rng values — use
-// Poisson directly when bit-compatibility with single-intersection
-// workloads matters.
+// any loop-free straight-biased route to span the grid; on
+// topology.Single() that is one leg, which draws no onward turn (Poisson
+// is exactly that call). A maxLegs above 1 draws onward turns even where
+// the route cannot use them, so it consumes extra rng values.
 func PoissonRoutes(cfg PoissonConfig, topo *topology.Topology, maxLegs int, rng *rand.Rand) ([]Arrival, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("traffic: nil topology")
@@ -51,6 +50,7 @@ func PoissonRoutes(cfg PoissonConfig, topo *topology.Topology, maxLegs int, rng 
 	}
 	minHeadway := cfg.MinHeadway
 	if minHeadway <= 0 {
+		// Rear-to-front clearance of one body length at line speed.
 		minHeadway = 2 * cfg.Params.Length / speed
 	}
 	if maxLegs <= 0 {

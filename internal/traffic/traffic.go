@@ -14,6 +14,7 @@ import (
 
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
+	"crossroads/internal/topology"
 )
 
 // Arrival is one vehicle reaching the transmission line.
@@ -91,81 +92,13 @@ type PoissonConfig struct {
 	MinHeadway float64
 }
 
-// Poisson generates a sorted arrival sequence: each entry lane receives an
-// independent Poisson process of the configured rate, and vehicles are
-// drawn until NumVehicles have been produced across all lanes.
+// Poisson generates a sorted single-intersection arrival sequence: each
+// entry lane receives an independent Poisson process of the configured
+// rate, and vehicles are drawn until NumVehicles have been produced across
+// all lanes. It is PoissonRoutes over topology.Single() with one leg per
+// route, so no onward turn is drawn.
 func Poisson(cfg PoissonConfig, rng *rand.Rand) ([]Arrival, error) {
-	if cfg.Rate <= 0 {
-		return nil, fmt.Errorf("traffic: rate %v must be positive", cfg.Rate)
-	}
-	if cfg.NumVehicles <= 0 {
-		return nil, fmt.Errorf("traffic: NumVehicles %d must be positive", cfg.NumVehicles)
-	}
-	if cfg.LanesPerRoad < 1 {
-		return nil, fmt.Errorf("traffic: LanesPerRoad %d must be >= 1", cfg.LanesPerRoad)
-	}
-	if err := cfg.Mix.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, err
-	}
-	speed := cfg.Speed
-	if speed <= 0 {
-		speed = cfg.Params.MaxSpeed
-	}
-	if speed > cfg.Params.MaxSpeed {
-		return nil, fmt.Errorf("traffic: speed %v exceeds MaxSpeed %v", speed, cfg.Params.MaxSpeed)
-	}
-	minHeadway := cfg.MinHeadway
-	if minHeadway <= 0 {
-		// Rear-to-front clearance of one body length at line speed.
-		minHeadway = 2 * cfg.Params.Length / speed
-	}
-
-	type laneKey struct {
-		a    intersection.Approach
-		lane int
-	}
-	lanes := make([]laneKey, 0, 4*cfg.LanesPerRoad)
-	for a := intersection.East; a < intersection.NumApproaches; a++ {
-		for l := 0; l < cfg.LanesPerRoad; l++ {
-			lanes = append(lanes, laneKey{a, l})
-		}
-	}
-	clock := make(map[laneKey]float64, len(lanes))
-
-	var out []Arrival
-	var id int64
-	// Round-robin draws keep lanes statistically identical while letting
-	// us stop exactly at NumVehicles.
-	for len(out) < cfg.NumVehicles {
-		for _, lk := range lanes {
-			if len(out) >= cfg.NumVehicles {
-				break
-			}
-			gap := rng.ExpFloat64() / cfg.Rate
-			if gap < minHeadway {
-				gap = minHeadway
-			}
-			clock[lk] += gap
-			id++
-			out = append(out, Arrival{
-				ID:       id,
-				Movement: intersection.MovementID{Approach: lk.a, Lane: lk.lane, Turn: cfg.Mix.sample(rng)},
-				Time:     clock[lk],
-				Speed:    speed,
-				Params:   cfg.Params,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
+	return PoissonRoutes(cfg, topology.Single(), 1, rng)
 }
 
 // NumScaleScenarios is the number of scale-model test scenarios (§7.1).
