@@ -26,16 +26,17 @@ bench-grid:
 ## (BookEarliestFeasible), the conflict-table build (ConflictTableBuild),
 ## one scheduler request under Crossroads and under the dot tile scheduler
 ## (SchedulerCrossroadsRequest, SchedulerDotRequest), all in the root
-## package, and the world's safety check in ./internal/sim, body and buffer
-## overlap of every same-node vehicle pair at a dense moment of a saturated
-## scale-model run (SafetyCheck).
-LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|SafetyCheck
+## package; one tick of an empty DES ticker in ./internal/des (Ticker); and
+## in ./internal/sim, at a dense moment of a saturated scale-model run, the
+## world's safety check, body and buffer overlap of every same-node vehicle
+## pair (SafetyCheck), and one whole physics tick (PhysicsTick).
+LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|Ticker|SafetyCheck|PhysicsTick
 ## REPORT_BENCH is the benchmark artifact's set: the layer rungs plus the
 ## whole workloads, the sweep engine at one and all cores, the routed
 ## corridor and grids, E9's coordinated corridor, the fault matrix's mix
 ## column, and one reduced sweep per scheduler family.
 REPORT_BENCH = $(LAYER_BENCH)|SweepParallel|Corridor|CorridorCoord|Grid|FaultMatrixMix|PolicySweep
-BENCH_PKGS = . ./internal/sim
+BENCH_PKGS = . ./internal/des ./internal/sim
 
 ## bench-layers times the layer rungs. BENCHFLAGS passes extra flags, e.g.
 ## BENCHFLAGS='-benchtime 1x' for a one-iteration smoke run.

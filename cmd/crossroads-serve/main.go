@@ -6,6 +6,9 @@
 // Wall mode answers live clients on the wall clock; replay mode
 // deterministically replays each connection's timestamped stream, which is
 // what the conformance bridge and offline tooling use.
+//
+// -cpuprofile and -memprofile profile the server from start-up to the end
+// of its drain, when it writes both files.
 package main
 
 import (
@@ -44,6 +47,7 @@ func main() {
 		segLen    = flag.Float64("seglen", 0, "road between adjacent intersections (m), advertised to v2 clients in the topology frame")
 	)
 	coordFlags := cliflags.AddCoord(flag.CommandLine)
+	profile := cliflags.AddProfile(flag.CommandLine)
 	flag.Parse()
 
 	coordOn, coordPeriod, err := coordFlags.Parse()
@@ -101,6 +105,9 @@ func main() {
 	if *tcpAddr == "" && *udsPath == "" {
 		fatalf("no listeners: pass -listen and/or -uds")
 	}
+	if err := profile.Start(); err != nil {
+		fatalf("%v", err)
+	}
 	if *tcpAddr != "" {
 		addr, err := s.ListenTCP(*tcpAddr)
 		if err != nil {
@@ -134,6 +141,9 @@ func main() {
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "crossroads-serve: forced shutdown: %v\n", err)
+	}
+	if err := profile.Stop(); err != nil {
+		fatalf("%v", err)
 	}
 	st := s.Stats()
 	fmt.Printf("crossroads-serve: accepted=%d shed=%d protocol_errors=%d frames_in=%d frames_out=%d\n",

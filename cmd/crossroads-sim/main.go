@@ -17,6 +17,8 @@
 //	crossroads-sim -corridor 3 [-rate 0.3] [-seglen 0] [-coord on] [...]
 //	crossroads-sim -grid 2x2 [-rate 0.3] [-seglen 0] [-coord on] [...]
 //	crossroads-sim -faults matrix|<scenario> [-n 36] [-rate 0.4] [-seed 1] [-trace out.jsonl] [...]
+//
+// Every mode takes -cpuprofile and -memprofile.
 package main
 
 import (
@@ -43,11 +45,11 @@ const (
 // what was asked.
 var modes = map[string][]string{
 	sweepMode: {"n", "seed", "workers", "csv", "trace", "trace-des", "policy", "policy-opt",
-		"scale", "noise", "overhead", "summary"},
+		"cpuprofile", "memprofile", "scale", "noise", "overhead", "summary"},
 	topoMode: {"n", "seed", "workers", "csv", "trace", "trace-des", "policy", "policy-opt",
-		"scale", "noise", "corridor", "grid", "rate", "seglen", "coord"},
+		"cpuprofile", "memprofile", "scale", "noise", "corridor", "grid", "rate", "seglen", "coord"},
 	faultMode: {"n", "seed", "workers", "csv", "trace", "policy", "policy-opt",
-		"faults", "rate"},
+		"cpuprofile", "memprofile", "faults", "rate"},
 }
 
 // flags is crossroads-sim's command line.
@@ -62,6 +64,7 @@ type flags struct {
 	coord      *cliflags.Coord
 	policy     *cliflags.Policy
 	faults     *string
+	profile    *cliflags.Profile
 }
 
 func addFlags(fs *flag.FlagSet) *flags {
@@ -76,6 +79,7 @@ func addFlags(fs *flag.FlagSet) *flags {
 		coord:      cliflags.AddCoord(fs),
 		policy:     cliflags.AddPolicy(fs),
 		faults:     cliflags.AddFaults(fs),
+		profile:    cliflags.AddProfile(fs),
 	}
 }
 
@@ -128,14 +132,22 @@ func main() {
 		fail(err)
 	}
 
+	if err := f.profile.Start(); err != nil {
+		fail(err)
+	}
+	var v verdict
 	switch m {
 	case faultMode:
-		runFaultMatrix(f, policies, policyParams)
+		v = runFaultMatrix(f, policies, policyParams)
 	case topoMode:
-		runTopology(f, policies, policyParams)
+		v = runTopology(f, policies, policyParams)
 	default:
 		runSweep(f, policies, policyParams)
 	}
+	if err := f.profile.Stop(); err != nil {
+		fail(err)
+	}
+	v.gate()
 }
 
 func fail(err error) {
@@ -186,10 +198,10 @@ func runSweep(f *flags, policies []string, policyParams map[string]string) {
 }
 
 // runFaultMatrix executes the robustness matrix: fault scenarios crossed
-// with every policy and three consecutive seeds. Exits non-zero when any
-// timed policy collides, violates a buffer, or strands a vehicle — the
-// matrix doubles as the resilience acceptance gate.
-func runFaultMatrix(f *flags, policies []string, policyParams map[string]string) {
+// with every policy and three consecutive seeds. Its verdict fails the run
+// when any timed policy collides, violates a buffer, or strands a vehicle
+// — the matrix doubles as the resilience acceptance gate.
+func runFaultMatrix(f *flags, policies []string, policyParams map[string]string) verdict {
 	c := f.common
 	cfg := sweep.FaultMatrixConfig{
 		Seeds:        []int64{c.Seed, c.Seed + 1, c.Seed + 2},
@@ -225,12 +237,12 @@ func runFaultMatrix(f *flags, policies []string, policyParams map[string]string)
 	if c.TracePath != "" {
 		writeTrace(res.Runs, c.TracePath)
 	}
-	gate(res.SafetyViolations(), "zero collisions, buffer violations, and stranded vehicles for timed policies")
+	return verdict{res.SafetyViolations(), "zero collisions, buffer violations, and stranded vehicles for timed policies"}
 }
 
-// runTopology executes a multi-intersection run and, like the fault
-// matrix, exits non-zero on any timed-policy safety violation.
-func runTopology(f *flags, policies []string, policyParams map[string]string) {
+// runTopology executes a multi-intersection run whose verdict, like the
+// fault matrix's, fails on any timed-policy safety violation.
+func runTopology(f *flags, policies []string, policyParams map[string]string) verdict {
 	c := f.common
 	topo, err := f.topo.Build()
 	if err != nil {
@@ -271,7 +283,7 @@ func runTopology(f *flags, policies []string, policyParams map[string]string) {
 	if c.TracePath != "" {
 		writeTrace(res.Runs, c.TracePath)
 	}
-	gate(res.SafetyViolations(), "zero collisions, buffer violations, and incomplete journeys for timed policies")
+	return verdict{res.SafetyViolations(), "zero collisions, buffer violations, and incomplete journeys for timed policies"}
 }
 
 func writeTrace(runs sweep.Runs, path string) {
@@ -282,14 +294,24 @@ func writeTrace(runs sweep.Runs, path string) {
 	fmt.Printf("\nTrace written to %s\n", path)
 }
 
+// verdict is a gated run's outcome: its timed-policy safety violations
+// and the line it prints when there are none. The rate sweep has no gate
+// and returns the zero verdict.
+type verdict struct {
+	violations int
+	pass       string
+}
+
 // gate makes a run a safety gate: it exits non-zero on any timed-policy
 // safety violation and otherwise prints the pass line.
-func gate(violations int, pass string) {
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", violations)
+func (v verdict) gate() {
+	if v.violations > 0 {
+		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", v.violations)
 		os.Exit(1)
 	}
-	fmt.Println("\nPASS: " + pass)
+	if v.pass != "" {
+		fmt.Println("\nPASS: " + v.pass)
+	}
 }
 
 func emit(csv bool, t *metrics.Table) {

@@ -82,6 +82,9 @@ func TestAcceptsDocumentedCommands(t *testing.T) {
 		{"-faults matrix -seed 1 -workers 0", faultMode},
 		{"-faults mix -seed 1 -workers 0 -trace chaos-demo.jsonl", faultMode},
 		{"-faults stall -n 12 -rate 0.6 -csv", faultMode},
+		{"-n 24 -summary -cpuprofile cpu.pprof -memprofile mem.pprof", sweepMode},
+		{"-grid 2x2 -scale -cpuprofile cpu.pprof -memprofile mem.pprof", topoMode},
+		{"-faults mix -cpuprofile cpu.pprof -memprofile mem.pprof", faultMode},
 	} {
 		m, err := selectMode(tc.args)
 		if err != nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	scale-model [-reps N] [-seed S] [-workers 1] [-noiseless] [-policy vt-im,crossroads,aim] [-csv] [-trace out.jsonl]
+//	scale-model [-reps N] [-seed S] [-workers 1] [-noiseless] [-policy vt-im,crossroads,aim] [-csv] [-trace out.jsonl] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 package main
 
 import (
@@ -22,6 +22,7 @@ func main() {
 	common := cliflags.AddCommon(flag.CommandLine, 1)
 	noiseless := flag.Bool("noiseless", false, "disable plant actuation/sensing noise")
 	policyFlags := cliflags.AddPolicy(flag.CommandLine)
+	profile := cliflags.AddProfile(flag.CommandLine)
 	flag.Parse()
 	if policyFlags.List() {
 		fmt.Println(policyFlags.ListText())
@@ -54,8 +55,16 @@ func main() {
 		cfg.TraceFull = true
 		cfg.TraceDES = common.TraceDES
 	}
+	if err := profile.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "scale-model:", err)
+		os.Exit(1)
+	}
 	res, err := sweep.RunScale(cfg)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "scale-model:", err)
+		os.Exit(1)
+	}
+	if err := profile.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "scale-model:", err)
 		os.Exit(1)
 	}

@@ -5,8 +5,12 @@
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -43,6 +47,87 @@ func (c *Common) Check() error {
 		return fmt.Errorf("-trace-des needs -trace (the kernel events are written to the trace file)")
 	}
 	return nil
+}
+
+// Profile is the -cpuprofile/-memprofile group shared by crossroads-sim,
+// scale-model and crossroads-serve: runtime/pprof profiles of where a
+// whole run spends its host time and what it allocates, for
+// `go tool pprof`.
+type Profile struct {
+	CPUPath string
+	MemPath string
+	cpu     *os.File
+	mem     *os.File
+}
+
+// AddProfile registers the -cpuprofile/-memprofile group on fs.
+func AddProfile(fs *flag.FlagSet) *Profile {
+	p := &Profile{}
+	fs.StringVar(&p.CPUPath, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&p.MemPath, "memprofile", "", "write an allocation profile of the run to this file when it ends")
+	return p
+}
+
+// Start creates the requested profile files and starts the CPU profile.
+// Call it before the run: a path that cannot be written fails here, with
+// nothing profiled and no file left open.
+func (p *Profile) Start() error {
+	var err error
+	if p.CPUPath != "" {
+		if p.cpu, err = os.Create(p.CPUPath); err != nil {
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	if p.MemPath != "" {
+		if p.mem, err = os.Create(p.MemPath); err != nil {
+			p.closeAll()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+	}
+	if p.cpu != nil {
+		if err := pprof.StartCPUProfile(p.cpu); err != nil {
+			p.closeAll()
+			return fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return nil
+}
+
+// Stop ends the CPU profile and writes the allocation profile, after a GC
+// so its in-use figures are current. It is a no-op for a group with no
+// profile requested.
+func (p *Profile) Stop() error {
+	var errs []error
+	if p.cpu != nil {
+		pprof.StopCPUProfile()
+		if err := p.cpu.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("-cpuprofile: %w", err))
+		}
+		p.cpu = nil
+	}
+	if p.mem != nil {
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(p.mem, 0); err != nil {
+			errs = append(errs, fmt.Errorf("-memprofile: %w", err))
+		}
+		if err := p.mem.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("-memprofile: %w", err))
+		}
+		p.mem = nil
+	}
+	return errors.Join(errs...)
+}
+
+// closeAll closes whatever files Start opened, after a failure.
+func (p *Profile) closeAll() {
+	if p.cpu != nil {
+		p.cpu.Close()
+		p.cpu = nil
+	}
+	if p.mem != nil {
+		p.mem.Close()
+		p.mem = nil
+	}
 }
 
 // Topology are the road-network selection flags.

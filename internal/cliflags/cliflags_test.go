@@ -1,9 +1,12 @@
 package cliflags
 
 import (
+	"compress/gzip"
 	"flag"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -199,5 +202,83 @@ func TestPolicyParse(t *testing.T) {
 	def := []string{"vt-im", "crossroads"}
 	if got, err := parse().Policies(def); err != nil || !slices.Equal(got, def) {
 		t.Errorf("empty -policy gave (%q, %v), want the default %q", got, err, def)
+	}
+}
+
+// TestProfileUnwritablePathFailsAtStart pins that a profile path that
+// cannot be created fails Start, naming its flag, before any run: the
+// commands call Start ahead of their work. A failing -memprofile leaves no
+// CPU profile running, so a later Start can profile again.
+func TestProfileUnwritablePathFailsAtStart(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "out.pprof")
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-cpuprofile", missing}, "-cpuprofile"},
+		{[]string{"-memprofile", missing}, "-memprofile"},
+		{[]string{"-cpuprofile", filepath.Join(dir, "cpu.pprof"), "-memprofile", missing}, "-memprofile"},
+	} {
+		fs := newFS()
+		p := AddProfile(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := p.Start()
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%q: Start error %v, want one naming %s", tc.args, err, tc.flag)
+		}
+		if err := p.Stop(); err != nil {
+			t.Errorf("%q: Stop after a failed Start: %v", tc.args, err)
+		}
+	}
+	ok := &Profile{CPUPath: filepath.Join(dir, "again.pprof")}
+	if err := ok.Start(); err != nil {
+		t.Fatalf("CPU profiling still held after a failed Start: %v", err)
+	}
+	if err := ok.Stop(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProfileWritesGzipProfiles pins that a profiled run leaves both
+// profiles as non-empty gzip files (pprof's format), and that the group
+// with no path set does nothing.
+func TestProfileWritesGzipProfiles(t *testing.T) {
+	dir := t.TempDir()
+	fs := newFS()
+	p := AddProfile(fs)
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := fs.Parse([]string{"-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zr, err := gzip.NewReader(f)
+		if err != nil {
+			t.Fatalf("%s: not gzip: %v", path, err)
+		}
+		body, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil || len(body) == 0 {
+			t.Fatalf("%s: %d bytes after gunzip, err %v", path, len(body), err)
+		}
+	}
+	none := AddProfile(newFS())
+	if err := none.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := none.Stop(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,10 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -217,6 +219,45 @@ func TestTickerStop(t *testing.T) {
 	}
 }
 
+// TestTickerAllocationFree pins the package comment's claim for tickers:
+// once the event pool and the queue have grown, a tick allocates nothing.
+func TestTickerAllocationFree(t *testing.T) {
+	s := New()
+	s.Ticker(0, 0.5, func() bool { return true })
+	s.RunFor(10) // warm the pool and the queue
+	if allocs := testing.AllocsPerRun(1000, func() { s.RunFor(0.5) }); allocs != 0 {
+		t.Errorf("a warmed-up tick allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestTickerKeepsFIFOWithSameTimeEvents pins that a tick takes its place
+// among same-time events when it is rescheduled, after fn returns, as the
+// one-closure-per-tick ticker did: an event scheduled for the next tick's
+// time before that runs first, one scheduled by fn runs before it, and
+// one scheduled after the reschedule runs after.
+func TestTickerKeepsFIFOWithSameTimeEvents(t *testing.T) {
+	s := New()
+	var order []string
+	s.At(1, func() { order = append(order, "before") })
+	n := 0
+	s.Ticker(0, 1, func() bool {
+		n++
+		order = append(order, fmt.Sprintf("tick%d", n))
+		if n == 1 {
+			s.At(1, func() { order = append(order, "from-fn") })
+		}
+		return n < 3
+	})
+	s.At(0, func() {
+		s.At(1, func() { order = append(order, "after") })
+	})
+	s.Run()
+	want := []string{"tick1", "before", "from-fn", "tick2", "after", "tick3"}
+	if !slices.Equal(order, want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+}
+
 func TestTickerBadPeriodPanics(t *testing.T) {
 	s := New()
 	defer func() {
@@ -371,4 +412,16 @@ func TestEventPoolReusesObjects(t *testing.T) {
 		t.Errorf("free list %d -> %d, want pooled reuse", before, len(s.free))
 	}
 	s.Run()
+}
+
+// BenchmarkTicker times one tick of a ticker with an empty body through
+// the untraced dispatch loop: the DES layer's fixed cost per physics tick.
+func BenchmarkTicker(b *testing.B) {
+	s := New()
+	s.Ticker(0, 1, func() bool { return true })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunUntil(float64(i))
+	}
 }

@@ -83,10 +83,36 @@ func ArcBetween(from Vec2, fromHeading, turnAngle, radius float64) ArcPath {
 // CompositePath chains several paths end to end. The caller is responsible
 // for ensuring geometric continuity; Append checks it.
 type CompositePath struct {
-	segs    []Path
-	cumLen  []float64 // cumulative length up to the *end* of segs[i]
-	total   float64
-	checked bool
+	segs []Path
+	// lines holds each straight segment's prepared form, beside segs.
+	lines  []preparedLine
+	cumLen []float64 // cumulative length up to the *end* of segs[i]
+	total  float64
+}
+
+// preparedLine is a LinePath with its direction, length and heading
+// computed once: the values LinePath.PoseAt derives on every call, so its
+// poses are LinePath.PoseAt's bit for bit.
+type preparedLine struct {
+	ok      bool // the segment is a LinePath
+	start   Vec2
+	dir     Vec2
+	length  float64
+	heading float64
+}
+
+func prepareLine(p Path) preparedLine {
+	l, ok := p.(LinePath)
+	if !ok {
+		return preparedLine{}
+	}
+	dir := l.End.Sub(l.Start).Unit()
+	return preparedLine{ok: true, start: l.Start, dir: dir, length: l.Length(), heading: dir.Angle()}
+}
+
+func (l *preparedLine) poseAt(s float64) Pose {
+	s = Clamp(s, 0, l.length)
+	return Pose{Pos: l.start.Add(l.dir.Scale(s)), Heading: l.heading}
 }
 
 // NewCompositePath builds a composite from the given segments in order.
@@ -110,6 +136,7 @@ func (c *CompositePath) Append(p Path) {
 		}
 	}
 	c.segs = append(c.segs, p)
+	c.lines = append(c.lines, prepareLine(p))
 	c.total += p.Length()
 	c.cumLen = append(c.cumLen, c.total)
 }
@@ -124,14 +151,22 @@ func (c *CompositePath) PoseAt(s float64) Pose {
 	}
 	s = Clamp(s, 0, c.total)
 	prev := 0.0
-	for i, seg := range c.segs {
+	for i := range c.segs {
 		if s <= c.cumLen[i]+Eps {
-			return seg.PoseAt(s - prev)
+			return c.segPoseAt(i, s-prev)
 		}
 		prev = c.cumLen[i]
 	}
-	last := c.segs[len(c.segs)-1]
-	return last.PoseAt(last.Length())
+	last := len(c.segs) - 1
+	return c.segPoseAt(last, c.segs[last].Length())
+}
+
+// segPoseAt returns segment i's pose at arc length s along it.
+func (c *CompositePath) segPoseAt(i int, s float64) Pose {
+	if l := &c.lines[i]; l.ok {
+		return l.poseAt(s)
+	}
+	return c.segs[i].PoseAt(s)
 }
 
 // Segments returns the component paths.

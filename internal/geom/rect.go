@@ -78,10 +78,18 @@ func (r Rect) AABB() AABB { return boundsOf(r.Corners()) }
 func boundsOf(c [4]Vec2) AABB {
 	min, max := c[0], c[0]
 	for _, p := range c[1:] {
-		min.X = math.Min(min.X, p.X)
-		min.Y = math.Min(min.Y, p.Y)
-		max.X = math.Max(max.X, p.X)
-		max.Y = math.Max(max.Y, p.Y)
+		if p.X < min.X {
+			min.X = p.X
+		}
+		if p.X > max.X {
+			max.X = p.X
+		}
+		if p.Y < min.Y {
+			min.Y = p.Y
+		}
+		if p.Y > max.Y {
+			max.Y = p.Y
+		}
 	}
 	return AABB{Min: min, Max: max}
 }
@@ -95,10 +103,18 @@ func (r Rect) ContainsPoint(p Vec2) bool {
 // Area returns the rectangle's area.
 func (r Rect) Area() float64 { return 4 * r.HalfL * r.HalfW }
 
+// Radius returns the rectangle's bounding-circle radius, the one
+// Intersects rejects on: r and o do not intersect when their centres are
+// farther apart than r.Radius()+o.Radius() on either axis alone, as the
+// distance between the centres is then farther still.
+func (r Rect) Radius() float64 { return math.Hypot(r.HalfL, r.HalfW) }
+
 // Intersects reports whether two oriented rectangles overlap, using the
 // separating-axis theorem. Touching edges count as intersecting.
 func (r Rect) Intersects(o Rect) bool {
-	// Quick reject on bounding circles, before paying for the axes.
+	// Quick reject on bounding circles, before paying for the axes. The
+	// radii are Radius, spelled out: an inlined method call would copy
+	// both rectangles first.
 	rr := math.Hypot(r.HalfL, r.HalfW)
 	or := math.Hypot(o.HalfL, o.HalfW)
 	if r.Center.Dist(o.Center) > rr+or {

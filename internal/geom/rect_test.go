@@ -292,11 +292,11 @@ func referenceIntersects(r, o Rect) bool {
 	return true
 }
 
-// TestPreparedIntersectsMatchesReference: Rect.Intersects and the
-// prepared test agree with the reference on random rectangles, on pairs
-// placed to touch, to miss by just under and just over Eps, and on
-// axis-aligned pairs that share an edge, as tile neighbours do.
-func TestPreparedIntersectsMatchesReference(t *testing.T) {
+// intersectPairs returns rectangle pairs that exercise both answers of an
+// overlap test: random rectangles, pairs placed to touch, to miss by just
+// under and just over Eps, and axis-aligned pairs that share an edge, as
+// tile neighbours do.
+func intersectPairs() [][2]Rect {
 	rng := rand.New(rand.NewSource(7))
 	random := func() Rect {
 		return NewRect(V(rng.Float64()*4-2, rng.Float64()*4-2), rng.Float64()*2+0.05, rng.Float64()+0.05, rng.Float64()*2*math.Pi)
@@ -329,6 +329,13 @@ func TestPreparedIntersectsMatchesReference(t *testing.T) {
 			pairs = append(pairs, [2]Rect{tile(i, j), tile(i+1, j)}, [2]Rect{tile(i, j), tile(i+1, j+1)}, [2]Rect{tile(i, j), tile(i+2, j)})
 		}
 	}
+	return pairs
+}
+
+// TestPreparedIntersectsMatchesReference: Rect.Intersects and the
+// prepared test agree with the reference on intersectPairs.
+func TestPreparedIntersectsMatchesReference(t *testing.T) {
+	pairs := intersectPairs()
 	hits := 0
 	for _, pr := range pairs {
 		a, b := pr[0], pr[1]
@@ -349,5 +356,28 @@ func TestPreparedIntersectsMatchesReference(t *testing.T) {
 	}
 	if hits == 0 || hits == len(pairs) {
 		t.Fatalf("%d of %d pairs intersect: the cases do not exercise both answers", hits, len(pairs))
+	}
+}
+
+// TestIntersectsWithinRadiusSumOnEachAxis pins what the world's safety
+// check relies on to skip Intersects: whenever two rectangles intersect,
+// their centres are no farther apart on either axis than
+// a.Radius()+b.Radius(). The touching placements put pairs right at the
+// edge of overlapping.
+func TestIntersectsWithinRadiusSumOnEachAxis(t *testing.T) {
+	hits := 0
+	for _, pr := range intersectPairs() {
+		a, b := pr[0], pr[1]
+		if !a.Intersects(b) {
+			continue
+		}
+		hits++
+		r := a.Radius() + b.Radius()
+		if dx, dy := math.Abs(a.Center.X-b.Center.X), math.Abs(a.Center.Y-b.Center.Y); dx > r || dy > r {
+			t.Fatalf("%+v and %+v intersect with |dx| = %v, |dy| = %v beyond the radius sum %v", a, b, dx, dy, r)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no pair intersects")
 	}
 }

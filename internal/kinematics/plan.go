@@ -20,23 +20,42 @@ func EarliestArrival(startTime, dist, vInit float64, p Params) (eta, vArr float6
 	if dist <= 0 {
 		return 0, vInit, HoldProfile(startTime, vInit, 0)
 	}
+	tm := earliestTiming(dist, vInit, p)
+	accel := Phase{Duration: tm.tAcc, V0: math.Min(vInit, p.MaxSpeed), Accel: p.MaxAccel}
+	if !tm.cruises {
+		return tm.eta, tm.vArr, NewProfile(startTime, accel)
+	}
+	return tm.eta, tm.vArr, NewProfile(startTime, accel, Phase{Duration: tm.cruise, V0: p.MaxSpeed, Accel: 0})
+}
+
+// arrivalTiming is EarliestArrival's result without the profile: the
+// arrival delay and velocity, and the profile's phase durations.
+type arrivalTiming struct {
+	eta, vArr float64
+	// tAcc is the time at maximum acceleration, the whole delay when the
+	// vehicle is still accelerating at arrival; cruises reports that it
+	// reaches MaxSpeed first, and cruise is the time it then holds it.
+	tAcc, cruise float64
+	cruises      bool
+}
+
+// earliestTiming is EarliestArrival's arithmetic without building the
+// profile, so timing an arrival allocates nothing. dist <= 0 arrives at
+// once, at vInit.
+func earliestTiming(dist, vInit float64, p Params) arrivalTiming {
+	if dist <= 0 {
+		return arrivalTiming{vArr: vInit}
+	}
 	vInit = math.Min(vInit, p.MaxSpeed)
 	tAcc := (p.MaxSpeed - vInit) / p.MaxAccel
 	deltaX := 0.5*p.MaxAccel*tAcc*tAcc + vInit*tAcc
 	if deltaX >= dist {
 		// Still accelerating at arrival: solve 0.5*a*t^2 + v0*t = dist.
 		t := (-vInit + math.Sqrt(vInit*vInit+2*p.MaxAccel*dist)) / p.MaxAccel
-		vArr = vInit + p.MaxAccel*t
-		prof = NewProfile(startTime, Phase{Duration: t, V0: vInit, Accel: p.MaxAccel})
-		return t, vArr, prof
+		return arrivalTiming{eta: t, vArr: vInit + p.MaxAccel*t, tAcc: t}
 	}
 	cruise := (dist - deltaX) / p.MaxSpeed
-	eta = tAcc + cruise
-	prof = NewProfile(startTime,
-		Phase{Duration: tAcc, V0: vInit, Accel: p.MaxAccel},
-		Phase{Duration: cruise, V0: p.MaxSpeed, Accel: 0},
-	)
-	return eta, p.MaxSpeed, prof
+	return arrivalTiming{eta: tAcc + cruise, vArr: p.MaxSpeed, tAcc: tAcc, cruise: cruise, cruises: true}
 }
 
 // dipArrival computes the arrival delay when the vehicle decelerates from
@@ -53,8 +72,8 @@ func dipArrival(dist, vInit, vLow float64, p Params) (eta, vArr float64, ok bool
 		return 0, 0, false
 	}
 	rem := dist - dDown
-	etaUp, vArr, _ := EarliestArrival(0, rem, vLow, p)
-	return tDown + etaUp, vArr, true
+	up := earliestTiming(rem, vLow, p)
+	return tDown + up.eta, up.vArr, true
 }
 
 // LatestNoDwell returns the latest arrival delay reachable over dist meters
@@ -233,9 +252,9 @@ func PlanConstantSpeed(startTime, dist, v float64) (Profile, float64) {
 // slow (arrival later than required) — callers treat that as "go at
 // earliest".
 func VTArrival(dist, vInit, wantDelay float64, p Params) (float64, error) {
-	earliest, vArrMax, _ := EarliestArrival(0, dist, vInit, p)
-	if wantDelay <= earliest {
-		return vArrMax, nil
+	earliest := earliestTiming(dist, vInit, p)
+	if wantDelay <= earliest.eta {
+		return earliest.vArr, nil
 	}
 	// eta(v): ramp from vInit to v at max rate, hold v. Monotone
 	// decreasing in v.

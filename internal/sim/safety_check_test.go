@@ -282,11 +282,10 @@ func TestSafetyCheckForgetsPartedPairs(t *testing.T) {
 	}
 }
 
-// BenchmarkSafetyCheck times one safety check at a dense moment of a
-// saturated single-intersection scale-model run: the first tick with 12
-// vehicles on the roads, the most the spawn gating admits (three queued
-// per approach lane), so 66 pairs per check.
-func BenchmarkSafetyCheck(b *testing.B) {
+// denseWorld runs a saturated single-intersection scale-model run to its
+// first tick with 12 vehicles on the roads, the most the spawn gating
+// admits (three queued per approach lane), and returns the world there.
+func denseWorld(b *testing.B) *world {
 	const dense = 12
 	arr, err := traffic.Poisson(traffic.PoissonConfig{
 		Rate: 1.2, NumVehicles: 80, LanesPerRoad: 1,
@@ -315,9 +314,41 @@ func BenchmarkSafetyCheck(b *testing.B) {
 		}
 		w.sim.RunFor(dt)
 	}
+	return w
+}
+
+// BenchmarkSafetyCheck times one safety check at denseWorld's moment: 66
+// same-node pairs per check.
+func BenchmarkSafetyCheck(b *testing.B) {
+	w := denseWorld(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.checkCollisions()
+	}
+}
+
+// BenchmarkPhysicsTick times one physics tick, world.step, at denseWorld's
+// moment: each vehicle's control step (car following included) and plant
+// step, the lifecycle pass, and every second tick the safety check, as a
+// run's ticks do. Each iteration first puts every plant back where the
+// moment left it, so every tick steps the same 12 vehicles from the same
+// state; the clock does not advance, so the periodic re-plans a vehicle
+// makes every 0.4 s fall on the first iteration only.
+func BenchmarkPhysicsTick(b *testing.B) {
+	w := denseWorld(b)
+	dt := w.cfg.PhysicsDt
+	vs := append([]*vehState(nil), w.active...)
+	saved := make([]plant.Plant, len(vs))
+	for k, v := range vs {
+		saved[k] = *v.plant
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, v := range vs {
+			*v.plant = saved[k]
+		}
+		w.step(dt)
 	}
 }

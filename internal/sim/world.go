@@ -239,6 +239,11 @@ type vehState struct {
 	legArrive float64
 	legSpeed  float64
 	gone      bool
+
+	// fpR and bufR are the bounding radii (geom.Rect.Radius) of the
+	// footprint and of the buffered footprint, set by the first safety
+	// check: they depend only on the vehicle's dimensions and the buffers.
+	fpR, bufR float64
 }
 
 func (v *vehState) lastLeg() bool { return v.leg == len(v.legs)-1 }
@@ -908,6 +913,10 @@ type safeBody struct {
 // where they happened. Each overlap counts once, on its rising edge: the
 // overlapping and bufOverlap sets hold exactly the pairs overlapping as of
 // the last check that judged them.
+//
+// A pair whose centres are farther apart on either axis than the sum of
+// the two bounding radii is apart without calling Intersects, which would
+// reject it on the same sum (a NaN centre still goes to Intersects).
 func (w *world) checkCollisions() {
 	box := w.x.Box().Expand(w.buffers.Long + 0.5)
 	w.bodies = w.bodies[:0]
@@ -916,10 +925,14 @@ func (w *world) checkCollisions() {
 			continue
 		}
 		fp := v.plant.Footprint()
+		buf := fp.Inflate(w.buffers.Long, w.buffers.Lat)
+		if v.fpR == 0 {
+			v.fpR, v.bufR = fp.Radius(), buf.Radius()
+		}
 		w.bodies = append(w.bodies, safeBody{
 			v:    v,
 			fp:   fp,
-			buf:  fp.Inflate(w.buffers.Long, w.buffers.Lat),
+			buf:  buf,
 			near: box.Overlaps(fp.AABB()),
 		})
 	}
@@ -932,8 +945,13 @@ func (w *world) checkCollisions() {
 			if vj.node != vi.node {
 				continue
 			}
+			// fp and buf share a centre.
+			dx := math.Abs(bi.fp.Center.X - bj.fp.Center.X)
+			dy := math.Abs(bi.fp.Center.Y - bj.fp.Center.Y)
 			key := [2]int64{vi.arr.ID, vj.arr.ID}
-			if risingEdge(w.overlapping, key, bi.fp.Intersects(bj.fp)) {
+			r := vi.fpR + vj.fpR
+			hit := !(dx > r || dy > r) && bi.fp.Intersects(bj.fp)
+			if risingEdge(w.overlapping, key, hit) {
 				w.nodes[vi.node].col.Collisions++
 				if w.cfg.Trace != nil {
 					w.cfg.Trace.Emit(trace.Event{
@@ -948,7 +966,9 @@ func (w *world) checkCollisions() {
 			if vi.movement.ID.Approach == vj.movement.ID.Approach || !bi.near || !bj.near {
 				continue
 			}
-			if risingEdge(w.bufOverlap, key, bi.buf.Intersects(bj.buf)) {
+			r = vi.bufR + vj.bufR
+			hit = !(dx > r || dy > r) && bi.buf.Intersects(bj.buf)
+			if risingEdge(w.bufOverlap, key, hit) {
 				w.nodes[vi.node].col.BufferViolations++
 				if w.cfg.Trace != nil {
 					w.cfg.Trace.Emit(trace.Event{
