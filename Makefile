@@ -26,17 +26,20 @@ bench-grid:
 ## (BookEarliestFeasible), the conflict-table build (ConflictTableBuild),
 ## one scheduler request under Crossroads and under the dot tile scheduler
 ## (SchedulerCrossroadsRequest, SchedulerDotRequest), all in the root
-## package; one tick of an empty DES ticker in ./internal/des (Ticker); and
-## in ./internal/sim, at a dense moment of a saturated scale-model run, the
-## world's safety check, body and buffer overlap of every same-node vehicle
-## pair (SafetyCheck), and one whole physics tick (PhysicsTick).
-LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|Ticker|SafetyCheck|PhysicsTick
+## package; one tick of an empty DES ticker in ./internal/des (Ticker); one
+## message sent and delivered through the kernel in ./internal/network
+## (NetworkSendDeliver); and in ./internal/sim, at a dense moment of a
+## saturated scale-model run, the world's safety check, body and buffer
+## overlap of every same-node vehicle pair (SafetyCheck), and one whole
+## physics tick (PhysicsTick), plus one physics tick at a dense moment of a
+## coordinated 3x3 grid run (PhysicsTickGrid).
+LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|Ticker|NetworkSendDeliver|SafetyCheck|PhysicsTick|PhysicsTickGrid
 ## REPORT_BENCH is the benchmark artifact's set: the layer rungs plus the
 ## whole workloads, the sweep engine at one and all cores, the routed
 ## corridor and grids, E9's coordinated corridor, the fault matrix's mix
 ## column, and one reduced sweep per scheduler family.
 REPORT_BENCH = $(LAYER_BENCH)|SweepParallel|Corridor|CorridorCoord|Grid|FaultMatrixMix|PolicySweep
-BENCH_PKGS = . ./internal/des ./internal/sim
+BENCH_PKGS = . ./internal/des ./internal/network ./internal/sim
 
 ## bench-layers times the layer rungs. BENCHFLAGS passes extra flags, e.g.
 ## BENCHFLAGS='-benchtime 1x' for a one-iteration smoke run.
@@ -44,17 +47,19 @@ BENCHFLAGS ?=
 bench-layers:
 	$(GO) test -run '^$$' -bench '^Benchmark($(LAYER_BENCH))$$' -benchmem $(BENCHFLAGS) $(BENCH_PKGS)
 
-## bench-report runs the artifact set through go test into a scratch
-## file, then converts it (cmd/benchreport) into the first free
-## BENCH_N.json, so the committed ones are never overwritten. A failing
+## bench-report runs the artifact set REPORT_COUNT times through go test
+## into a scratch file, then converts it (cmd/benchreport) into the first
+## free BENCH_N.json, so the committed ones are never overwritten; each
+## row is the median run, with the runs' ns/op range and count. A failing
 ## run writes no artifact and leaves its output in bench-report.txt. Run
 ## it on a multi-core host to record the sweep speedup: a single-core host
 ## times SweepParallel at workers=1 only.
+REPORT_COUNT = 5
 bench-report:
 	@set -e; \
 	n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; \
-	echo "bench-report: running $(REPORT_BENCH)"; \
-	$(GO) test -run '^$$' -bench '^Benchmark($(REPORT_BENCH))$$' -benchmem $(BENCH_PKGS) > bench-report.txt \
+	echo "bench-report: running $(REPORT_BENCH) x$(REPORT_COUNT)"; \
+	$(GO) test -run '^$$' -bench '^Benchmark($(REPORT_BENCH))$$' -benchmem -count $(REPORT_COUNT) $(BENCH_PKGS) > bench-report.txt \
 		|| { cat bench-report.txt; exit 1; }; \
 	$(GO) run ./cmd/benchreport -out BENCH_$$n.json < bench-report.txt; \
 	rm -f bench-report.txt

@@ -12,7 +12,10 @@
 // named without the "Benchmark" prefix and the -P GOMAXPROCS suffix.
 // ns/op, B/op and allocs/op fill the fixed fields; every other unit (the
 // values a benchmark reports with b.ReportMetric) goes into Extra under
-// its unit name. The input is echoed to stdout as it is read, so a pipe
+// its unit name. The result lines of one benchmark run several times
+// (go test -count) fold into one row: the median run's, with the median
+// ns/op, and the min, the max and the count of the runs' ns/op. The
+// input is echoed to stdout as it is read, so a pipe
 // still shows the run. A run with a FAIL line, or with no result line, is
 // refused and writes nothing. -out is required, so a bare run cannot
 // overwrite a committed artifact; `make bench-report` picks the first free
@@ -28,6 +31,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -96,7 +100,38 @@ func parse(r io.Reader) ([]metrics.BenchMetric, error) {
 	if len(rows) == 0 {
 		return nil, errors.New("no benchmark results in input")
 	}
-	return rows, nil
+	return fold(rows), nil
+}
+
+// fold merges the rows that share a name into one, in order of first
+// appearance. A name with one row keeps it as it is. For several, the
+// row is the median run's (sorted by ns/op, the lower middle one for an
+// even count), its NsPerOp the median ns/op (the mean of the two middle
+// ones for an even count), with Count, NsPerOpMin and NsPerOpMax set.
+func fold(rows []metrics.BenchMetric) []metrics.BenchMetric {
+	runs := make(map[string][]metrics.BenchMetric)
+	var names []string
+	for _, m := range rows {
+		if _, ok := runs[m.Name]; !ok {
+			names = append(names, m.Name)
+		}
+		runs[m.Name] = append(runs[m.Name], m)
+	}
+	out := make([]metrics.BenchMetric, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		n := len(rs)
+		if n == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		m := rs[(n-1)/2]
+		m.NsPerOp = (rs[(n-1)/2].NsPerOp + rs[n/2].NsPerOp) / 2
+		m.Count, m.NsPerOpMin, m.NsPerOpMax = n, rs[0].NsPerOp, rs[n-1].NsPerOp
+		out = append(out, m)
+	}
+	return out
 }
 
 // parseResult parses one benchmark result line; ok is false for any other

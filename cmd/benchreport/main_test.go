@@ -86,3 +86,64 @@ func TestParseRejectsBadValue(t *testing.T) {
 		t.Fatal("unparsable value accepted")
 	}
 }
+
+// repeatedRun is `go test -run '^$' -bench '^Benchmark(Ticker|NetworkSendDeliver)$'
+// -benchmem -count 3 ./internal/des ./internal/network` output from a
+// 2-core host, with the last Ticker line's allocation counts edited so
+// that the median run's fields can be told apart.
+const repeatedRun = `goos: linux
+goarch: amd64
+pkg: crossroads/internal/des
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkTicker-2   	31281493	        37.48 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTicker-2   	35793091	        40.03 ns/op	       0 B/op	       0 allocs/op
+BenchmarkTicker-2   	27575642	        38.97 ns/op	       8 B/op	       1 allocs/op
+PASS
+ok  	crossroads/internal/des	3.859s
+goos: linux
+goarch: amd64
+pkg: crossroads/internal/network
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkNetworkSendDeliver-2   	 7849224	       186.3 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNetworkSendDeliver-2   	 7281242	       162.0 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNetworkSendDeliver-2   	 7145463	       165.3 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	crossroads/internal/network	5.334s
+`
+
+// TestParseFoldsRepeatedRuns: a -count 3 run converts to one row per
+// benchmark, the median run's, with the runs' ns/op range and count.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	rows, err := parse(strings.NewReader(repeatedRun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []metrics.BenchMetric{
+		{Name: "Ticker", NsPerOp: 38.97, BytesPerOp: 8, AllocsPerOp: 1, N: 27575642,
+			Count: 3, NsPerOpMin: 37.48, NsPerOpMax: 40.03},
+		{Name: "NetworkSendDeliver", NsPerOp: 165.3, N: 7145463,
+			Count: 3, NsPerOpMin: 162.0, NsPerOpMax: 186.3},
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows:\n got %+v\nwant %+v", rows, want)
+	}
+}
+
+// TestFoldEvenCountTakesMiddleMean: with an even count the median ns/op
+// is the mean of the two middle runs, and the row is the lower one's.
+func TestFoldEvenCountTakesMiddleMean(t *testing.T) {
+	got := fold([]metrics.BenchMetric{
+		{Name: "X", NsPerOp: 40, N: 1},
+		{Name: "Y", NsPerOp: 7, N: 9},
+		{Name: "X", NsPerOp: 10, N: 2},
+		{Name: "X", NsPerOp: 20, N: 3},
+		{Name: "X", NsPerOp: 30, N: 4},
+	})
+	want := []metrics.BenchMetric{
+		{Name: "X", NsPerOp: 25, N: 3, Count: 4, NsPerOpMin: 10, NsPerOpMax: 40},
+		{Name: "Y", NsPerOp: 7, N: 9},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fold:\n got %+v\nwant %+v", got, want)
+	}
+}

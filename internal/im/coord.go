@@ -153,6 +153,9 @@ type coordState struct {
 	depth      [intersection.NumApproaches]int
 	// defers counts consecutive backpressure holds per vehicle.
 	defers map[int64]int
+	// tick broadcasts a digest and reschedules itself: one closure
+	// serves every period, as des.Ticker's does.
+	tick func()
 }
 
 // EnableCoordination arms the coordination plane: the server starts
@@ -173,6 +176,10 @@ func (s *Server) EnableCoordination(cfg CoordConfig, peers []CoordPeer, downstre
 		approachOf: make(map[int64]intersection.Approach),
 		defers:     make(map[int64]int),
 	}
+	s.coord.tick = func() {
+		s.broadcastDigest()
+		s.scheduleDigest()
+	}
 	s.scheduleDigest()
 }
 
@@ -189,10 +196,7 @@ func (s *Server) CoordDigest(node int) (DigestPayload, bool) {
 }
 
 func (s *Server) scheduleDigest() {
-	s.digestTimer = s.sim.After(s.coord.cfg.Period, func() {
-		s.broadcastDigest()
-		s.scheduleDigest()
-	})
+	s.digestTimer = s.sim.After(s.coord.cfg.Period, s.coord.tick)
 }
 
 // broadcastDigest sends the current link state to every peer. The digests
@@ -200,7 +204,8 @@ func (s *Server) scheduleDigest() {
 // samples, loss coins, and fault-injector verdicts as vehicle traffic. A
 // stalled IM broadcasts nothing (its radio answers nothing), which ages
 // its neighbors' view of it toward discard — exactly the degradation a
-// dead peer should produce.
+// dead peer should produce. Every peer's message carries the one boxed
+// payload: receivers copy it out.
 func (s *Server) broadcastDigest() {
 	if s.stalled || len(s.coord.peers) == 0 {
 		return
@@ -211,12 +216,13 @@ func (s *Server) broadcastDigest() {
 	if fr, ok := s.sched.(FlowReporter); ok {
 		p.FlowHorizon = fr.FlowHorizons(s.sim.Now())
 	}
+	var payload any = p
 	for _, peer := range c.peers {
 		s.net.Send(network.Message{
 			Kind:    network.KindDigest,
 			From:    s.endpoint,
 			To:      peer.Endpoint,
-			Payload: p,
+			Payload: payload,
 		})
 	}
 }

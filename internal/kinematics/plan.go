@@ -100,6 +100,17 @@ func LatestNoDwell(dist, vInit, vFloor float64, p Params) (eta float64, ok bool)
 	return eta, ok
 }
 
+// tooEarlyError is PlanArrival's ErrInfeasible for an arrival earlier than
+// the earliest reachable one. Schedulers probe candidate arrivals and only
+// test for the failure, so the message is formatted when it is read.
+type tooEarlyError struct{ want, earliest float64 }
+
+func (e *tooEarlyError) Error() string {
+	return fmt.Sprintf("%v: want arrival %.4fs after start, earliest %.4fs", ErrInfeasible, e.want, e.earliest)
+}
+
+func (e *tooEarlyError) Unwrap() error { return ErrInfeasible }
+
 // PlanArrival builds the fastest-crossing profile that covers dist meters
 // starting at startTime with initial velocity vInit and arrives exactly
 // arriveAt - startTime seconds later. This is the vehicle-side trajectory
@@ -128,7 +139,7 @@ func PlanArrival(startTime, dist, vInit, arriveAt float64, p Params) (Profile, e
 	const tol = 1e-3 // 1 ms scheduling tolerance
 	earliest, _, fastProf := EarliestArrival(startTime, dist, vInit, p)
 	if want < earliest-tol {
-		return Profile{}, fmt.Errorf("%w: want arrival %.4fs after start, earliest %.4fs", ErrInfeasible, want, earliest)
+		return Profile{}, &tooEarlyError{want: want, earliest: earliest}
 	}
 	if want <= earliest+tol {
 		return fastProf, nil

@@ -2,6 +2,7 @@ package kinematics
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -121,12 +122,19 @@ func TestPlanArrivalExactEarliest(t *testing.T) {
 	}
 }
 
+// TestPlanArrivalInfeasible: an arrival earlier than the earliest
+// reachable one is an ErrInfeasible whose text, formatted when read, is
+// the fmt.Errorf text it has always had.
 func TestPlanArrivalInfeasible(t *testing.T) {
 	p := ScaleModelParams()
 	eta, _, _ := EarliestArrival(0, 3, 1, p)
 	_, err := PlanArrival(0, 3, 1, eta-0.5, p)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
+	}
+	want := fmt.Errorf("%w: want arrival %.4fs after start, earliest %.4fs", ErrInfeasible, eta-0.5, eta)
+	if err.Error() != want.Error() {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 

@@ -21,6 +21,13 @@ type BenchMetric struct {
 	N int `json:"n"`
 	// Extra holds custom b.ReportMetric-style values keyed by unit.
 	Extra map[string]float64 `json:"extra,omitempty"`
+	// Count is how many runs of the benchmark (go test -count) the row
+	// folds, when more than one: NsPerOp is then their median ns/op,
+	// NsPerOpMin and NsPerOpMax their range, and the other fields are the
+	// median run's. A row from a single run leaves all three zero.
+	Count      int     `json:"count,omitempty"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
 }
 
 // BenchReport is the machine-readable benchmark artifact (BENCH_*.json)

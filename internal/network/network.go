@@ -275,6 +275,20 @@ type Network struct {
 	perEP    map[string]*Stats // keyed by sender
 	perKind  map[Kind]int
 	trace    *trace.Recorder
+	// free pools the delivery records of delivered messages.
+	free []*delivery
+}
+
+// delivery is one scheduled delivery attempt. run, bound once when the
+// record is made, is the kernel event that performs it, so scheduling a
+// pooled record allocates nothing.
+type delivery struct {
+	n      *Network
+	msg    Message
+	st     *Stats
+	delay  float64
+	detail string
+	run    func()
 }
 
 // SetTrace attaches an event recorder to the message lifecycle (send,
@@ -400,7 +414,26 @@ func (n *Network) Send(msg Message) float64 {
 // charging the outcome to the sender's stats. detail labels fault-injected
 // duplicate copies in the trace.
 func (n *Network) deliverAfter(msg Message, st *Stats, delay float64, detail string) {
-	n.sim.After(delay, func() { n.deliverNow(msg, st, delay, detail) })
+	var d *delivery
+	if k := len(n.free); k > 0 {
+		d = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		d = &delivery{n: n}
+		d.run = d.deliver
+	}
+	d.msg, d.st, d.delay, d.detail = msg, st, delay, detail
+	n.sim.After(delay, d.run)
+}
+
+// deliver copies the attempt out and returns the record to the pool
+// before delivering: the handler may send, and so reuse the record, while
+// it runs.
+func (d *delivery) deliver() {
+	n, msg, st, delay, detail := d.n, d.msg, d.st, d.delay, d.detail
+	d.msg, d.st = Message{}, nil
+	n.free = append(n.free, d)
+	n.deliverNow(msg, st, delay, detail)
 }
 
 // deliverNow resolves one delivery attempt at the current simulation time:

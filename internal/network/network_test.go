@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -580,5 +581,110 @@ func TestRouterAccountingSides(t *testing.T) {
 	// The fold: exactly one outcome per message across both networks.
 	if got := a.Delivered + b.Delivered + a.Undeliverable + b.Undeliverable; got != 2 {
 		t.Errorf("summed outcomes = %d, want 2 (one per message)", got)
+	}
+}
+
+// dupTo duplicates every message to one endpoint, the copy arriving delay
+// seconds after the original.
+type dupTo struct {
+	to    string
+	delay float64
+}
+
+func (d dupTo) OnSend(_ float64, msg Message) Verdict {
+	return Verdict{Duplicate: msg.To == d.to, DupDelay: d.delay}
+}
+
+// TestReentrantSendsKeepDeliveryOrder has handlers send from inside their
+// own delivery, with the copies to one endpoint duplicated: every message
+// arrives intact, in kernel order (time, then scheduling order), and the
+// stats count each send, copy and delivery once.
+func TestReentrantSendsKeepDeliveryOrder(t *testing.T) {
+	sim, net := newTestNet(ConstantDelay{D: 0.01}, 0)
+	net.SetInjector(dupTo{to: "c", delay: 0.005})
+	var log []string
+	record := func(to string, now float64, msg Message) {
+		log = append(log, fmt.Sprintf("%.3f %s<-%s %v sent %.3f", now, to, msg.From, msg.Payload, msg.SentAt))
+	}
+	send := func(from, to string, payload int) {
+		net.Send(Message{Kind: KindRequest, From: from, To: to, Payload: payload})
+	}
+	net.Register("a", func(now float64, msg Message) {
+		p := msg.Payload.(int)
+		if p < 100 {
+			send("a", "b", 10*p)
+			send("a", "c", 10*p+1)
+		}
+		record("a", now, msg) // after the sends: msg must still be intact
+	})
+	net.Register("b", func(now float64, msg Message) {
+		p := msg.Payload.(int)
+		if p < 100 {
+			send("b", "a", 10*p)
+		}
+		record("b", now, msg)
+	})
+	net.Register("c", func(now float64, msg Message) { record("c", now, msg) })
+	send("src", "a", 1)
+	send("src", "b", 2)
+	sim.Run()
+
+	want := []string{
+		"0.010 a<-src 1 sent 0.000",
+		"0.010 b<-src 2 sent 0.000",
+		"0.020 b<-a 10 sent 0.010",
+		"0.020 c<-a 11 sent 0.010",
+		"0.020 a<-b 20 sent 0.010",
+		"0.025 c<-a 11 sent 0.010",
+		"0.030 a<-b 100 sent 0.020",
+		"0.030 b<-a 200 sent 0.020",
+		"0.030 c<-a 201 sent 0.020",
+		"0.035 c<-a 201 sent 0.020",
+	}
+	if strings.Join(log, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("deliveries:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+	st := net.TotalStats()
+	if st.Sent != 8 || st.Duplicated != 2 || st.Delivered != 10 || st.Bytes != 8*KindRequest.WireSize() ||
+		st.Dropped != 0 || st.Undeliverable != 0 || math.Abs(st.TotalDelay-0.11) > 1e-12 || math.Abs(st.MaxDelay-0.015) > 1e-12 {
+		t.Errorf("total stats %+v", st)
+	}
+	for _, ep := range []struct {
+		name                        string
+		sent, duplicated, delivered int
+	}{{"src", 2, 0, 2}, {"a", 4, 2, 6}, {"b", 2, 0, 2}, {"c", 0, 0, 0}} {
+		s := net.EndpointStats(ep.name)
+		if s.Sent != ep.sent || s.Duplicated != ep.duplicated || s.Delivered != ep.delivered {
+			t.Errorf("%s: sent %d, duplicated %d, delivered %d; want %d, %d, %d",
+				ep.name, s.Sent, s.Duplicated, s.Delivered, ep.sent, ep.duplicated, ep.delivered)
+		}
+	}
+}
+
+// TestSendDeliverAllocatesNothing: once the kernel's event pool and the
+// network's delivery pool are warm, a send and its delivery allocate
+// nothing.
+func TestSendDeliverAllocatesNothing(t *testing.T) {
+	sim, net := newTestNet(ConstantDelay{D: 0.01}, 0)
+	net.Register("im", func(float64, Message) {})
+	msg := Message{Kind: KindRequest, From: "veh1", To: "im"}
+	net.Send(msg)
+	sim.Run()
+	if a := testing.AllocsPerRun(100, func() { net.Send(msg); sim.Run() }); a != 0 {
+		t.Errorf("%v allocations per send and delivery, want 0", a)
+	}
+}
+
+// BenchmarkNetworkSendDeliver times one message through the network
+// layer: a Send (stats, delay sample, scheduling) and its delivery through
+// the kernel to the handler, on the testbed delay model.
+func BenchmarkNetworkSendDeliver(b *testing.B) {
+	sim, net := newTestNet(TestbedDelay(), 0)
+	net.Register("im", func(float64, Message) {})
+	msg := Message{Kind: KindRequest, From: "veh1", To: "im"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		net.Send(msg)
+		sim.Run()
 	}
 }

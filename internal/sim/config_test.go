@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"crossroads/internal/fault"
+	"crossroads/internal/kinematics"
 	"crossroads/internal/topology"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
@@ -72,6 +75,41 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	_, err := Run(Config{Policy: "crossroads", OmitRTDBuffer: true}, arr)
 	if err == nil || !strings.Contains(err.Error(), "OmitRTDBuffer") {
 		t.Fatalf("Run accepted a contradictory config (err=%v)", err)
+	}
+}
+
+// TestRunRejectsArrivalsItCannotSimulate: Run starts its clock at the
+// first arrival, sizes its horizon from the last and keeps one record per
+// vehicle ID, so a fleet out of time order, or with an ID listed twice,
+// is refused naming the offending arrival instead of run wrong.
+func TestRunRejectsArrivalsItCannotSimulate(t *testing.T) {
+	fleet := func() []traffic.Arrival {
+		arr, err := traffic.Poisson(traffic.PoissonConfig{
+			Rate: 0.4, NumVehicles: 16, LanesPerRoad: 1,
+			Mix: traffic.DefaultTurnMix(), Params: kinematics.ScaleModelParams(),
+		}, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return arr
+	}
+	cfg := Config{Policy: "crossroads", Seed: 3}
+	run(t, cfg, fleet())
+
+	swapped := fleet()
+	last := len(swapped) - 1
+	swapped[0], swapped[last] = swapped[last], swapped[0]
+	_, err := Run(cfg, swapped)
+	if want := fmt.Sprintf("arrival %d at t=", swapped[1].ID); err == nil ||
+		!strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "time order") {
+		t.Errorf("first and last arrivals swapped: err = %v, want one naming %q and time order", err, want)
+	}
+
+	dup := fleet()
+	dup[5].ID = dup[2].ID
+	_, err = Run(cfg, dup)
+	if want := fmt.Sprintf("arrival %d: vehicle ID listed twice", dup[2].ID); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("duplicate ID: err = %v, want %q", err, want)
 	}
 }
 

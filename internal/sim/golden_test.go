@@ -12,13 +12,14 @@ import (
 	"crossroads/internal/kinematics"
 	"crossroads/internal/plant"
 	"crossroads/internal/safety"
+	"crossroads/internal/topology"
 	"crossroads/internal/traffic"
 )
 
-// goldenCase is one pinned single-intersection run. The golden file was
-// generated against the pre-topology world (one hardwired intersection);
-// the refactored engine must reproduce it bit-for-bit when the topology is
-// the implicit Single() default.
+// goldenCase is one pinned run. The golden file was generated against the
+// pre-topology world (one hardwired intersection); the refactored engine
+// must reproduce it bit-for-bit when the topology is the implicit Single()
+// default. Later entries add a routed grid and a two-lane mixed fleet.
 type goldenCase struct {
 	Name     string
 	Policy   string
@@ -33,6 +34,18 @@ type goldenCase struct {
 	FullScale bool
 	// Params carries -policy-opt knobs ("<policy>.<knob>" keys).
 	Params map[string]string
+	// Grid > 0 runs routed journeys over a Grid x Grid topology with
+	// SegLen metres between nodes, with the coordination plane on when
+	// Coord is set (Poisson only).
+	Grid   int
+	SegLen float64
+	Coord  bool
+	// Lanes > 1 widens every road to that many lanes (full scale only);
+	// turns keep their lane index, so outer lanes go straight instead of
+	// turning right, and inner lanes straight instead of left.
+	Lanes int
+	// Trucks makes every fourth vehicle a straight-through truck.
+	Trucks bool
 }
 
 func goldenCases() []goldenCase {
@@ -44,6 +57,8 @@ func goldenCases() []goldenCase {
 		{Name: "poisson-dot", Policy: "dot", Seed: 4, Rate: 0.3, Vehicles: 24},
 		{Name: "poisson-dot-grid12", Policy: "dot", Seed: 8, Rate: 0.4, Vehicles: 24, Params: map[string]string{"dot.grid": "12"}},
 		{Name: "fullscale-dot-noisy", Policy: "dot", Seed: 42, Noisy: true, Rate: 0.5, Vehicles: 24, FullScale: true},
+		{Name: "grid3x3-crossroads-coord", Policy: "crossroads", Seed: 21, Rate: 0.4, Vehicles: 40, Grid: 3, SegLen: 0.8, Coord: true},
+		{Name: "fullscale-twolane-mixed", Policy: "crossroads", Seed: 9, Rate: 0.3, Vehicles: 48, FullScale: true, Lanes: 2, Trucks: true},
 	}
 }
 
@@ -60,7 +75,11 @@ type goldenRecord struct {
 
 func f64(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-func runGoldenCase(t *testing.T, gc goldenCase) goldenRecord {
+// goldenTruck is the mixed fleets' truck.
+var goldenTruck = kinematics.Params{MaxSpeed: 12, MaxAccel: 1.5, MaxDecel: 3.5, Length: 12, Width: 2.5, Wheelbase: 6.5}
+
+// goldenRun builds gc's config and arrivals.
+func goldenRun(t testing.TB, gc goldenCase) (Config, []traffic.Arrival) {
 	t.Helper()
 	var arrivals []traffic.Arrival
 	var err error
@@ -68,28 +87,62 @@ func runGoldenCase(t *testing.T, gc goldenCase) goldenRecord {
 	if gc.FullScale {
 		params = kinematics.FullScaleParams()
 	}
+	lanes := max(gc.Lanes, 1)
+	cfg := Config{Policy: gc.Policy, Seed: gc.Seed, LossProb: gc.LossProb, PolicyParams: gc.Params, Coord: gc.Coord}
+	if gc.Grid > 0 {
+		g, err := topology.Grid(gc.Grid, gc.Grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Topology = g.WithSegmentLen(gc.SegLen)
+	}
 	if gc.Scenario > 0 {
 		arrivals, err = traffic.ScaleScenario(gc.Scenario, rand.New(rand.NewSource(gc.Seed)))
 	} else {
-		arrivals, err = traffic.Poisson(traffic.PoissonConfig{
+		pc := traffic.PoissonConfig{
 			Rate:         gc.Rate,
 			NumVehicles:  gc.Vehicles,
-			LanesPerRoad: 1,
+			LanesPerRoad: lanes,
 			Mix:          traffic.DefaultTurnMix(),
 			Params:       params,
-		}, rand.New(rand.NewSource(gc.Seed)))
+		}
+		if cfg.Topology != nil {
+			arrivals, err = traffic.PoissonRoutes(pc, cfg.Topology, 0, rand.New(rand.NewSource(gc.Seed)))
+		} else {
+			arrivals, err = traffic.Poisson(pc, rand.New(rand.NewSource(gc.Seed)))
+		}
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Policy: gc.Policy, Seed: gc.Seed, LossProb: gc.LossProb, PolicyParams: gc.Params}
+	for i := range arrivals {
+		m := &arrivals[i].Movement
+		if lanes > 1 && (m.Lane == 0 && m.Turn == intersection.Right || m.Lane == lanes-1 && m.Turn == intersection.Left) {
+			m.Turn = intersection.Straight
+		}
+		if gc.Trucks && i%4 == 3 {
+			arrivals[i].Params = goldenTruck
+			arrivals[i].Speed = goldenTruck.MaxSpeed
+			m.Turn = intersection.Straight
+		}
+	}
 	if gc.FullScale {
 		cfg.Intersection = intersection.FullScaleConfig()
 		cfg.Spec = safety.FullScaleSpec()
+		if lanes > 1 {
+			cfg.Intersection.LanesPerRoad = lanes
+			cfg.Intersection.BoxSize = 16 // four 3.5 m lanes per road need a wider box
+		}
 	}
 	if gc.Noisy {
 		cfg.Noise = plant.TestbedNoise()
 	}
+	return cfg, arrivals
+}
+
+func runGoldenCase(t *testing.T, gc goldenCase) goldenRecord {
+	t.Helper()
+	cfg, arrivals := goldenRun(t, gc)
 	res, err := Run(cfg, arrivals)
 	if err != nil {
 		t.Fatal(err)

@@ -49,6 +49,7 @@ func newSafetyRig(t *testing.T, numNodes int) *safetyRig {
 		buffers:     safety.TestbedSpec().ForCrossroads(),
 		overlapping: make(map[[2]int64]bool),
 		bufOverlap:  make(map[[2]int64]bool),
+		groups:      make([][]int, numNodes),
 	}
 	return &safetyRig{t: t, w: w, rec: rec}
 }
@@ -286,7 +287,6 @@ func TestSafetyCheckForgetsPartedPairs(t *testing.T) {
 // first tick with 12 vehicles on the roads, the most the spawn gating
 // admits (three queued per approach lane), and returns the world there.
 func denseWorld(b *testing.B) *world {
-	const dense = 12
 	arr, err := traffic.Poisson(traffic.PoissonConfig{
 		Rate: 1.2, NumVehicles: 80, LanesPerRoad: 1,
 		Mix: traffic.DefaultTurnMix(), Params: kinematics.ScaleModelParams(),
@@ -298,6 +298,21 @@ func denseWorld(b *testing.B) *world {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return worldAt(b, cfg, arr, 12)
+}
+
+// denseGridWorld runs crbench grid's shape, a coordinated 3x3 grid of
+// routed scale-model journeys 0.8 m apart, 40 vehicles at 0.5 veh/s per
+// lane, to its first tick with 24 vehicles at nodes (its peak is 28) and
+// returns the world there.
+func denseGridWorld(b *testing.B) *world {
+	cfg, arr := goldenRun(b, goldenCase{Policy: "crossroads", Seed: 1, Rate: 0.5, Vehicles: 40, Grid: 3, SegLen: 0.8, Coord: true})
+	return worldAt(b, cfg, arr, 24)
+}
+
+// worldAt runs cfg over arr, as world.run does, to its first tick with
+// dense vehicles at nodes, and returns the world there.
+func worldAt(b *testing.B, cfg Config, arr []traffic.Arrival, dense int) *world {
 	w, err := newWorld(cfg, arr)
 	if err != nil {
 		b.Fatal(err)
@@ -308,13 +323,21 @@ func denseWorld(b *testing.B) *world {
 	}
 	dt := w.cfg.PhysicsDt
 	w.sim.Ticker(arr[0].Time, dt, func() bool { w.step(dt); return true })
-	for len(w.active) < dense {
+	for {
+		atNodes := 0
+		for _, v := range w.active {
+			if !v.transit {
+				atNodes++
+			}
+		}
+		if atNodes >= dense {
+			return w
+		}
 		if w.sim.Now() > arr[len(arr)-1].Time {
-			b.Fatalf("never reached %d active vehicles", dense)
+			b.Fatalf("never reached %d vehicles at nodes", dense)
 		}
 		w.sim.RunFor(dt)
 	}
-	return w
 }
 
 // BenchmarkSafetyCheck times one safety check at denseWorld's moment: 66
@@ -335,8 +358,14 @@ func BenchmarkSafetyCheck(b *testing.B) {
 // moment left it, so every tick steps the same 12 vehicles from the same
 // state; the clock does not advance, so the periodic re-plans a vehicle
 // makes every 0.4 s fall on the first iteration only.
-func BenchmarkPhysicsTick(b *testing.B) {
-	w := denseWorld(b)
+func BenchmarkPhysicsTick(b *testing.B) { benchmarkTick(b, denseWorld(b)) }
+
+// BenchmarkPhysicsTickGrid times one physics tick as BenchmarkPhysicsTick
+// does, at denseGridWorld's moment: 24 vehicles at nine nodes, whose car
+// following and safety check compare only vehicles at the same node.
+func BenchmarkPhysicsTickGrid(b *testing.B) { benchmarkTick(b, denseGridWorld(b)) }
+
+func benchmarkTick(b *testing.B, w *world) {
 	dt := w.cfg.PhysicsDt
 	vs := append([]*vehState(nil), w.active...)
 	saved := make([]plant.Plant, len(vs))

@@ -242,14 +242,28 @@ type vehState struct {
 
 	// fpR and bufR are the bounding radii (geom.Rect.Radius) of the
 	// footprint and of the buffered footprint, set by the first safety
-	// check: they depend only on the vehicle's dimensions and the buffers.
+	// check that compares the vehicle: they depend only on the vehicle's
+	// dimensions and the buffers.
 	fpR, bufR float64
+
+	// entrySlot and exitSlot are the corridor index's slots for the entry
+	// lane and the exit lane at the vehicle's node, set by every
+	// indexCorridors.
+	entrySlot, exitSlot int
+	// spawnRetry re-attempts a deferred spawn and enterNext enters the next
+	// leg, after transit or a deferral; each is built once and rescheduled
+	// as often as needed.
+	spawnRetry, enterNext func()
 }
 
 func (v *vehState) lastLeg() bool { return v.leg == len(v.legs)-1 }
 
 // Run executes one full simulation of the workload under the configured
-// policy and returns the aggregated result.
+// policy and returns the aggregated result. The arrivals must be in time
+// order (non-decreasing Time) and carry distinct vehicle IDs: the run
+// starts its clock at the first arrival, sizes its horizon from the last,
+// and keeps one record per ID. Run returns an error naming the first
+// arrival that breaks either rule.
 func Run(cfg Config, arrivals []traffic.Arrival) (Result, error) {
 	w, err := newWorld(cfg, arrivals)
 	if err != nil {
@@ -287,12 +301,25 @@ type world struct {
 	active  []*vehState
 	spawned int
 
+	// corridors is the corridor index car following reads: per slot, the
+	// vehicles at one node entering on one approach lane, or leaving on
+	// one exit lane (corridorSlot), in active order. step rebuilds it
+	// before the control loop when corridorsStale says a vehicle arrived
+	// at a node or left one since the last build; filled lists the slots
+	// that build used, so the next one clears only those.
+	corridors      [][]*vehState
+	filled         []int
+	lanes          int
+	corridorsStale bool
+
 	// overlapping and bufOverlap hold the same-node pairs whose bodies,
-	// and near-box buffers, overlap; bodies is checkCollisions' per-check
-	// scratch, reused across checks.
+	// and near-box buffers, overlap. bodies and groups are checkCollisions'
+	// per-check scratch, reused across checks: groups holds, per node, the
+	// indexes into bodies of that node's vehicles, in active order.
 	overlapping map[[2]int64]bool
 	bufOverlap  map[[2]int64]bool
 	bodies      []safeBody
+	groups      [][]int
 	tick        int
 	// views is the reusable observer snapshot buffer.
 	views []VehicleView
@@ -348,7 +375,16 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 	// Reference footprint: the largest vehicle in the workload.
 	refLen, refWid := 0.0, 0.0
 	numNodes := cfg.Topology.NumNodes()
-	for _, a := range arrivals {
+	ids := make(map[int64]bool, len(arrivals))
+	for i, a := range arrivals {
+		if i > 0 && a.Time < arrivals[i-1].Time {
+			return nil, fmt.Errorf("sim: arrival %d at t=%v is listed after arrival %d at t=%v; arrivals must be in time order",
+				a.ID, a.Time, arrivals[i-1].ID, arrivals[i-1].Time)
+		}
+		if ids[a.ID] {
+			return nil, fmt.Errorf("sim: arrival %d: vehicle ID listed twice", a.ID)
+		}
+		ids[a.ID] = true
 		if err := a.Params.Validate(); err != nil {
 			return nil, fmt.Errorf("sim: arrival %d: %w", a.ID, err)
 		}
@@ -469,6 +505,7 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		}
 	}
 
+	lanes := cfg.Intersection.LanesPerRoad
 	return &world{
 		cfg:         cfg,
 		arrivals:    arrivals,
@@ -482,8 +519,11 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		rngPlant:    rand.New(rand.NewSource(cfg.Seed + 4)),
 		agentCfg:    agentCfg,
 		buffers:     buffers,
+		corridors:   make([][]*vehState, 2*numNodes*intersection.NumApproaches*lanes),
+		lanes:       lanes,
 		overlapping: make(map[[2]int64]bool),
 		bufOverlap:  make(map[[2]int64]bool),
+		groups:      make([][]int, numNodes),
 	}, nil
 }
 
@@ -591,9 +631,15 @@ func (w *world) route(a traffic.Arrival) (legs []topology.Leg, movs []*intersect
 	return legs, movs, turns[:len(legs)]
 }
 
+// spawn routes an arrival and tries to spawn it.
 func (w *world) spawn(a traffic.Arrival) {
 	legs, movs, turns := w.route(a)
-	m := movs[0]
+	w.trySpawn(&vehState{arr: a, legs: legs, movs: movs, turns: turns, movement: movs[0], node: a.Node})
+}
+
+// trySpawn materializes a routed arrival at its first node, or defers it.
+func (w *world) trySpawn(vs *vehState) {
+	a, m := vs.arr, vs.movement
 	// Gate the spawn on the queue tail: a vehicle cannot materialize at
 	// speed right behind a standing queue — upstream it would have slowed
 	// or stopped. Cap the entry speed at the safe-approach envelope and
@@ -602,7 +648,10 @@ func (w *world) spawn(a traffic.Arrival) {
 	if tail := w.queueTail(a.Node, m.ID); tail != nil {
 		gap := tail.plant.S() - (tail.plant.Params.Length+a.Params.Length)/2 - w.agentCfg.MinGap
 		if gap < 0.05 {
-			w.sim.After(0.25, func() { w.spawn(a) })
+			if vs.spawnRetry == nil {
+				vs.spawnRetry = func() { w.trySpawn(vs) }
+			}
+			w.sim.After(0.25, vs.spawnRetry)
 			return
 		}
 		vSafe := vehicle.SafeFollowSpeed(gap, tail.plant.V(), tail.plant.Params.MaxDecel,
@@ -623,7 +672,7 @@ func (w *world) spawn(a traffic.Arrival) {
 	clk := timesync.NewSyncedClock(
 		timesync.NewRandomClock(w.rngClock, w.cfg.ClockMaxOffset, w.cfg.ClockMaxDriftPPM), 8)
 
-	vs := &vehState{arr: a, plant: pl, movement: m, legs: legs, movs: movs, turns: turns, node: a.Node}
+	vs.plant = pl
 	acfg := w.agentCfg
 	acfg.IMEndpoint = im.NodeEndpoint(a.Node)
 	acfg.Node = a.Node
@@ -640,6 +689,7 @@ func (w *world) spawn(a traffic.Arrival) {
 	jrec.SpawnTime = a.Time
 	// Journey free flow covers the full route: each non-final leg's local
 	// path plus the inter-node segment, then the final leg to box exit.
+	movs := vs.movs
 	total := movs[len(movs)-1].ExitS + a.Params.Length/2
 	for k := 0; k < len(movs)-1; k++ {
 		total += movs[k].Length + w.topo.SegmentLen()
@@ -659,6 +709,7 @@ func (w *world) spawn(a traffic.Arrival) {
 	vs.nrec = nrec
 
 	w.active = append(w.active, vs)
+	w.corridorsStale = true
 	agent.Start()
 }
 
@@ -667,10 +718,14 @@ func (w *world) spawn(a traffic.Arrival) {
 // exit speed across the connecting segment.
 func (w *world) beginTransit(v *vehState) {
 	v.transit = true
+	w.corridorsStale = true
 	eta, vArr, _ := kinematics.EarliestArrival(0, w.topo.SegmentLen(), v.plant.V(), v.plant.Params)
 	v.legArrive = w.sim.Now() + eta
 	v.legSpeed = vArr
-	w.sim.After(eta, func() { w.enterLeg(v) })
+	if v.enterNext == nil {
+		v.enterNext = func() { w.enterLeg(v) }
+	}
+	w.sim.After(eta, v.enterNext)
 }
 
 // enterLeg re-enters a transiting vehicle at the next node on its route,
@@ -685,7 +740,7 @@ func (w *world) enterLeg(v *vehState) {
 	if tail := w.queueTail(node, m.ID); tail != nil {
 		gap := tail.plant.S() - (tail.plant.Params.Length+v.plant.Params.Length)/2 - w.agentCfg.MinGap
 		if gap < 0.05 {
-			w.sim.After(0.25, func() { w.enterLeg(v) })
+			w.sim.After(0.25, v.enterNext)
 			return
 		}
 		vSafe := vehicle.SafeFollowSpeed(gap, tail.plant.V(), tail.plant.Params.MaxDecel,
@@ -703,6 +758,7 @@ func (w *world) enterLeg(v *vehState) {
 	v.entered = false
 	v.done = false
 	v.transit = false
+	w.corridorsStale = true
 	v.legRetries0 = v.agent.Retries
 
 	nrec := w.nodes[node].col.Vehicle(v.arr.ID)
@@ -722,7 +778,8 @@ func (w *world) enterLeg(v *vehState) {
 }
 
 // queueTail returns the rearmost active vehicle on the node's entry lane
-// that is still on the approach, or nil.
+// that is still on the approach, or nil. It runs between ticks, where the
+// corridor index may be stale, so it scans the fleet.
 func (w *world) queueTail(node int, mv intersection.MovementID) *vehState {
 	var tail *vehState
 	minS := math.Inf(1)
@@ -739,17 +796,68 @@ func (w *world) queueTail(node int, mv intersection.MovementID) *vehState {
 	return tail
 }
 
+// corridorSlot returns the corridor index slot of the vehicles at node
+// entering on approach a's lane (exit false), or leaving along direction a
+// on that lane (exit true).
+func (w *world) corridorSlot(node int, a intersection.Approach, lane int, exit bool) int {
+	k := 2 * ((node*intersection.NumApproaches+int(a))*w.lanes + lane)
+	if exit {
+		k++
+	}
+	return k
+}
+
+// indexCorridors rebuilds the corridor index from the active vehicles that
+// are at a node, if it is stale. Only a spawn, a leg entry, a transit's
+// start and a despawn change a vehicle's node, lane or presence at a node,
+// and each marks the index stale; none runs inside step's control loop, so
+// the index built before it holds for the whole loop. Between those
+// events the active list keeps its order and neither gains nor loses a
+// vehicle at a node, so an index that is not stale equals a rebuilt one.
+func (w *world) indexCorridors() {
+	if !w.corridorsStale {
+		return
+	}
+	w.corridorsStale = false
+	for _, k := range w.filled {
+		w.corridors[k] = w.corridors[k][:0]
+	}
+	w.filled = w.filled[:0]
+	for _, v := range w.active {
+		if v.gone || v.transit {
+			continue
+		}
+		id := v.movement.ID
+		v.entrySlot = w.corridorSlot(v.node, id.Approach, id.Lane, false)
+		v.exitSlot = w.corridorSlot(v.node, v.movement.Exit, id.Lane, true)
+		for _, k := range [2]int{v.entrySlot, v.exitSlot} {
+			if len(w.corridors[k]) == 0 {
+				w.filled = append(w.filled, k)
+			}
+			w.corridors[k] = append(w.corridors[k], v)
+		}
+	}
+}
+
 // leaderFor builds the car-following oracle for one vehicle: the nearest
 // vehicle ahead in the same corridor (shared approach lane before the box,
 // shared exit lane after it, or the identical movement throughout) at the
-// same topology node.
+// same topology node. corridorGap accepts only a vehicle on self's entry
+// lane while self is on the approach, and only one on self's exit lane
+// after that, so the oracle scans that one slot of the corridor index; the
+// slot keeps active order, so ties go to the same vehicle as in a scan of
+// the whole fleet.
 func (w *world) leaderFor(self *vehState) vehicle.LeaderFunc {
 	return func() (vehicle.LeaderInfo, bool) {
 		sSelf := self.plant.S()
+		corridor := w.corridors[self.exitSlot]
+		if sSelf < self.movement.EnterS {
+			corridor = w.corridors[self.entrySlot]
+		}
 		best := vehicle.LeaderInfo{Gap: math.Inf(1)}
 		found := false
-		for _, o := range w.active {
-			if o == self || o.gone || o.transit || o.node != self.node {
+		for _, o := range corridor {
+			if o == self {
 				continue
 			}
 			gap, merge, ok := corridorGap(self, o, sSelf)
@@ -816,6 +924,7 @@ func corridorGap(self, other *vehState, sSelf float64) (gap float64, merge, ok b
 
 func (w *world) step(dt float64) {
 	now := w.sim.Now()
+	w.indexCorridors()
 	// Control + physics.
 	for _, v := range w.active {
 		if v.gone || v.transit {
@@ -857,6 +966,7 @@ func (w *world) step(dt float64) {
 		if s >= v.movement.Length-1e-6 {
 			if v.lastLeg() {
 				v.gone = true
+				w.corridorsStale = true
 				v.jrec.Retries = v.agent.Retries
 				v.agent.Stop()
 				continue
@@ -896,14 +1006,36 @@ func (w *world) step(dt float64) {
 	}
 }
 
-// safeBody is one vehicle's geometry for a single safety check.
+// safeBody is one vehicle's geometry for a single safety check. Only a
+// vehicle that shares its node with another gets a footprint; the buffered
+// footprint and the near-box flag are computed when a pair first needs
+// them.
 type safeBody struct {
-	v   *vehState
-	fp  geom.Rect // ground-truth footprint
-	buf geom.Rect // footprint inflated by the safety buffers
+	v  *vehState
+	fp geom.Rect // ground-truth footprint
+	// rank is the body's position in its node's group.
+	rank int
+	buf  geom.Rect // footprint inflated by the safety buffers, if hasBuf
 	// near marks a footprint touching the box expanded by the longitudinal
-	// buffer plus 0.5 m: the buffer contract is only judged there.
-	near bool
+	// buffer plus 0.5 m, if nearKnown: the buffer contract is only judged
+	// there.
+	near, nearKnown, hasBuf bool
+}
+
+// nearBox reports whether the footprint touches box.
+func (b *safeBody) nearBox(box geom.AABB) bool {
+	if !b.nearKnown {
+		b.near, b.nearKnown = box.Overlaps(b.fp.AABB()), true
+	}
+	return b.near
+}
+
+// buffered returns the footprint inflated by the safety buffers.
+func (b *safeBody) buffered(buffers safety.Buffers) geom.Rect {
+	if !b.hasBuf {
+		b.buf, b.hasBuf = b.fp.Inflate(buffers.Long, buffers.Lat), true
+	}
+	return b.buf
 }
 
 // checkCollisions counts physical body overlaps (anywhere) and planning-
@@ -914,37 +1046,45 @@ type safeBody struct {
 // overlapping and bufOverlap sets hold exactly the pairs overlapping as of
 // the last check that judged them.
 //
-// A pair whose centres are farther apart on either axis than the sum of
-// the two bounding radii is apart without calling Intersects, which would
-// reject it on the same sum (a NaN centre still goes to Intersects).
+// The pairs are visited in active order, each vehicle with the vehicles
+// after it in its node's group, so rising edges and trace events come in
+// the order of a scan over every pair of the fleet. A pair whose centres
+// are farther apart on either axis than the sum of the two bounding radii
+// is apart without calling Intersects, which would reject it on the same
+// sum (a NaN centre still goes to Intersects). A cross-approach pair whose
+// buffers are apart that way skips the near-box judgement while no buffer
+// pair overlaps: either outcome of it would leave bufOverlap unchanged.
 func (w *world) checkCollisions() {
-	box := w.x.Box().Expand(w.buffers.Long + 0.5)
+	for k := range w.groups {
+		w.groups[k] = w.groups[k][:0]
+	}
 	w.bodies = w.bodies[:0]
 	for _, v := range w.active {
 		if v.transit {
 			continue
 		}
-		fp := v.plant.Footprint()
-		buf := fp.Inflate(w.buffers.Long, w.buffers.Lat)
-		if v.fpR == 0 {
-			v.fpR, v.bufR = fp.Radius(), buf.Radius()
-		}
-		w.bodies = append(w.bodies, safeBody{
-			v:    v,
-			fp:   fp,
-			buf:  buf,
-			near: box.Overlaps(fp.AABB()),
-		})
+		w.bodies = append(w.bodies, safeBody{v: v, rank: len(w.groups[v.node])})
+		w.groups[v.node] = append(w.groups[v.node], len(w.bodies)-1)
 	}
+	for _, g := range w.groups {
+		if len(g) < 2 {
+			continue
+		}
+		for _, i := range g {
+			b := &w.bodies[i]
+			b.fp = b.v.plant.Footprint()
+			if b.v.fpR == 0 {
+				b.v.fpR, b.v.bufR = b.fp.Radius(), b.buffered(w.buffers).Radius()
+			}
+		}
+	}
+	box := w.x.Box().Expand(w.buffers.Long + 0.5)
 	for i := range w.bodies {
 		bi := &w.bodies[i]
 		vi := bi.v
-		for j := i + 1; j < len(w.bodies); j++ {
+		for _, j := range w.groups[vi.node][bi.rank+1:] {
 			bj := &w.bodies[j]
 			vj := bj.v
-			if vj.node != vi.node {
-				continue
-			}
 			// fp and buf share a centre.
 			dx := math.Abs(bi.fp.Center.X - bj.fp.Center.X)
 			dy := math.Abs(bi.fp.Center.Y - bj.fp.Center.Y)
@@ -963,11 +1103,18 @@ func (w *world) checkCollisions() {
 
 			// Buffer contract: only cross-approach pairs near the box are
 			// the IM's responsibility (same-lane spacing is car following).
-			if vi.movement.ID.Approach == vj.movement.ID.Approach || !bi.near || !bj.near {
+			if vi.movement.ID.Approach == vj.movement.ID.Approach {
 				continue
 			}
 			r = vi.bufR + vj.bufR
-			hit = !(dx > r || dy > r) && bi.buf.Intersects(bj.buf)
+			apart := dx > r || dy > r
+			if apart && len(w.bufOverlap) == 0 {
+				continue
+			}
+			if !bi.nearBox(box) || !bj.nearBox(box) {
+				continue
+			}
+			hit = !apart && bi.buffered(w.buffers).Intersects(bj.buffered(w.buffers))
 			if risingEdge(w.bufOverlap, key, hit) {
 				w.nodes[vi.node].col.BufferViolations++
 				if w.cfg.Trace != nil {

@@ -81,7 +81,10 @@ type (
 var (
 	// NewSimConfig builds a validated simulation config from options.
 	NewSimConfig = sim.NewConfig
-	// RunSim executes one simulation of a workload.
+	// RunSim executes one simulation of a workload. The arrivals must be
+	// in time order (non-decreasing Time) and carry distinct vehicle IDs;
+	// RunSim returns an error naming the first arrival that breaks either
+	// rule.
 	RunSim = sim.Run
 
 	// Simulation options, mirrored from internal/sim.
