@@ -27,12 +27,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
-	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
 )
 
@@ -73,62 +71,27 @@ func DefaultConfig() Config {
 type planner struct {
 	wcRTD    float64
 	minSpeed float64
-	// lipDist is how far before the box entry (center-to-entry) a plan
-	// may dwell or crawl: closer, and the waiting vehicle's nose would
-	// park inside crossing movements' conflict zones, which the book's
-	// pre-entry occupancy model cannot represent.
+	// lipDist is the reference vehicle's safety.Spec.LipDist.
 	lipDist float64
 }
 
-// LatestArrival implements im.ArrivalBounder: the latest arrival the
-// vehicle can *safely* realize from the request's state. +Inf when it can
-// still stop behind the conflict-zone lip (it can wait forever at the stop
-// line). Past the lip's stopping point there is no safe waiting position —
-// a stop-and-dwell plan would park the nose inside crossing movements'
-// conflict zones — so the bound is the deepest no-dwell dip, floored at
-// the minimum crossing speed.
-func (p planner) LatestArrival(now float64, req im.Request) float64 {
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
-	te := req.TransmitTime + p.wcRTD
-	de := math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0)
-	if req.Params.StoppingDistance(vc) < de-p.lipDist {
-		// Can still wait behind the conflict-zone lip: any later arrival
-		// is reachable.
-		return math.Inf(1)
-	}
-	eta, ok := kinematics.LatestNoDwell(de, vc, p.minSpeed, req.Params)
-	if !ok {
-		return te
-	}
-	return te + eta
+// anchor anchors the request's command at TE = TT + WC-RTD.
+func (p planner) anchor(req im.Request) im.Anchor {
+	return im.AnchorRequest(req, req.TransmitTime+p.wcRTD, p.minSpeed)
 }
 
-// VerifySlot implements im.SlotVerifier: reject slots whose approach plan
+// LatestArrival implements im.VTPlanner: the latest arrival the vehicle
+// can safely realize from the request's state (im.Anchor.Latest).
+func (p planner) LatestArrival(now float64, req im.Request) float64 {
+	latest, _ := p.anchor(req).Latest(p.lipDist)
+	return latest
+}
+
+// VerifySlot implements im.VTPlanner: reject slots whose approach plan
 // dwells (or crawls below 0.3 m/s) within the lip of the box — the vehicle
 // must instead stop at the stop line (behind the lip) and retry.
 func (p planner) VerifySlot(now, toa float64, plan im.CrossingPlan, req im.Request) bool {
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
-	te := req.TransmitTime + p.wcRTD
-	de := math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0)
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, req.Params)
-	if err != nil {
-		return true // earliest-arrival grants never dwell
-	}
-	if math.Abs(prof.TimeAtDistance(de)-toa) > 0.05 {
-		// The found slot is later than the deepest dip can reach from the
-		// execution state: unreachable, so command a stop instead.
-		return false
-	}
-	minV, remaining := kinematics.SlowestPoint(prof, de)
-	if minV >= 0.3 {
-		return true
-	}
-	if remaining >= de-1e-6 {
-		// The slow point is the plan's start — the vehicle already stands
-		// there; only *future* dwells inside the lip are rejectable.
-		return true
-	}
-	return remaining >= p.lipDist-1e-6
+	return p.anchor(req).Realizable(toa, p.lipDist)
 }
 
 // Plan implements Algorithm 7's calculateActuationTime and
@@ -139,40 +102,14 @@ func (p planner) Plan(now float64, req im.Request) (float64, func(float64) im.Cr
 	if err := req.Params.Validate(); err != nil {
 		return 0, nil, nil, err
 	}
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
-	te := req.TransmitTime + p.wcRTD
-	de := req.DistToEntry - vc*(te-req.TransmitTime)
-	if de < 0 {
-		de = 0
-	}
-	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, de, vc, req.Params)
-	earliest := te + etaDelay
-	if vEarliest < p.minSpeed {
-		vEarliest = p.minSpeed
-	}
-	planFor := func(toa float64) im.CrossingPlan {
-		vArr := vEarliest
-		prof, err := kinematics.PlanArrival(te, de, vc, toa, req.Params)
-		if err != nil {
-			_, _, prof = kinematics.EarliestArrival(te, de, vc, req.Params)
-		} else if toa > earliest+1e-6 {
-			vArr = prof.VelocityAt(prof.TimeAtDistance(de))
-			if vArr < p.minSpeed {
-				vArr = p.minSpeed
-			}
-		}
-		plan := im.AccelPlan(toa, vArr, req.Params.MaxSpeed, req.Params.MaxAccel)
-		// Record the commanded approach so the IM can revise this grant
-		// later if a committed vehicle invalidates it.
-		plan.Approach = prof
-		plan.ApproachDist = de
-		return plan
-	}
+	a := p.anchor(req)
+	earliest, vEarliest := a.Earliest()
+	planFor := func(toa float64) im.CrossingPlan { return a.Plan(toa, earliest, vEarliest) }
 	respond := func(toa float64, plan im.CrossingPlan) im.Response {
 		return im.Response{
 			Kind:        im.RespTimed,
 			TargetSpeed: plan.EntrySpeed,
-			ExecuteAt:   te,
+			ExecuteAt:   a.TE,
 			ArriveAt:    toa,
 		}
 	}
@@ -180,9 +117,8 @@ func (p planner) Plan(now float64, req im.Request) (float64, func(float64) im.Cr
 }
 
 // Planner builds the Crossroads time-sensitive planner from the config.
-// Derived policies (signalized, auction) wrap it to reuse the exact TE/DE
-// anchoring; the returned planner also implements im.SlotVerifier and
-// im.ArrivalBounder.
+// Derived policies (signalized, auction) embed it to reuse the exact TE/DE
+// anchoring.
 func (cfg Config) Planner() (im.VTPlanner, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
@@ -190,7 +126,7 @@ func (cfg Config) Planner() (im.VTPlanner, error) {
 	if cfg.MinCrossSpeed <= 0 {
 		return nil, fmt.Errorf("core: MinCrossSpeed %v must be positive", cfg.MinCrossSpeed)
 	}
-	lip := cfg.RefWidth/2 + 2*cfg.Spec.SensingBuffer() + 0.05 + cfg.RefLength/2
+	lip := cfg.Spec.LipDist(cfg.RefLength, cfg.RefWidth)
 	return planner{wcRTD: cfg.Spec.WorstRTD, minSpeed: cfg.MinCrossSpeed, lipDist: lip}, nil
 }
 
@@ -205,6 +141,7 @@ func (cfg Config) VTConfig() im.VTCoreConfig {
 		TableStep:     cfg.TableStep,
 		RefLength:     cfg.RefLength,
 		RefWidth:      cfg.RefWidth,
+		WCRTD:         cfg.Spec.WorstRTD,
 	}
 }
 

@@ -206,7 +206,62 @@ func TestLatestArrivalNoDwellBound(t *testing.T) {
 	if math.Abs(got-(te+eta)) > 1e-9 {
 		t.Errorf("latest = %v, want te+noDwellEta = %v", got, te+eta)
 	}
-	if earliest, _, _ := kinematics.EarliestArrival(te, de, near.CurrentSpeed, near.Params); got < te+earliest {
+	if earliest, _ := kinematics.EarliestArrival(de, near.CurrentSpeed, near.Params); got < te+earliest {
 		t.Errorf("latest %v before earliest %v", got, te+earliest)
+	}
+}
+
+// TestCommittedRebookRevisesAtSpecWCRTD: a grant displaced by a committed
+// vehicle's re-booking is revised with a command that executes the spec's
+// WC-RTD after the IM sends it, the latency the vehicles budget.
+func TestCommittedRebookRevisesAtSpecWCRTD(t *testing.T) {
+	x, err := intersection.New(intersection.FullScaleConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Spec = safety.FullScaleSpec()
+	cfg.Spec.WorstRTD = 0.3
+	cfg.Cost.Jitter = 0
+	cfg.RefLength, cfg.RefWidth = 4.5, 1.8
+	s, err := New(x, cfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := kinematics.FullScaleParams()
+	// The victim is granted a late slot it reaches by stopping well short
+	// of the box and launching, so it can still take a later one.
+	victim := im.Request{
+		VehicleID: 1, Seq: 1, Params: params,
+		Movement:     intersection.MovementID{Approach: intersection.East, Lane: 0, Turn: intersection.Straight},
+		CurrentSpeed: 10, DistToEntry: 50, MinArrival: 10,
+	}
+	if resp, _ := s.HandleRequest(0.01, victim); resp.Kind != im.RespTimed || resp.ArriveAt != 10 {
+		t.Fatalf("victim grant %+v, want a timed grant at ToA 10", resp)
+	}
+	// A committed crossing vehicle 6.5 m from the box at its TE, held
+	// past its reach by a coordination floor, is booked at its latest
+	// arrival: a crawl through the box over the victim's slot.
+	cause := im.Request{
+		VehicleID: 2, Seq: 1, Params: params, Committed: true,
+		Movement:     intersection.MovementID{Approach: intersection.North, Lane: 0, Turn: intersection.Straight},
+		CurrentSpeed: 8, DistToEntry: 6.5 + 8*0.3, TransmitTime: 6.2, MinArrival: 100,
+	}
+	now := 6.21
+	s.HandleRequest(now, cause)
+	var pushed []im.Push
+	for _, p := range s.TakePushes() {
+		if p.VehicleID == victim.VehicleID {
+			pushed = append(pushed, p)
+		}
+	}
+	if len(pushed) != 1 {
+		t.Fatalf("victim pushes = %+v, want one revision", pushed)
+	}
+	if got, want := pushed[0].Resp.ExecuteAt, now+cfg.Spec.WorstRTD; math.Abs(got-want) > 1e-9 {
+		t.Errorf("revision TE = %v, want now + WC-RTD = %v", got, want)
+	}
+	if pushed[0].Resp.ArriveAt <= 10 {
+		t.Errorf("revision ToA %v does not push the victim later", pushed[0].Resp.ArriveAt)
 	}
 }

@@ -192,8 +192,7 @@ func SamplePath(p Path, n int) []Pose {
 // path is sampled every ds meters. If the swept footprint never overlaps the
 // box, ok is false.
 //
-// This is how the simulator computes when a vehicle occupies the
-// intersection box or a conflict zone.
+// Nothing outside its tests calls it.
 func PathIntervalInBox(p Path, vehLen, vehWid float64, box AABB, ds float64) (sIn, sOut float64, ok bool) {
 	if ds <= 0 {
 		ds = 0.01

@@ -45,24 +45,10 @@ func DefaultConfig() Config {
 	return Config{Core: core.DefaultConfig(), Emergency: 16}
 }
 
-// planner wraps the Crossroads planner with the bidding rule. Plan comes
-// from the embedded planner; SlotVerifier and ArrivalBounder are delegated
-// explicitly so the core's type assertions see them through the wrapper.
+// planner wraps the Crossroads planner with the bidding rule.
 type planner struct {
 	im.VTPlanner
-	verify    im.SlotVerifier
-	bound     im.ArrivalBounder
 	emergency int64
-}
-
-// VerifySlot implements im.SlotVerifier by delegation.
-func (p *planner) VerifySlot(now, toa float64, plan im.CrossingPlan, req im.Request) bool {
-	return p.verify.VerifySlot(now, toa, plan, req)
-}
-
-// LatestArrival implements im.ArrivalBounder by delegation.
-func (p *planner) LatestArrival(now float64, req im.Request) float64 {
-	return p.bound.LatestArrival(now, req)
 }
 
 // Bid implements im.PriorityPolicy: the request's own priority class, or
@@ -88,8 +74,6 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*im.VTCore, 
 	}
 	p := &planner{
 		VTPlanner: inner,
-		verify:    inner.(im.SlotVerifier),
-		bound:     inner.(im.ArrivalBounder),
 		emergency: cfg.Emergency,
 	}
 	return im.NewVTCore(PolicyName, x, p, cfg.Core.VTConfig(), rng)

@@ -1,28 +1,25 @@
 // Package batch implements the slot-based batching baseline discussed in
 // the paper's Related Works (Tachet et al., "Revisiting street
-// intersections using slot-based systems", PLOS ONE 2016): instead of
-// granting each request immediately in FIFO order, the IM holds requests
-// for a re-organization window and schedules each batch in an order chosen
-// to reduce total delay — vehicles from the same approach are grouped so
-// platoons share the box.
+// intersections using slot-based systems", PLOS ONE 2016): the IM answers
+// requests only at the end of a fixed re-organization window.
 //
 // The paper notes the approach doubles fair-scheduling throughput in
 // simulation but inflates computation and network load (every vehicle
-// waits a full window before receiving its command), increasing the
-// effective WC-RTD; like plain VT-IM it is implemented here on top of the
-// shared reservation book, anchored Crossroads-style (TE = release time of
-// the batch + WC-RTD margin) so the batching delay itself stays safe.
+// waits out a window before receiving its command), increasing the
+// effective WC-RTD. Here it is a Crossroads-anchored scheduler on the
+// shared reservation book: each request is scheduled in arrival order,
+// and its command executes at TE = TT + window + WC-RTD, so the window's
+// wait stays inside the deterministic anchoring, and its reply is held
+// until the window closes.
 package batch
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
-	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
 	"crossroads/internal/trace"
 )
@@ -37,8 +34,8 @@ type Config struct {
 	Spec safety.Spec
 	// Cost models IM computation delay.
 	Cost im.CostModel
-	// Window is the re-organization period (s): requests arriving within
-	// the same window are scheduled together.
+	// Window is the re-organization period (s): replies to the requests
+	// that arrive within one window leave together when it closes.
 	Window float64
 	// Margin and MinCrossSpeed as in the other velocity-transaction IMs.
 	Margin        float64
@@ -70,19 +67,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// pending is a request waiting for its batch to be released.
-type pending struct {
-	req        im.Request
-	receivedAt float64
-}
-
 // Scheduler is the batching velocity-transaction manager. Because the
 // im.Server protocol is strictly request/response, the batch window is
-// realized as *computation delay*: the first request of a window is
-// answered after the window closes, and every response in the batch is
-// computed against the batch-wide ordering. The server serializes
-// processing, so the per-request costs returned here reproduce the
-// batching latency the paper attributes to this design.
+// realized as a held reply: the first request after a window closes opens
+// the next one, each request is scheduled on arrival with its TE past the
+// window, and the server holds every reply until the window closes
+// (ReleaseAt), which reproduces the batching latency the paper attributes
+// to this design.
 type Scheduler struct {
 	x     *intersection.Intersection
 	book  *im.Book
@@ -91,16 +82,12 @@ type Scheduler struct {
 	order *im.LaneOrder
 
 	buffers   safety.Buffers
+	lip       float64
 	seniority map[int64]int64
 	nextSen   int64
 
-	window   []pending
 	windowAt float64 // when the current window opened
 	pushes   []im.Push
-	// Batches counts released windows; Reordered counts vehicles whose
-	// batch position differed from arrival order.
-	Batches   int
-	Reordered int
 }
 
 // New builds the batch scheduler over the intersection.
@@ -127,7 +114,9 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*Scheduler, 
 		rng:       rng,
 		order:     im.NewLaneOrder(),
 		buffers:   buffers,
+		lip:       cfg.Spec.LipDist(cfg.RefLength, cfg.RefWidth),
 		seniority: make(map[int64]int64),
+		windowAt:  math.Inf(-1),
 	}, nil
 }
 
@@ -138,22 +127,14 @@ func (s *Scheduler) Name() string { return PolicyName }
 // scheduler's traced internals are its reservation-book mutations.
 func (s *Scheduler) SetTrace(rec *trace.Recorder) { s.book.SetTrace(rec) }
 
-// HandleRequest implements im.Scheduler. Requests are buffered until the
-// window that contains them closes; the response for each is computed with
-// the whole batch visible and the window remainder charged as computation
-// delay, so vehicles receive their commands when the window ends — the
-// batching latency of the design.
+// HandleRequest implements im.Scheduler: open a new window if the current
+// one has closed, then schedule the request at once. The cost is
+// computation only; ReleaseAt holds the reply until the window closes.
 func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, float64) {
-	if len(s.window) == 0 || now >= s.windowAt+s.cfg.Window {
-		// Release whatever was pending and open a fresh window.
-		s.releaseWindow()
+	if now >= s.windowAt+s.cfg.Window {
 		s.windowAt = now
 	}
-	s.window = append(s.window, pending{req: req, receivedAt: now})
 	s.order.Update(req.VehicleID, req.Movement, req.DistToEntry)
-
-	// Schedule this request within the batch context accumulated so far;
-	// the re-organization happens by approach grouping in batchOrder.
 	resp := s.schedule(now, req)
 	return resp, s.cfg.Cost.RequestCost(s.rng, s.book.Len())
 }
@@ -166,36 +147,6 @@ func (s *Scheduler) ReleaseAt(now float64, req im.Request) float64 {
 		return now
 	}
 	return s.windowAt + s.cfg.Window
-}
-
-// releaseWindow finalizes the current window's statistics.
-func (s *Scheduler) releaseWindow() {
-	if len(s.window) == 0 {
-		return
-	}
-	s.Batches++
-	ordered := s.batchOrder(s.window)
-	for i, p := range ordered {
-		if p.req.VehicleID != s.window[i].req.VehicleID {
-			s.Reordered++
-		}
-	}
-	s.window = s.window[:0]
-}
-
-// batchOrder sorts a batch to group same-approach vehicles (platooning
-// through the box beats alternating approaches, whose crossings must be
-// fully serialized).
-func (s *Scheduler) batchOrder(batch []pending) []pending {
-	out := append([]pending(nil), batch...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ai, aj := out[i].req.Movement.Approach, out[j].req.Movement.Approach
-		if ai != aj {
-			return ai < aj
-		}
-		return out[i].req.DistToEntry < out[j].req.DistToEntry
-	})
-	return out
 }
 
 // schedule grants one request Crossroads-style: the command executes at
@@ -228,34 +179,15 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 		}
 	}
 
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
 	te := req.TransmitTime + s.cfg.Window + s.cfg.Spec.WorstRTD
 	if req.Committed {
 		// Corrections bypass the window.
 		te = req.TransmitTime + s.cfg.Spec.WorstRTD
 	}
-	de := math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0)
-	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, de, vc, req.Params)
-	earliest := math.Max(te+etaDelay, floor)
-	if vEarliest < s.cfg.MinCrossSpeed {
-		vEarliest = s.cfg.MinCrossSpeed
-	}
-	planFor := func(toa float64) im.CrossingPlan {
-		vArr := vEarliest
-		prof, perr := kinematics.PlanArrival(te, de, vc, toa, req.Params)
-		if perr != nil {
-			_, _, prof = kinematics.EarliestArrival(te, de, vc, req.Params)
-		} else if toa > earliest+1e-6 {
-			vArr = prof.VelocityAt(prof.TimeAtDistance(de))
-			if vArr < s.cfg.MinCrossSpeed {
-				vArr = s.cfg.MinCrossSpeed
-			}
-		}
-		plan := im.AccelPlan(toa, vArr, req.Params.MaxSpeed, req.Params.MaxAccel)
-		plan.Approach = prof
-		plan.ApproachDist = de
-		return plan
-	}
+	a := im.AnchorRequest(req, te, s.cfg.MinCrossSpeed)
+	earliest, vEarliest := a.Earliest()
+	earliest = math.Max(earliest, floor)
+	planFor := func(toa float64) im.CrossingPlan { return a.Plan(toa, earliest, vEarliest) }
 	planLen := req.Params.Length + 2*s.buffers.Long
 	toa, plan, err := s.book.EarliestFeasible(req.VehicleID, sen, req.Movement, planLen, earliest, planFor)
 	if err != nil {
@@ -266,17 +198,11 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 		// A committed vehicle's crossing happens within its physical
 		// window no matter what: clamp the booking to the latest arrival
 		// it can still realize so the book reflects the truth.
-		if latest := s.latestArrival(te, de, vc, req.Params); toa > latest {
+		if latest, _ := a.Latest(s.lip); toa > latest {
 			toa = latest
 			plan = planFor(toa)
 		}
-	}
-	reachable := true
-	if prof, perr := kinematics.PlanArrival(te, de, vc, toa, req.Params); perr == nil &&
-		math.Abs(prof.TimeAtDistance(de)-toa) > 0.05 {
-		reachable = false
-	}
-	if !req.Committed && (!reachable || !s.dwellClearsLip(te, de, vc, toa, req.Params)) {
+	} else if !a.Realizable(toa, s.lip) {
 		// The approach plan would park inside the conflict-zone lip: hold
 		// the slot as a placeholder and command a stop instead.
 		hold := plan
@@ -308,42 +234,9 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 	return im.Response{
 		Kind:        im.RespTimed,
 		TargetSpeed: plan.EntrySpeed,
-		ExecuteAt:   te,
+		ExecuteAt:   a.TE,
 		ArriveAt:    toa,
 	}
-}
-
-// latestArrival returns the latest arrival *safely* reachable from the
-// request state: infinite when the vehicle can still wait behind the lip,
-// else the deepest no-dwell dip floored at the minimum crossing speed.
-// A stop-and-dwell plan past the lip's stopping point would park the nose
-// inside crossing movements' conflict zones, so dwells don't count.
-func (s *Scheduler) latestArrival(te, de, vc float64, params kinematics.Params) float64 {
-	lip := s.cfg.RefWidth/2 + 2*s.cfg.Spec.SensingBuffer() + 0.05 + s.cfg.RefLength/2
-	if params.StoppingDistance(vc) < de-lip {
-		return math.Inf(1)
-	}
-	eta, ok := kinematics.LatestNoDwell(de, vc, s.cfg.MinCrossSpeed, params)
-	if !ok {
-		return te
-	}
-	return te + eta
-}
-
-// dwellClearsLip reports whether the dip plan for (te, de, vc, toa) keeps
-// any future dwell behind the conflict-zone lip, mirroring the Crossroads
-// scheduler's check.
-func (s *Scheduler) dwellClearsLip(te, de, vc, toa float64, params kinematics.Params) bool {
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, params)
-	if err != nil {
-		return true // earliest-arrival grants never dwell
-	}
-	minV, remaining := kinematics.SlowestPoint(prof, de)
-	if minV >= 0.3 || remaining >= de-1e-6 {
-		return true
-	}
-	lip := s.cfg.RefWidth/2 + 2*s.cfg.Spec.SensingBuffer() + 0.05 + s.cfg.RefLength/2
-	return remaining >= lip-1e-6
 }
 
 // TakePushes implements im.Pusher: drain pending revisions.

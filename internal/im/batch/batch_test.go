@@ -63,13 +63,13 @@ func TestBatchWindowTurnsOver(t *testing.T) {
 	s := newSched(t)
 	s.HandleRequest(0.05, req(1, intersection.East, 0.04, 3.0, 3.0))
 	s.HandleRequest(0.10, req(2, intersection.North, 0.09, 3.0, 3.0))
-	if s.Batches != 0 {
-		t.Errorf("window released early: %d", s.Batches)
+	if rel := s.ReleaseAt(0.10, im.Request{}); math.Abs(rel-(0.05+0.25)) > 1e-9 {
+		t.Errorf("window turned over early: ReleaseAt = %v, want %v", rel, 0.05+0.25)
 	}
-	// A request past the window boundary releases the previous batch.
+	// A request past the window boundary opens the next window.
 	s.HandleRequest(0.35, req(3, intersection.West, 0.34, 3.0, 3.0))
-	if s.Batches != 1 {
-		t.Errorf("Batches = %d, want 1", s.Batches)
+	if rel := s.ReleaseAt(0.35, im.Request{}); math.Abs(rel-(0.35+0.25)) > 1e-9 {
+		t.Errorf("ReleaseAt = %v, want the next window's close %v", rel, 0.35+0.25)
 	}
 }
 
@@ -106,24 +106,6 @@ func TestBatchExitReleases(t *testing.T) {
 	s.HandleExit(5, 1)
 	if _, ok := s.Book().Get(1); ok {
 		t.Error("booking survived exit")
-	}
-}
-
-func TestBatchOrderGroupsApproaches(t *testing.T) {
-	s := newSched(t)
-	batch := []pending{
-		{req: req(1, intersection.North, 0, 3, 3)},
-		{req: req(2, intersection.East, 0, 2, 3)},
-		{req: req(3, intersection.North, 0, 2, 3)},
-		{req: req(4, intersection.East, 0, 3, 3)},
-	}
-	ordered := s.batchOrder(batch)
-	// East before North, each approach ordered by distance.
-	wantIDs := []int64{2, 4, 3, 1}
-	for i, p := range ordered {
-		if p.req.VehicleID != wantIDs[i] {
-			t.Fatalf("order[%d] = veh%d, want veh%d", i, p.req.VehicleID, wantIDs[i])
-		}
 	}
 }
 

@@ -93,10 +93,6 @@ type Scheduler struct {
 	// stay cheap.
 	scanStep float64
 	wcRTD    float64
-
-	// Grants and Stops count outcomes for reporting.
-	Grants int
-	Stops  int
 }
 
 // New builds a dot scheduler over the intersection.
@@ -136,11 +132,9 @@ func stop() im.Response {
 	return im.Response{Kind: im.RespVelocity, TargetSpeed: 0}
 }
 
-// lipFor is how far before the box entry (center-to-entry) a plan may
-// dwell or crawl; closer and the waiting nose would poke into crossing
-// footprints the pre-entry model cannot represent.
+// lipFor is the vehicle's own safety.Spec.LipDist.
 func (s *Scheduler) lipFor(p kinematics.Params) float64 {
-	return p.Width/2 + 2*s.cfg.Spec.SensingBuffer() + 0.05 + p.Length/2
+	return s.cfg.Spec.LipDist(p.Length, p.Width)
 }
 
 // HandleRequest implements im.Scheduler: anchor the request at TE, scan
@@ -159,9 +153,7 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 
 	// Time-sensitive anchoring (Crossroads Chapter 6): plan from TE where
 	// the position is deterministic.
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
-	te := req.TransmitTime + s.wcRTD
-	de := math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0)
+	a := im.AnchorRequest(req, req.TransmitTime+s.wcRTD, s.cfg.MinCrossSpeed)
 
 	// Lane FIFO: never schedule past an unbooked leader, and never ahead
 	// of a booked one — a rear grant would starve the queue head it
@@ -174,7 +166,6 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 			if req.Committed {
 				continue
 			}
-			s.Stops++
 			return stop(), s.cfg.Cost.SimulationCost(s.rng, 1)
 		}
 		if g.toa > floor {
@@ -182,11 +173,8 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		}
 	}
 
-	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, de, vc, req.Params)
-	earliest := te + etaDelay
-	if vEarliest < s.cfg.MinCrossSpeed {
-		vEarliest = s.cfg.MinCrossSpeed
-	}
+	truth, vEarliest := a.Earliest()
+	earliest := truth
 	if floor+s.scanStep > earliest {
 		earliest = floor + s.scanStep
 	}
@@ -197,41 +185,31 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 	if req.Committed {
 		// The crossing is a physical fact: book the truthful arrival
 		// unconditionally and push any displaced grants onto later slots.
-		toa := te + etaDelay
-		plan := s.buildPlan(te, de, vc, toa, toa, vEarliest, req.Params)
-		steps, candExit, n := s.footprint(m, req.Params, toa, plan)
+		plan := a.Plan(truth, truth, vEarliest)
+		steps, candExit, n := s.footprint(m, req.Params, truth, plan)
 		s.res.Reserve(req.VehicleID, steps)
 		s.grants[req.VehicleID] = &grant{
-			movement: req.Movement, params: req.Params, toa: toa,
-			res:   im.Reservation{ToA: toa, Plan: plan},
+			movement: req.Movement, params: req.Params, toa: truth,
+			res:   im.Reservation{ToA: truth, Plan: plan},
 			steps: steps, exit: candExit,
 		}
 		s.reviseVictims(now, req.VehicleID, &steps)
 		return im.Response{
 			Kind:        im.RespTimed,
 			TargetSpeed: plan.EntrySpeed,
-			ExecuteAt:   te,
-			ArriveAt:    toa,
+			ExecuteAt:   a.TE,
+			ArriveAt:    truth,
 		}, s.cfg.Cost.SimulationCost(s.rng, n)
 	}
 
 	// Stop-capability bound: past the lip's stopping point there is no
 	// safe waiting position, so arrivals beyond the deepest no-dwell dip
 	// are unrealizable.
-	latest := math.Inf(1)
-	lip := s.lipFor(req.Params)
-	if req.Params.StoppingDistance(vc) >= de-lip {
-		if eta, ok := kinematics.LatestNoDwell(de, vc, s.cfg.MinCrossSpeed, req.Params); ok {
-			latest = te + eta
-		} else {
-			latest = te
-		}
-	}
+	latest, _ := a.Latest(s.lipFor(req.Params))
 
-	toa, plan, steps, candExit, n, ok := s.findSlot(m, req.VehicleID, req.Params, te, de, vc, earliest, latest, vEarliest)
+	toa, plan, steps, candExit, n, ok := s.findSlot(m, req.VehicleID, a, earliest, latest, vEarliest)
 	cost := s.cfg.Cost.SimulationCost(s.rng, n)
 	if !ok {
-		s.Stops++
 		return stop(), cost
 	}
 	s.res.Reserve(req.VehicleID, steps)
@@ -240,12 +218,11 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		res:   im.Reservation{ToA: toa, Plan: plan},
 		steps: steps, exit: candExit,
 	}
-	s.Grants++
 	s.res.PruneBefore(int64(math.Floor((now - 5) / s.cfg.TimeStep)))
 	return im.Response{
 		Kind:        im.RespTimed,
 		TargetSpeed: plan.EntrySpeed,
-		ExecuteAt:   te,
+		ExecuteAt:   a.TE,
 		ArriveAt:    toa,
 	}, cost
 }
@@ -254,18 +231,18 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 // returns the first whose approach is realizable, whose exit clears the
 // merge rule, and whose swept footprint fits the free tiles. Excluded
 // grants (the requester itself) are skipped in the exit check.
-func (s *Scheduler) findSlot(m *intersection.Movement, self int64, p kinematics.Params, te, de, vc, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, intersection.Occupancy, im.ExitCrossing, int, bool) {
-	lip := s.lipFor(p)
+func (s *Scheduler) findSlot(m *intersection.Movement, self int64, a im.Anchor, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, intersection.Occupancy, im.ExitCrossing, int, bool) {
+	lip := s.lipFor(a.Params)
 	end := math.Min(latest, earliest+s.cfg.Horizon)
 	n := 0
 	for cand := earliest; cand <= end+1e-9; cand += s.scanStep {
 		toa := math.Min(cand, latest)
-		if !s.realizable(te, de, vc, toa, lip, p) {
+		if !a.Realizable(toa, lip) {
 			// Later candidates dip deeper still: command a stop instead.
 			break
 		}
-		plan := s.buildPlan(te, de, vc, toa, earliest, vEarliest, p)
-		steps, candExit, samples := s.footprint(m, p, toa, plan)
+		plan := a.Plan(toa, earliest, vEarliest)
+		steps, candExit, samples := s.footprint(m, a.Params, toa, plan)
 		n += samples
 		if !s.exitClear(self, candExit) {
 			continue
@@ -275,47 +252,6 @@ func (s *Scheduler) findSlot(m *intersection.Movement, self int64, p kinematics.
 		}
 	}
 	return 0, im.CrossingPlan{}, intersection.Occupancy{}, im.ExitCrossing{}, n + 1, false
-}
-
-// realizable mirrors the Crossroads slot verifier: the approach plan must
-// actually reach toa and must not dwell (or crawl below 0.3 m/s) within
-// the lip of the box.
-func (s *Scheduler) realizable(te, de, vc, toa, lip float64, p kinematics.Params) bool {
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, p)
-	if err != nil {
-		return true // earliest-arrival plans never dwell
-	}
-	if math.Abs(prof.TimeAtDistance(de)-toa) > 0.05 {
-		return false
-	}
-	minV, remaining := kinematics.SlowestPoint(prof, de)
-	if minV >= 0.3 {
-		return true
-	}
-	if remaining >= de-1e-6 {
-		return true // the slow point is the start: the vehicle already stands there
-	}
-	return remaining >= lip-1e-6
-}
-
-// buildPlan mirrors the Crossroads planner: arrive at toa at the dip's
-// arrival speed, then accelerate to top speed through the box, recording
-// the approach profile for later revision.
-func (s *Scheduler) buildPlan(te, de, vc, toa, earliest, vEarliest float64, p kinematics.Params) im.CrossingPlan {
-	vArr := vEarliest
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, p)
-	if err != nil {
-		_, _, prof = kinematics.EarliestArrival(te, de, vc, p)
-	} else if toa > earliest+1e-6 {
-		vArr = prof.VelocityAt(prof.TimeAtDistance(de))
-		if vArr < s.cfg.MinCrossSpeed {
-			vArr = s.cfg.MinCrossSpeed
-		}
-	}
-	plan := im.AccelPlan(toa, vArr, p.MaxSpeed, p.MaxAccel)
-	plan.Approach = prof
-	plan.ApproachDist = de
-	return plan
 }
 
 // footprint simulates the box crossing and returns its tile footprint,
@@ -358,8 +294,7 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps *intersec
 	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
 	for _, id := range victims {
 		g := s.grants[id]
-		te := now + s.wcRTD
-		remaining, speed, ok := g.res.Plan.StateAt(te)
+		a, ok := im.AnchorPlan(g.res.Plan, now+s.wcRTD, g.params, s.cfg.MinCrossSpeed)
 		if !ok {
 			continue
 		}
@@ -367,24 +302,16 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps *intersec
 		if m == nil {
 			continue
 		}
-		lip := s.lipFor(g.params)
-		latest := math.Inf(1)
-		if g.params.StoppingDistance(speed) >= remaining-lip {
-			eta, okDip := kinematics.LatestNoDwell(remaining, speed, s.cfg.MinCrossSpeed, g.params)
-			if !okDip {
-				continue
-			}
-			latest = te + eta
+		latest, ok := a.Latest(s.lipFor(g.params))
+		if !ok {
+			continue
 		}
-		etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, remaining, speed, g.params)
-		if vEarliest < s.cfg.MinCrossSpeed {
-			vEarliest = s.cfg.MinCrossSpeed
-		}
+		earliest, vEarliest := a.Earliest()
 		// Revisions only push later: never tempt the victim into an
 		// earlier slot its controller may no longer reach.
-		earliest := math.Max(te+etaDelay, g.toa)
+		earliest = math.Max(earliest, g.toa)
 		s.res.Release(id)
-		toa, plan, steps, candExit, _, found := s.findSlot(m, id, g.params, te, remaining, speed, earliest, latest, vEarliest)
+		toa, plan, steps, candExit, _, found := s.findSlot(m, id, a, earliest, latest, vEarliest)
 		if !found {
 			s.res.Reserve(id, g.steps) // restore; the overlap stands, as physics dictates
 			continue
@@ -397,7 +324,7 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps *intersec
 		s.pushes = append(s.pushes, im.Push{VehicleID: id, Resp: im.Response{
 			Kind:        im.RespTimed,
 			TargetSpeed: plan.EntrySpeed,
-			ExecuteAt:   te,
+			ExecuteAt:   a.TE,
 			ArriveAt:    toa,
 		}})
 	}

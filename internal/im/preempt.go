@@ -22,7 +22,7 @@ const preemptMinGain = 0.5
 // it returns the improved (toa, plan), with the winner booked and every
 // displaced reservation re-planned, plus the revision pushes to transmit.
 func (c *VTCore) tryPreempt(now float64, req Request, sen, bid int64, planLen, earliest float64, planFor func(toa float64) CrossingPlan, npToA float64) (float64, CrossingPlan, []Push, bool) {
-	cmdLat := c.cfg.CommandLatency()
+	cmdLat := c.cfg.WCRTD
 
 	// Lane leaders are physically unpassable — never displace them.
 	ahead := make(map[int64]bool)
@@ -61,7 +61,7 @@ func (c *VTCore) tryPreempt(now float64, req Request, sen, bid int64, planLen, e
 		c.book.Restore(snap)
 		return 0, CrossingPlan{}, nil, false
 	}
-	if v, ok := c.planner.(SlotVerifier); ok && !v.VerifySlot(now, toa, plan, req) {
+	if !c.planner.VerifySlot(now, toa, plan, req) {
 		c.book.Restore(snap)
 		return 0, CrossingPlan{}, nil, false
 	}

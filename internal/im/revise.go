@@ -63,8 +63,7 @@ func reviseOne(b *Book, r Reservation, now, cmdLatency, minCrossSpeed float64) (
 	if err := r.Params.Validate(); err != nil {
 		return Reservation{}, Response{}, false
 	}
-	te := now + cmdLatency
-	remaining, speed, ok := r.Plan.StateAt(te)
+	a, ok := AnchorPlan(r.Plan, now+cmdLatency, r.Params, minCrossSpeed)
 	if !ok {
 		return Reservation{}, Response{}, false
 	}
@@ -72,50 +71,29 @@ func reviseOne(b *Book, r Reservation, now, cmdLatency, minCrossSpeed float64) (
 	// vehicle that can stop behind the conflict-zone lip can absorb any
 	// delay (it waits at the stop line). One that cannot is not thereby
 	// unrevisable — a mild delay fits in a no-dwell dip — but the revised
-	// slot must stay within that dip's reach: a stop-and-dwell plan past
-	// the lip's stopping point would park the nose inside crossing
-	// movements' conflict zones.
+	// slot must stay within that dip's reach.
 	lip := r.PlanLen // conservative: a body-plus-buffers length before the entry
-	latest := math.Inf(1)
-	if r.Params.StoppingDistance(speed) >= remaining-lip {
-		eta, ok := kinematics.LatestNoDwell(remaining, speed, minCrossSpeed, r.Params)
-		if !ok {
-			return Reservation{}, Response{}, false
-		}
-		latest = te + eta
+	latest, ok := a.Latest(lip)
+	if !ok {
+		return Reservation{}, Response{}, false
 	}
-	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, remaining, speed, r.Params)
-	earliest := math.Max(te+etaDelay, r.ToA) // revisions only push later
-	if vEarliest < minCrossSpeed {
-		vEarliest = minCrossSpeed
-	}
-	planFor := func(toa float64) CrossingPlan {
-		prof, err := kinematics.PlanArrival(te, remaining, speed, toa, r.Params)
-		vArr := vEarliest
-		if err == nil {
-			vArr = prof.VelocityAt(prof.TimeAtDistance(remaining))
-		} else {
-			_, _, prof = kinematics.EarliestArrival(te, remaining, speed, r.Params)
-		}
-		if vArr < minCrossSpeed {
-			vArr = minCrossSpeed
-		}
-		plan := AccelPlan(toa, vArr, r.Params.MaxSpeed, r.Params.MaxAccel)
-		plan.Approach = prof
-		plan.ApproachDist = remaining
-		return plan
-	}
+	earliest, vEarliest := a.Earliest()
+	earliest = math.Max(earliest, r.ToA) // revisions only push later
+	// Every revised arrival enters at its approach's own speed.
+	planFor := func(toa float64) CrossingPlan { return a.Plan(toa, math.Inf(-1), vEarliest) }
 	toa, plan, err := b.EarliestFeasible(r.VehicleID, r.Seniority, r.Movement, r.PlanLen, earliest, planFor)
 	if err != nil || toa > latest {
 		return Reservation{}, Response{}, false
 	}
 	// Verify reachability of the revised slot from the commanded state,
-	// and that its approach keeps any dwell behind the lip.
-	prof, perr := kinematics.PlanArrival(te, remaining, speed, toa, r.Params)
-	if perr != nil || math.Abs(prof.TimeAtDistance(remaining)-toa) > 0.05 {
+	// and that its approach keeps any dwell behind the lip. Stricter than
+	// Anchor.Realizable: an arrival earlier than reachable fails, and so
+	// does a dwell within lip of the entry with no tolerance.
+	prof, perr := kinematics.PlanArrival(a.TE, a.DE, a.VC, toa, r.Params)
+	if perr != nil || math.Abs(prof.TimeAtDistance(a.DE)-toa) > 0.05 {
 		return Reservation{}, Response{}, false
 	}
-	if minV, rem := kinematics.SlowestPoint(prof, remaining); minV < 0.3 && rem < remaining-1e-6 && rem < lip {
+	if minV, rem := kinematics.SlowestPoint(prof, a.DE); minV < 0.3 && rem < a.DE-1e-6 && rem < lip {
 		return Reservation{}, Response{}, false
 	}
 	nr := r
@@ -124,7 +102,7 @@ func reviseOne(b *Book, r Reservation, now, cmdLatency, minCrossSpeed float64) (
 	return nr, Response{
 		Kind:        RespTimed,
 		TargetSpeed: plan.EntrySpeed,
-		ExecuteAt:   te,
+		ExecuteAt:   a.TE,
 		ArriveAt:    toa,
 	}, true
 }

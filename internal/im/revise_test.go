@@ -178,7 +178,7 @@ func nonStoppableHarness(t *testing.T, causeEntrySpeed float64) (*Book, Reservat
 	if params.StoppingDistance(vc) < de-5.13 {
 		t.Fatal("test setup: victim unexpectedly stop-capable")
 	}
-	etaE, _, _ := kinematics.EarliestArrival(te, de, vc, params)
+	etaE, _ := kinematics.EarliestArrival(de, vc, params)
 	toa := te + etaE + 0.05
 	prof, err := kinematics.PlanArrival(te, de, vc, toa, params)
 	if err != nil {

@@ -44,25 +44,11 @@ func DefaultConfig() Config {
 	return Config{Core: core.DefaultConfig(), Green: 8, AllRed: 2}
 }
 
-// planner wraps the Crossroads planner with the phase table. Plan comes
-// from the embedded planner; SlotVerifier and ArrivalBounder are delegated
-// explicitly so the core's type assertions see them through the wrapper.
+// planner wraps the Crossroads planner with the phase table.
 type planner struct {
 	im.VTPlanner
-	verify im.SlotVerifier
-	bound  im.ArrivalBounder
 	// phase is one approach's share of the cycle (green + all-red).
 	green, phase, cycle float64
-}
-
-// VerifySlot implements im.SlotVerifier by delegation.
-func (p *planner) VerifySlot(now, toa float64, plan im.CrossingPlan, req im.Request) bool {
-	return p.verify.VerifySlot(now, toa, plan, req)
-}
-
-// LatestArrival implements im.ArrivalBounder by delegation.
-func (p *planner) LatestArrival(now float64, req im.Request) float64 {
-	return p.bound.LatestArrival(now, req)
 }
 
 // AlignArrival implements im.ArrivalWindower: the movement's approach is
@@ -91,8 +77,6 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*im.VTCore, 
 	phase := cfg.Green + cfg.AllRed
 	p := &planner{
 		VTPlanner: inner,
-		verify:    inner.(im.SlotVerifier),
-		bound:     inner.(im.ArrivalBounder),
 		green:     cfg.Green,
 		phase:     phase,
 		cycle:     float64(intersection.NumApproaches) * phase,

@@ -22,24 +22,18 @@ type VTPlanner interface {
 	// toa >= earliest;
 	// respond — the wire response granting (toa, plan).
 	Plan(now float64, req Request) (earliest float64, planFor func(toa float64) CrossingPlan, respond func(toa float64, plan CrossingPlan) Response, err error)
-}
-
-// SlotVerifier is an optional VTPlanner extension: after the core picks a
-// (toa, speed) slot, the planner may reject it when its actuation primitive
-// cannot realize that arrival. Plain VT-IM needs this — a single held
-// velocity cannot delay arrival beyond the crawl limit, so the IM must tell
-// such vehicles to stop and retry instead of booking a slot the vehicle
-// would overrun.
-type SlotVerifier interface {
+	// VerifySlot reports whether the policy's actuation can realize the
+	// (toa, plan) slot the core picked for an uncommitted request. A
+	// rejected slot becomes a stop command, so the IM never books a slot
+	// the vehicle would overrun: a single held velocity cannot delay
+	// arrival beyond the crawl limit, and a timed plan may not dwell
+	// inside the conflict-zone lip.
 	VerifySlot(now, toa float64, plan CrossingPlan, req Request) bool
-}
-
-// ArrivalBounder is an optional VTPlanner extension reporting the latest
-// arrival a vehicle can still achieve (deepest feasible dip). Committed
-// vehicles — those already inside their stopping distance — get their slot
-// clamped to this bound: their crossing happens in that window no matter
-// what, so booking the truth protects future grants.
-type ArrivalBounder interface {
+	// LatestArrival is the latest arrival a committed vehicle (one
+	// already inside its stopping distance) can still achieve, its
+	// deepest feasible dip; +Inf imposes no bound. The core clamps a
+	// committed vehicle's slot to it: its crossing happens in that window
+	// no matter what, so booking the truth protects future grants.
 	LatestArrival(now float64, req Request) float64
 }
 
@@ -91,16 +85,9 @@ type VTCoreConfig struct {
 	// used to build the conflict table (use the largest vehicle in a
 	// heterogeneous fleet).
 	RefLength, RefWidth float64
-	// WCRTD is the command latency used when revising grants (s).
+	// WCRTD is the spec's worst-case round-trip delay (s): a revision or
+	// preemption command executes WCRTD after the IM sends it.
 	WCRTD float64
-}
-
-// CommandLatency returns the revision command latency.
-func (c VTCoreConfig) CommandLatency() float64 {
-	if c.WCRTD > 0 {
-		return c.WCRTD
-	}
-	return 0.15
 }
 
 // VTCore is the shared FIFO velocity-transaction scheduler: it owns the
@@ -271,11 +258,9 @@ func (c *VTCore) HandleRequest(now float64, req Request) (Response, float64) {
 		// The crossing will happen within [earliest, latest] regardless of
 		// what anyone wants; book the truth (clamping a conflicted push
 		// back to the reachable window) so every later grant sees it.
-		if b, ok := c.planner.(ArrivalBounder); ok {
-			if latest := b.LatestArrival(now, req); toa > latest {
-				toa = latest
-				plan = planFor(toa)
-			}
+		if latest := c.planner.LatestArrival(now, req); toa > latest {
+			toa = latest
+			plan = planFor(toa)
 		}
 		rebooked := Reservation{
 			VehicleID: req.VehicleID,
@@ -290,10 +275,10 @@ func (c *VTCore) HandleRequest(now float64, req Request) (Response, float64) {
 		// The truth may invalidate earlier grants; revise the ones that
 		// can still comply and push them fresh commands — the capability
 		// a timed-command interface has and a yes/no one lacks.
-		c.pushes = append(c.pushes, ReviseConflicts(c.book, rebooked, now, c.cfg.CommandLatency(), 0.1)...)
+		c.pushes = append(c.pushes, ReviseConflicts(c.book, rebooked, now, c.cfg.WCRTD, 0.1)...)
 		return respond(toa, plan), cost
 	}
-	if v, ok := c.planner.(SlotVerifier); ok && !v.VerifySlot(now, toa, plan, req) {
+	if !c.planner.VerifySlot(now, toa, plan, req) {
 		// The slot cannot be realized by this policy's actuation: command
 		// a stop and the vehicle will re-request — but keep the found slot
 		// booked as a *placeholder* at a plausible crossing speed, so that

@@ -79,7 +79,11 @@ type planner struct {
 	minGrantFrac float64
 }
 
-// VerifySlot implements im.SlotVerifier: a held velocity realizes exactly
+// LatestArrival implements im.VTPlanner with no bound: a velocity command
+// has no execution time to anchor a committed vehicle's latest arrival to.
+func (p planner) LatestArrival(now float64, req im.Request) float64 { return math.Inf(1) }
+
+// VerifySlot implements im.VTPlanner: a held velocity realizes exactly
 // one arrival time; if the booked slot's deviation from it exceeds what the
 // RTD buffer covers, the vehicle would overrun its reservation, so reject
 // the slot.
@@ -120,7 +124,7 @@ func (p planner) Plan(now float64, req im.Request) (float64, func(float64) im.Cr
 	}
 	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
 	dt := math.Max(req.DistToEntry, 0)
-	etaDelay, _, _ := kinematics.EarliestArrival(now, dt, vc, req.Params)
+	etaDelay, _ := kinematics.EarliestArrival(dt, vc, req.Params)
 	earliest := now + etaDelay
 	planFor := func(toa float64) im.CrossingPlan {
 		if toa <= earliest+1e-6 {
@@ -169,5 +173,6 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*im.VTCore, 
 		TableStep:     cfg.TableStep,
 		RefLength:     cfg.RefLength,
 		RefWidth:      cfg.RefWidth,
+		WCRTD:         cfg.Spec.WorstRTD,
 	}, rng)
 }

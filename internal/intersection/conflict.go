@@ -113,9 +113,11 @@ func sweepConflict(ma, mb *Movement, vehLen, vehWid, ds float64, box geom.AABB) 
 	bLo := math.Max(0, mb.EnterS-margin)
 	bHi := math.Min(mb.Length, mb.ExitS+margin)
 
+	// Each sample is prepared once: it meets every sample of the other
+	// movement.
 	type sample struct {
 		s    float64
-		rect geom.Rect
+		rect geom.PreparedRect
 	}
 	sampleRange := func(m *Movement, lo, hi float64) []sample {
 		n := int(math.Ceil((hi-lo)/ds)) + 1
@@ -123,7 +125,7 @@ func sweepConflict(ma, mb *Movement, vehLen, vehWid, ds float64, box geom.AABB) 
 		for i := 0; i <= n; i++ {
 			s := lo + (hi-lo)*float64(i)/float64(n)
 			p := m.Path.PoseAt(s)
-			out = append(out, sample{s: s, rect: geom.NewRect(p.Pos, vehLen, vehWid, p.Heading)})
+			out = append(out, sample{s: s, rect: geom.NewRect(p.Pos, vehLen, vehWid, p.Heading).Prepare()})
 		}
 		return out
 	}
@@ -135,9 +137,11 @@ func sweepConflict(ma, mb *Movement, vehLen, vehWid, ds float64, box geom.AABB) 
 		BStart: math.Inf(1), BEnd: math.Inf(-1),
 	}
 	found := false
-	for _, sa := range as {
-		for _, sb := range bs {
-			if sa.rect.Intersects(sb.rect) {
+	for i := range as {
+		sa := &as[i]
+		for j := range bs {
+			sb := &bs[j]
+			if sa.rect.Intersects(&sb.rect) {
 				found = true
 				zone.AStart = math.Min(zone.AStart, sa.s)
 				zone.AEnd = math.Max(zone.AEnd, sa.s)

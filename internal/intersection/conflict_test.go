@@ -1,7 +1,11 @@
 package intersection
 
 import (
+	"fmt"
+	"math"
 	"testing"
+
+	"crossroads/internal/geom"
 )
 
 func buildScaleTable(t *testing.T) (*Intersection, *ConflictTable) {
@@ -181,5 +185,93 @@ func TestNumZonesPlausible(t *testing.T) {
 	n := tab.NumZones()
 	if n < 10 || n > 54 {
 		t.Errorf("NumZones = %d, implausible", n)
+	}
+}
+
+// refSweepConflict is sweepConflict as it was written over geom.Rect,
+// building both rectangles' axes on every pair test.
+func refSweepConflict(ma, mb *Movement, vehLen, vehWid, ds float64) (ConflictZone, bool) {
+	margin := math.Hypot(vehLen, vehWid) / 2
+	aLo := math.Max(0, ma.EnterS-margin)
+	aHi := math.Min(ma.Length, ma.ExitS+margin)
+	bLo := math.Max(0, mb.EnterS-margin)
+	bHi := math.Min(mb.Length, mb.ExitS+margin)
+
+	type sample struct {
+		s    float64
+		rect geom.Rect
+	}
+	sampleRange := func(m *Movement, lo, hi float64) []sample {
+		n := int(math.Ceil((hi-lo)/ds)) + 1
+		out := make([]sample, 0, n+1)
+		for i := 0; i <= n; i++ {
+			s := lo + (hi-lo)*float64(i)/float64(n)
+			p := m.Path.PoseAt(s)
+			out = append(out, sample{s: s, rect: geom.NewRect(p.Pos, vehLen, vehWid, p.Heading)})
+		}
+		return out
+	}
+	as := sampleRange(ma, aLo, aHi)
+	bs := sampleRange(mb, bLo, bHi)
+
+	zone := ConflictZone{
+		AStart: math.Inf(1), AEnd: math.Inf(-1),
+		BStart: math.Inf(1), BEnd: math.Inf(-1),
+	}
+	found := false
+	for _, sa := range as {
+		for _, sb := range bs {
+			if sa.rect.Intersects(sb.rect) {
+				found = true
+				zone.AStart = math.Min(zone.AStart, sa.s)
+				zone.AEnd = math.Max(zone.AEnd, sa.s)
+				zone.BStart = math.Min(zone.BStart, sb.s)
+				zone.BEnd = math.Max(zone.BEnd, sb.s)
+			}
+		}
+	}
+	if !found {
+		return ConflictZone{}, false
+	}
+	zone.AStart = math.Max(0, zone.AStart-ds)
+	zone.AEnd = math.Min(ma.Length, zone.AEnd+ds)
+	zone.BStart = math.Max(0, zone.BStart-ds)
+	zone.BEnd = math.Min(mb.Length, zone.BEnd+ds)
+	return zone, true
+}
+
+// TestSweepConflictMatchesReference pins the prepared-sample sweep to the
+// reference copy, zone for zone and bit for bit, on the scale model and
+// the one-lane full-scale geometry with their planning footprints. The
+// two-lane full-scale build is pinned by internal/sim's golden.
+func TestSweepConflictMatchesReference(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		cfg            Config
+		vehLen, vehWid float64
+		ds             float64
+	}{
+		{"scale", ScaleModelConfig(), 0.568 + 2*0.078, 0.296, 0.05},
+		{"fullscale", FullScaleConfig(), 4.5 + 2*0.315, 1.8, 0.1},
+	} {
+		x := mustNew(t, c.cfg)
+		ids := x.MovementIDs()
+		conflicts := 0
+		for i := range ids {
+			for j := i + 1; j < len(ids); j++ {
+				ma, mb := x.Movement(ids[i]), x.Movement(ids[j])
+				got, ok := sweepConflict(ma, mb, c.vehLen, c.vehWid, c.ds, x.Box())
+				want, wantOK := refSweepConflict(ma, mb, c.vehLen, c.vehWid, c.ds)
+				if ok != wantOK || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s %v/%v: zone %+v %v, reference %+v %v", c.name, ids[i], ids[j], got, ok, want, wantOK)
+				}
+				if ok {
+					conflicts++
+				}
+			}
+		}
+		if conflicts == 0 {
+			t.Fatalf("%s: no conflicting pair compared", c.name)
+		}
 	}
 }

@@ -13,23 +13,30 @@ import (
 //	EToA = TAcc + (D - DeltaX) / Vmax.
 //
 // If the distance is too short to reach MaxSpeed, the vehicle is still
-// accelerating at arrival. It returns the arrival delay after the profile
-// start (seconds), the arrival velocity, and the max-acceleration profile
-// anchored at startTime.
-func EarliestArrival(startTime, dist, vInit float64, p Params) (eta, vArr float64, prof Profile) {
+// accelerating at arrival. It returns the arrival delay after the start
+// (seconds) and the arrival velocity, and allocates nothing;
+// EarliestProfile builds the trajectory itself.
+func EarliestArrival(dist, vInit float64, p Params) (eta, vArr float64) {
+	tm := earliestTiming(dist, vInit, p)
+	return tm.eta, tm.vArr
+}
+
+// EarliestProfile returns EarliestArrival's max-acceleration profile
+// anchored at startTime, for a vehicle that flies it.
+func EarliestProfile(startTime, dist, vInit float64, p Params) Profile {
 	if dist <= 0 {
-		return 0, vInit, HoldProfile(startTime, vInit, 0)
+		return HoldProfile(startTime, vInit, 0)
 	}
 	tm := earliestTiming(dist, vInit, p)
 	accel := Phase{Duration: tm.tAcc, V0: math.Min(vInit, p.MaxSpeed), Accel: p.MaxAccel}
 	if !tm.cruises {
-		return tm.eta, tm.vArr, NewProfile(startTime, accel)
+		return NewProfile(startTime, accel)
 	}
-	return tm.eta, tm.vArr, NewProfile(startTime, accel, Phase{Duration: tm.cruise, V0: p.MaxSpeed, Accel: 0})
+	return NewProfile(startTime, accel, Phase{Duration: tm.cruise, V0: p.MaxSpeed, Accel: 0})
 }
 
-// arrivalTiming is EarliestArrival's result without the profile: the
-// arrival delay and velocity, and the profile's phase durations.
+// arrivalTiming is the earliest arrival's delay and velocity, and the
+// phase durations EarliestProfile builds from.
 type arrivalTiming struct {
 	eta, vArr float64
 	// tAcc is the time at maximum acceleration, the whole delay when the
@@ -39,9 +46,8 @@ type arrivalTiming struct {
 	cruises      bool
 }
 
-// earliestTiming is EarliestArrival's arithmetic without building the
-// profile, so timing an arrival allocates nothing. dist <= 0 arrives at
-// once, at vInit.
+// earliestTiming is the arithmetic of EarliestArrival and
+// EarliestProfile. dist <= 0 arrives at once, at vInit.
 func earliestTiming(dist, vInit float64, p Params) arrivalTiming {
 	if dist <= 0 {
 		return arrivalTiming{vArr: vInit}
@@ -137,12 +143,12 @@ func PlanArrival(startTime, dist, vInit, arriveAt float64, p Params) (Profile, e
 	vInit = math.Min(math.Max(vInit, 0), p.MaxSpeed)
 	want := arriveAt - startTime
 	const tol = 1e-3 // 1 ms scheduling tolerance
-	earliest, _, fastProf := EarliestArrival(startTime, dist, vInit, p)
+	earliest := earliestTiming(dist, vInit, p).eta
 	if want < earliest-tol {
 		return Profile{}, &tooEarlyError{want: want, earliest: earliest}
 	}
 	if want <= earliest+tol {
-		return fastProf, nil
+		return EarliestProfile(startTime, dist, vInit, p), nil
 	}
 
 	// Arrival time when dipping all the way to a stop (no dwell).
@@ -242,16 +248,6 @@ func SlowestPoint(prof Profile, totalDist float64) (minV, remaining float64) {
 		covered += ph.Distance()
 	}
 	return minV, remaining
-}
-
-// PlanConstantSpeed returns the trivial profile of a vehicle holding speed v
-// over dist meters (the AIM proposal trajectory), plus its arrival delay.
-func PlanConstantSpeed(startTime, dist, v float64) (Profile, float64) {
-	if v <= 0 {
-		return HoldProfile(startTime, 0, 0), math.Inf(1)
-	}
-	d := dist / v
-	return HoldProfile(startTime, v, d), d
 }
 
 // VTArrival solves the VT-IM response: given the request's current velocity

@@ -54,7 +54,8 @@ func TestEarliestArrivalPaperFormula(t *testing.T) {
 	tAcc := (3.0 - 1.0) / 3.0
 	deltaX := 0.5*3*tAcc*tAcc + 1*tAcc
 	want := tAcc + (dist-deltaX)/3.0
-	eta, vArr, prof := EarliestArrival(0, dist, vInit, p)
+	eta, vArr := EarliestArrival(dist, vInit, p)
+	prof := EarliestProfile(0, dist, vInit, p)
 	if !almostEq(eta, want, 1e-9) {
 		t.Errorf("EToA = %v, want %v", eta, want)
 	}
@@ -72,7 +73,8 @@ func TestEarliestArrivalPaperFormula(t *testing.T) {
 func TestEarliestArrivalShortDistance(t *testing.T) {
 	// Too short to reach Vmax: arrival while accelerating.
 	p := ScaleModelParams()
-	eta, vArr, prof := EarliestArrival(0, 0.5, 0, p)
+	eta, vArr := EarliestArrival(0.5, 0, p)
+	prof := EarliestProfile(0, 0.5, 0, p)
 	// 0.5 = 0.5*3*t^2 => t = sqrt(1/3).
 	want := math.Sqrt(1.0 / 3.0)
 	if !almostEq(eta, want, 1e-9) {
@@ -88,17 +90,18 @@ func TestEarliestArrivalShortDistance(t *testing.T) {
 
 func TestEarliestArrivalEdgeCases(t *testing.T) {
 	p := ScaleModelParams()
-	eta, vArr, _ := EarliestArrival(0, 0, 2, p)
+	eta, vArr := EarliestArrival(0, 2, p)
 	if eta != 0 || vArr != 2 {
 		t.Errorf("zero distance: eta=%v vArr=%v", eta, vArr)
 	}
 	// vInit above MaxSpeed gets clamped.
-	eta, vArr, _ = EarliestArrival(0, 3, 99, p)
+	eta, vArr = EarliestArrival(3, 99, p)
 	if !almostEq(eta, 1, 1e-9) || vArr != 3 {
 		t.Errorf("clamped: eta=%v vArr=%v", eta, vArr)
 	}
 	// Already at max speed: pure cruise.
-	eta, _, prof := EarliestArrival(0, 6, 3, p)
+	eta, _ = EarliestArrival(6, 3, p)
+	prof := EarliestProfile(0, 6, 3, p)
 	if !almostEq(eta, 2, 1e-9) {
 		t.Errorf("cruise eta = %v, want 2", eta)
 	}
@@ -112,7 +115,7 @@ func TestEarliestArrivalEdgeCases(t *testing.T) {
 
 func TestPlanArrivalExactEarliest(t *testing.T) {
 	p := ScaleModelParams()
-	eta, _, _ := EarliestArrival(0, 3, 1, p)
+	eta, _ := EarliestArrival(3, 1, p)
 	prof, err := PlanArrival(5, 3, 1, 5+eta, p)
 	if err != nil {
 		t.Fatalf("PlanArrival at earliest failed: %v", err)
@@ -127,7 +130,7 @@ func TestPlanArrivalExactEarliest(t *testing.T) {
 // the fmt.Errorf text it has always had.
 func TestPlanArrivalInfeasible(t *testing.T) {
 	p := ScaleModelParams()
-	eta, _, _ := EarliestArrival(0, 3, 1, p)
+	eta, _ := EarliestArrival(3, 1, p)
 	_, err := PlanArrival(0, 3, 1, eta-0.5, p)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
@@ -153,7 +156,7 @@ func TestPlanArrivalDipExact(t *testing.T) {
 	p := ScaleModelParams()
 	dist := 3.0
 	vInit := 2.0
-	eta, _, _ := EarliestArrival(0, dist, vInit, p)
+	eta, _ := EarliestArrival(dist, vInit, p)
 	want := eta + 1.0
 	prof, err := PlanArrival(0, dist, vInit, want, p)
 	if err != nil {
@@ -215,7 +218,7 @@ func TestPlanArrivalRandomized(t *testing.T) {
 		// arrivals stay physically feasible (the protocol's safe-stop
 		// clause guarantees this in the real system).
 		dist := p.StoppingDistance(vInit) + 0.1 + rng.Float64()*5
-		eta, _, _ := EarliestArrival(0, dist, vInit, p)
+		eta, _ := EarliestArrival(dist, vInit, p)
 		extra := rng.Float64() * 10
 		want := eta + extra
 		prof, err := PlanArrival(0, dist, vInit, want, p)
@@ -344,20 +347,6 @@ func TestRampHoldProfileTruncatedRamp(t *testing.T) {
 	}
 }
 
-func TestPlanConstantSpeed(t *testing.T) {
-	prof, eta := PlanConstantSpeed(2, 6, 3)
-	if !almostEq(eta, 2, 1e-12) {
-		t.Errorf("eta = %v", eta)
-	}
-	if !almostEq(prof.TimeAtDistance(6), 4, 1e-9) {
-		t.Errorf("arrival = %v", prof.TimeAtDistance(6))
-	}
-	_, inf := PlanConstantSpeed(0, 6, 0)
-	if !math.IsInf(inf, 1) {
-		t.Errorf("zero-speed eta = %v", inf)
-	}
-}
-
 func TestSlowestPoint(t *testing.T) {
 	p := ScaleModelParams()
 	// A dip plan with a dwell: the slow point is the dwell at distance
@@ -404,7 +393,7 @@ func TestSlowestPoint(t *testing.T) {
 func TestSlowestPointDipWithoutDwell(t *testing.T) {
 	p := ScaleModelParams()
 	// Moderate delay: a dip that bottoms above zero mid-approach.
-	eta, _, _ := EarliestArrival(0, 3.0, 3.0, p)
+	eta, _ := EarliestArrival(3.0, 3.0, p)
 	prof, err := PlanArrival(0, 3.0, 3.0, eta+0.4, p)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +417,7 @@ func TestLatestNoDwell(t *testing.T) {
 	if !ok {
 		t.Fatal("no-dwell bound infeasible")
 	}
-	earliest, _, _ := EarliestArrival(0, dist, vInit, p)
+	earliest, _ := EarliestArrival(dist, vInit, p)
 	if eta <= earliest {
 		t.Fatalf("latest %v not after earliest %v", eta, earliest)
 	}
@@ -475,7 +464,7 @@ func TestLatestNoDwellFloorAboveCurrentSpeed(t *testing.T) {
 	if !ok {
 		t.Fatal("degenerate bound infeasible")
 	}
-	earliest, _, _ := EarliestArrival(0, 10, 1.0, p)
+	earliest, _ := EarliestArrival(10, 1.0, p)
 	if !almostEq(eta, earliest, 1e-6) {
 		t.Errorf("degenerate latest %v != earliest %v", eta, earliest)
 	}

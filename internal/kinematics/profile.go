@@ -246,12 +246,3 @@ func RampProfile(startTime, v0, v1, rate float64) Profile {
 	}
 	return NewProfile(startTime, Phase{Duration: math.Abs(v1-v0) / rate, V0: v0, Accel: a})
 }
-
-// StopProfile returns a profile that brakes from v to a stop at the maximum
-// deceleration of params, starting at startTime, and then remains stopped.
-func StopProfile(startTime, v float64, params Params) Profile {
-	if v <= 0 {
-		return NewProfile(startTime, Phase{Duration: 0, V0: 0})
-	}
-	return NewProfile(startTime, Phase{Duration: v / params.MaxDecel, V0: v, Accel: -params.MaxDecel})
-}

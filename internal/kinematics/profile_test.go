@@ -215,20 +215,6 @@ func TestHoldRampStopProfiles(t *testing.T) {
 	if n := RampProfile(0, 2, 2, 1); n.Duration() != 0 {
 		t.Errorf("RampProfile flat: %v", n.Duration())
 	}
-	p := ScaleModelParams()
-	s := StopProfile(0, 3, p)
-	if !almostEq(s.Duration(), 1, 1e-12) {
-		t.Errorf("StopProfile duration = %v, want 1", s.Duration())
-	}
-	if !almostEq(s.FinalVelocity(), 0, 1e-12) {
-		t.Errorf("StopProfile final velocity = %v", s.FinalVelocity())
-	}
-	if !almostEq(s.TotalDistance(), 1.5, 1e-12) {
-		t.Errorf("StopProfile distance = %v, want 1.5", s.TotalDistance())
-	}
-	if s0 := StopProfile(0, 0, p); s0.TotalDistance() != 0 {
-		t.Errorf("StopProfile at rest moved")
-	}
 }
 
 func TestRampProfilePanicsOnBadRate(t *testing.T) {

@@ -141,7 +141,8 @@ func TestEarliestTimingMatchesEarliestArrival(t *testing.T) {
 			if !sameBits(tm.eta, wantEta) || !sameBits(tm.vArr, wantV) {
 				t.Fatalf("%+v at %+v: core (%v, %v), want (%v, %v)", p, c, tm.eta, tm.vArr, wantEta, wantV)
 			}
-			eta, v, prof := EarliestArrival(start, c.dist, c.vInit, p)
+			eta, v := EarliestArrival(c.dist, c.vInit, p)
+			prof := EarliestProfile(start, c.dist, c.vInit, p)
 			if !sameBits(eta, wantEta) || !sameBits(v, wantV) || !sameProfile(prof, wantProf) {
 				t.Fatalf("%+v at %+v: EarliestArrival (%v, %v, %v), want (%v, %v, %v)",
 					p, c, eta, v, prof, wantEta, wantV, wantProf)

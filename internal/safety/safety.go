@@ -89,6 +89,16 @@ func (s Spec) SensingBuffer() float64 { return s.SensingError + s.SyncBuffer() }
 // WorstRTD x MaxSpeed (0.45 m at the testbed's 150 ms and 3 m/s).
 func (s Spec) RTDBuffer() float64 { return s.WorstRTD * s.MaxSpeed }
 
+// LipDist returns the lip of a vehicle of the given body length and
+// width: the distance before the box entry, from the vehicle's center,
+// inside which a timed plan may not dwell or crawl. Closer in, a waiting
+// vehicle's nose would sit inside crossing movements' conflict zones,
+// which a scheduler's pre-entry occupancy model cannot represent:
+// W/2 + 2*SensingBuffer + 0.05 m + L/2.
+func (s Spec) LipDist(length, width float64) float64 {
+	return width/2 + 2*s.SensingBuffer() + 0.05 + length/2
+}
+
 // Buffers bundles the per-side footprint inflation an IM plans with.
 type Buffers struct {
 	// Long is the one-sided longitudinal inflation (applied to front and

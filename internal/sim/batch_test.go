@@ -10,8 +10,8 @@ import (
 
 // TestBatchPolicyEndToEnd runs the Tachet-style batching extension through
 // the full closed loop: it must be safe and complete, and its wait times
-// land between plain VT-IM's and Crossroads' (it gains from reordering but
-// pays the re-organization window on every command).
+// land between plain VT-IM's and Crossroads' (it books with Crossroads'
+// sensing-only buffers but waits out its window on every command).
 func TestBatchPolicyEndToEnd(t *testing.T) {
 	arr, err := traffic.Poisson(traffic.PoissonConfig{
 		Rate:         0.3,

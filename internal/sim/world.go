@@ -694,7 +694,7 @@ func (w *world) trySpawn(vs *vehState) {
 	for k := 0; k < len(movs)-1; k++ {
 		total += movs[k].Length + w.topo.SegmentLen()
 	}
-	eta, _, _ := kinematics.EarliestArrival(0, total, a.Speed, a.Params)
+	eta, _ := kinematics.EarliestArrival(total, a.Speed, a.Params)
 	jrec.FreeFlowTime = eta
 	vs.jrec = jrec
 
@@ -703,7 +703,7 @@ func (w *world) trySpawn(vs *vehState) {
 		nrec = w.nodes[a.Node].col.Vehicle(a.ID)
 		nrec.Movement = m.ID.String()
 		nrec.SpawnTime = a.Time
-		legEta, _, _ := kinematics.EarliestArrival(0, m.ExitS+a.Params.Length/2, a.Speed, a.Params)
+		legEta, _ := kinematics.EarliestArrival(m.ExitS+a.Params.Length/2, a.Speed, a.Params)
 		nrec.FreeFlowTime = legEta
 	}
 	vs.nrec = nrec
@@ -719,7 +719,7 @@ func (w *world) trySpawn(vs *vehState) {
 func (w *world) beginTransit(v *vehState) {
 	v.transit = true
 	w.corridorsStale = true
-	eta, vArr, _ := kinematics.EarliestArrival(0, w.topo.SegmentLen(), v.plant.V(), v.plant.Params)
+	eta, vArr := kinematics.EarliestArrival(w.topo.SegmentLen(), v.plant.V(), v.plant.Params)
 	v.legArrive = w.sim.Now() + eta
 	v.legSpeed = vArr
 	if v.enterNext == nil {
@@ -764,7 +764,7 @@ func (w *world) enterLeg(v *vehState) {
 	nrec := w.nodes[node].col.Vehicle(v.arr.ID)
 	nrec.Movement = m.ID.String()
 	nrec.SpawnTime = v.legArrive
-	legEta, _, _ := kinematics.EarliestArrival(0, m.ExitS+v.plant.Params.Length/2, v.legSpeed, v.plant.Params)
+	legEta, _ := kinematics.EarliestArrival(m.ExitS+v.plant.Params.Length/2, v.legSpeed, v.plant.Params)
 	nrec.FreeFlowTime = legEta
 	v.nrec = nrec
 

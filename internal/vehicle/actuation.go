@@ -124,7 +124,7 @@ func (a *Agent) applyTimedCommand(now float64, resp im.Response) {
 		// Measurement noise can make the granted ToA momentarily
 		// infeasible; fall back to the earliest profile (arriving a hair
 		// early, within the sensing buffer).
-		_, _, prof = kinematics.EarliestArrival(tExec, dist, v, a.Plant.Params)
+		prof = kinematics.EarliestProfile(tExec, dist, v, a.Plant.Params)
 	}
 	if (math.Abs(prof.TimeAtDistance(dist)-tArrive) > 0.05 || !a.dwellClearsLip(prof, dist)) && a.canStillStop(s) {
 		// The plan cannot realize the granted arrival (the slot slid past
@@ -165,7 +165,7 @@ func (a *Agent) applyAIMAccept(now float64, resp im.Response) {
 		dist := math.Max(a.Movement.EnterS-s, 0)
 		prof, err := kinematics.PlanArrival(now, dist, cur, tArrive, a.Plant.Params)
 		if err != nil {
-			_, _, prof = kinematics.EarliestArrival(now, dist, cur, a.Plant.Params)
+			prof = kinematics.EarliestProfile(now, dist, cur, a.Plant.Params)
 		}
 		a.profile = appendBoxAccel(prof, a.Plant.Params)
 		a.originS = s
@@ -246,10 +246,13 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 				// milliseconds rides on the margins with the earliest
 				// profile; a real slip is renegotiated before it becomes
 				// an in-box conflict.
-				eta, _, fastProf := kinematics.EarliestArrival(now, dist, a.Plant.MeasuredV(), a.Plant.Params)
+				// Each MeasuredV call draws fresh sensor noise: time the
+				// slip and build the profile from one reading.
+				v := a.Plant.MeasuredV()
+				eta, _ := kinematics.EarliestArrival(dist, v, a.Plant.Params)
 				slip := (now + eta) - a.tArriveRef
 				if slip <= 0.08 {
-					a.profile = appendBoxAccel(fastProf, a.Plant.Params)
+					a.profile = appendBoxAccel(kinematics.EarliestProfile(now, dist, v, a.Plant.Params), a.Plant.Params)
 					a.originS = sMeas
 				} else if a.canStillStop(sMeas) {
 					a.hasProfile = false

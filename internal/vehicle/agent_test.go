@@ -160,7 +160,7 @@ func TestAgentFollowsTimedCommand(t *testing.T) {
 		te := req.TransmitTime + 0.15
 		de := req.DistToEntry - req.CurrentSpeed*0.15
 		// Grant an arrival 0.8 s later than earliest: forces a dip.
-		eta, _, _ := kinematics.EarliestArrival(te, de, req.CurrentSpeed, req.Params)
+		eta, _ := kinematics.EarliestArrival(de, req.CurrentSpeed, req.Params)
 		granted = im.Response{
 			Kind: im.RespTimed, Seq: req.Seq,
 			TargetSpeed: 2.0, ExecuteAt: te, ArriveAt: te + eta + 0.8,
@@ -278,7 +278,7 @@ func TestAgentExitNotification(t *testing.T) {
 		req := msg.Payload.(im.Request)
 		te := req.TransmitTime + 0.15
 		de := req.DistToEntry - req.CurrentSpeed*0.15
-		eta, _, _ := kinematics.EarliestArrival(te, de, req.CurrentSpeed, req.Params)
+		eta, _ := kinematics.EarliestArrival(de, req.CurrentSpeed, req.Params)
 		h.net.Send(network.Message{Kind: network.KindResponse, From: im.EndpointName,
 			To: msg.From, Payload: im.Response{Kind: im.RespTimed, Seq: req.Seq,
 				TargetSpeed: 3, ExecuteAt: te, ArriveAt: te + eta}})

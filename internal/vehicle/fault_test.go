@@ -21,7 +21,7 @@ func TestExitRetransmitBackoffGrows(t *testing.T) {
 		req := msg.Payload.(im.Request)
 		te := req.TransmitTime + 0.15
 		de := req.DistToEntry - req.CurrentSpeed*0.15
-		eta, _, _ := kinematics.EarliestArrival(te, de, req.CurrentSpeed, req.Params)
+		eta, _ := kinematics.EarliestArrival(de, req.CurrentSpeed, req.Params)
 		h.net.Send(network.Message{Kind: network.KindResponse, From: im.EndpointName,
 			To: msg.From, Payload: im.Response{Kind: im.RespTimed, Seq: req.Seq,
 				TargetSpeed: 3, ExecuteAt: te, ArriveAt: te + eta}})

@@ -153,7 +153,7 @@ func (a *Agent) sendRequest(retransmit bool) {
 			// Too slow to propose a held crossing — a crawl would occupy
 			// the grid for tens of seconds. Propose a max-acceleration
 			// launch instead, budgeting the round trip before it begins.
-			eta, vArr, _ := kinematics.EarliestArrival(0, dt, vc, a.Plant.Params)
+			eta, vArr := kinematics.EarliestArrival(dt, vc, a.Plant.Params)
 			req.ProposedToA = tt + a.cfg.WCRTD + eta
 			req.CrossSpeed = math.Max(vArr, 0.1)
 		}
@@ -206,7 +206,7 @@ func (a *Agent) sendCommittedRequest() {
 	if a.cfg.Protocol == im.ProtocolQuery {
 		// Report the truthful (full-throttle) arrival from the current
 		// state; the IM re-reserves it unconditionally.
-		eta, vArr, _ := kinematics.EarliestArrival(0, dt, vc, a.Plant.Params)
+		eta, vArr := kinematics.EarliestArrival(dt, vc, a.Plant.Params)
 		req.ProposedToA = tt + eta
 		req.CrossSpeed = math.Max(vArr, 0.1)
 	}
