@@ -8,6 +8,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -213,8 +214,8 @@ func (c *Coord) Parse() (enabled bool, period float64, err error) {
 			return false, 0, fmt.Errorf(`-coord option %q: only period=<seconds> is known`, opt)
 		}
 		p, perr := strconv.ParseFloat(val, 64)
-		if perr != nil || p <= 0 {
-			return false, 0, fmt.Errorf(`-coord period %q must be a positive number of seconds`, val)
+		if perr != nil || !(p > 0) || math.IsInf(p, 1) {
+			return false, 0, fmt.Errorf(`-coord period %q must be a finite positive number of seconds`, val)
 		}
 		period = p
 	}

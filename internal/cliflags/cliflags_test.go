@@ -133,6 +133,17 @@ func TestCoordParse(t *testing.T) {
 	}
 }
 
+// TestCoordParseRejectsNonFinitePeriod: strconv reads "NaN" and "Inf", and
+// neither is a broadcast period; NaN fails every comparison, so a bare
+// p <= 0 check lets it through.
+func TestCoordParseRejectsNonFinitePeriod(t *testing.T) {
+	for _, raw := range []string{"on,period=NaN", "on,period=Inf", "on,period=+Inf", "on,period=-Inf", "on,period=nan"} {
+		if _, period, err := (&Coord{Raw: raw}).Parse(); err == nil {
+			t.Errorf("%q: parsed period %v, want an error", raw, period)
+		}
+	}
+}
+
 func TestCoordFlagRegistrationAndWasSet(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	c := AddCoord(fs)

@@ -6,16 +6,25 @@
 // recorded with its handler's wall time; without one, Run and RunUntil
 // read no clock.
 //
+// The pending queue is a 4-ary implicit heap (shallower than a binary
+// heap, so a push or pop touches fewer cache lines per level) holding the
+// events scheduled with At and After. A Ticker's next tick never enters
+// it: each ticker keeps its pending tick beside the queue as a (time, seq)
+// slot, taking its seq exactly where an At would, and every dispatch path
+// runs whichever of the earliest slot and the queue's head comes first in
+// (time, seq) order. Execution order, Now, Executed, Pending and the trace
+// are those of one queue holding both, while a tick pushes and pops
+// nothing.
+//
 // The serial hot path is allocation-free in steady state: executed and
-// cancelled events return to a per-simulator free list, a Ticker reuses
-// one closure for all its ticks, and the pending queue is a 4-ary implicit
-// heap (shallower than a binary heap, so a push or pop touches fewer cache
-// lines per level). TestTickerAllocationFree pins it.
+// cancelled events return to a per-simulator free list and a tick only
+// moves its slot. TestTickerAllocationFree pins it.
 package des
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"crossroads/internal/trace"
@@ -59,13 +68,28 @@ func (h Handle) Cancel() {
 // Cancelled reports whether the handle's event has been cancelled.
 func (h Handle) Cancelled() bool { return h.live() && h.ev.cancelled }
 
-// Simulator owns the simulated clock and the pending event queue.
+// ticker is one Ticker's state. While pending, its next tick is due at the
+// (time, seq) slot: the time and sequence number an At of the tick would
+// carry.
+type ticker struct {
+	time    float64
+	seq     uint64
+	period  float64
+	fn      func() bool
+	pending bool
+	stopped bool
+}
+
+// Simulator owns the simulated clock, the pending event queue and the
+// tickers' pending ticks.
 type Simulator struct {
 	now      float64
 	seq      uint64
-	queue    []*event // 4-ary implicit min-heap on (time, seq)
-	live     int      // queued events not yet cancelled
-	free     []*event // pooled event objects
+	queue    []*event  // 4-ary implicit min-heap on (time, seq)
+	tickers  []*ticker // tickers with a tick pending or running
+	tick     *ticker   // the earliest pending tick; nil, or not pending, when there is none
+	live     int       // queued events not yet cancelled, plus pending ticks
+	free     []*event  // pooled event objects
 	executed uint64
 	running  bool
 	trace    *trace.Recorder
@@ -88,17 +112,23 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending returns the number of live (not-yet-cancelled) events in the
-// queue. Cancelled events awaiting lazy removal are not counted, so code
-// gating on Pending (e.g. executive diagnostics) no longer sees phantoms.
+// queue plus the tickers' pending ticks. Cancelled events awaiting lazy
+// removal are not counted, so code gating on Pending (e.g. executive
+// diagnostics) no longer sees phantoms.
 func (s *Simulator) Pending() int { return s.live }
 
-// less orders the heap by (time, seq): earliest first, FIFO on ties.
-func less(a, b *event) bool {
-	if a.time != b.time {
-		return a.time < b.time
+// earlier is the dispatch order on (time, seq): earliest first, FIFO on
+// ties. Events and ticks draw their seq from one counter, so no two share
+// one.
+func earlier(ta float64, qa uint64, tb float64, qb uint64) bool {
+	if ta != tb {
+		return ta < tb
 	}
-	return a.seq < b.seq
+	return qa < qb
 }
+
+// less orders the heap.
+func less(a, b *event) bool { return earlier(a.time, a.seq, b.time, b.seq) }
 
 // heapPush inserts ev into the 4-ary heap.
 func (s *Simulator) heapPush(ev *event) {
@@ -175,11 +205,11 @@ func (s *Simulator) release(ev *event) {
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
-// past (before Now) panics: that is always a logic error in a protocol
-// implementation.
+// past (before Now) or at NaN panics: that is always a logic error in a
+// protocol implementation.
 func (s *Simulator) At(t float64, fn func()) Handle {
-	if t < s.now {
-		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
+	if !(t >= s.now) { // a NaN t fails it too
+		panic(fmt.Sprintf("des: scheduling event at %v, not at or after now %v", t, s.now))
 	}
 	if fn == nil {
 		panic("des: nil event function")
@@ -204,47 +234,71 @@ func (s *Simulator) After(delay float64, fn func()) Handle {
 	return s.At(s.now+delay, fn)
 }
 
-// popLive discards cancelled heads and pops the earliest live event, or
-// returns nil when the queue holds none. The popped event is NOT released:
-// the caller reads its fields, releases it, then runs the handler (release
-// first, so a handler rescheduling into the pool cannot alias a live
-// handle).
-func (s *Simulator) popLive() *event {
-	for len(s.queue) > 0 {
-		ev := s.heapPop()
-		if ev.cancelled {
-			s.release(ev) // live was decremented at Cancel time
-			continue
-		}
-		s.live--
-		return ev
+// next reports what runs next: the earliest pending tick (tk) or the
+// queue's earliest live event (ev), or neither when nothing is pending. It
+// discards the cancelled heads that come before the earliest tick, so a
+// cancelled event is collected exactly when it would reach the head of one
+// queue holding the ticks too.
+func (s *Simulator) next() (ev *event, tk *ticker) {
+	if tk = s.tick; tk != nil && !tk.pending {
+		tk = nil // its tick is running, and no other is pending
 	}
-	return nil
+	for len(s.queue) > 0 {
+		ev = s.queue[0]
+		if tk != nil && earlier(tk.time, tk.seq, ev.time, ev.seq) {
+			return nil, tk
+		}
+		if !ev.cancelled {
+			return ev, nil
+		}
+		s.release(s.heapPop()) // live was decremented at Cancel time
+	}
+	return nil, tk
 }
 
-// Step executes the next pending event, advancing the clock to its time.
-// It returns false when the queue is empty.
+// dispatch runs what next returned, advancing the clock to its time. An
+// event is released before its handler runs, so a handler rescheduling
+// into the pool cannot alias a live handle.
+func (s *Simulator) dispatch(ev *event, tk *ticker) {
+	if tk != nil {
+		s.fire(tk)
+	} else {
+		s.heapPop()
+		s.live--
+		s.now = ev.time
+		fn := ev.fn
+		s.release(ev)
+		fn()
+	}
+	s.executed++
+}
+
+// Step executes the next pending event or tick, advancing the clock to
+// its time. It returns false when nothing is pending.
 func (s *Simulator) Step() bool {
-	ev := s.popLive()
-	if ev == nil {
+	ev, tk := s.next()
+	if ev == nil && tk == nil {
 		return false
 	}
-	s.now = ev.time
-	fn := ev.fn
-	s.release(ev)
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-	s.executed++
-	if s.trace != nil {
-		s.trace.Emit(trace.Event{
-			Kind: trace.KindDESEvent, T: s.now, WallNs: elapsed.Nanoseconds(),
-		})
-	}
+	s.step(ev, tk)
 	return true
 }
 
-// Run executes events until the queue empties. It returns the number of
+// step dispatches ev or tk; with a recorder attached it times the handler
+// and emits its des.event record.
+func (s *Simulator) step(ev *event, tk *ticker) {
+	if s.trace == nil {
+		s.dispatch(ev, tk)
+		return
+	}
+	start := time.Now()
+	s.dispatch(ev, tk)
+	s.trace.Emit(trace.Event{
+		Kind: trace.KindDESEvent, T: s.now, WallNs: time.Since(start).Nanoseconds(),
+	})
+}
+
+// Run executes events until nothing is pending. It returns the number of
 // events executed.
 func (s *Simulator) Run() uint64 {
 	return s.RunUntil(math.Inf(1))
@@ -260,40 +314,21 @@ func (s *Simulator) RunUntil(tEnd float64) uint64 {
 	s.running = true
 	defer func() { s.running = false }()
 	var n uint64
-	if s.trace != nil {
-		// Traced path: per-event timing, one des.event record each.
-		for len(s.queue) > 0 {
-			next := s.queue[0]
-			if next.cancelled {
-				s.release(s.heapPop())
-				continue
-			}
-			if next.time > tEnd {
+	for {
+		ev, tk := s.next()
+		if tk != nil {
+			if tk.time > tEnd {
 				break
 			}
-			s.Step()
-			n++
+		} else if ev == nil || ev.time > tEnd {
+			break
 		}
-	} else {
-		// Untraced hot path: the dispatch loop inlined, reading no clock.
-		for len(s.queue) > 0 {
-			next := s.queue[0]
-			if next.cancelled {
-				s.release(s.heapPop())
-				continue
-			}
-			if next.time > tEnd {
-				break
-			}
-			ev := s.heapPop()
-			s.live--
-			s.now = ev.time
-			fn := ev.fn
-			s.release(ev)
-			fn()
-			s.executed++
-			n++
+		if s.trace == nil {
+			s.dispatch(ev, tk) // reads no clock
+		} else {
+			s.step(ev, tk)
 		}
+		n++
 	}
 	if !math.IsInf(tEnd, 1) && tEnd > s.now {
 		s.now = tEnd
@@ -304,46 +339,87 @@ func (s *Simulator) RunUntil(tEnd float64) uint64 {
 // RunFor runs events for d simulated seconds from the current time.
 func (s *Simulator) RunFor(d float64) uint64 { return s.RunUntil(s.now + d) }
 
-// NextTime returns the absolute time of the earliest pending live event.
-// Real-time executives (the wire server's core loop) use it to sleep until
-// the next deferred reply is due instead of polling the kernel. Cancelled
-// events at the head of the queue are discarded on the way.
+// NextTime returns the absolute time of the earliest pending live event
+// or tick. Real-time executives (the wire server's core loop) use it to
+// sleep until the next deferred reply is due instead of polling the
+// kernel. Cancelled events at the head of the queue are discarded on the
+// way, as next does.
 func (s *Simulator) NextTime() (float64, bool) {
-	for len(s.queue) > 0 {
-		if s.queue[0].cancelled {
-			s.release(s.heapPop())
-			continue
-		}
-		return s.queue[0].time, true
+	ev, tk := s.next()
+	switch {
+	case tk != nil:
+		return tk.time, true
+	case ev != nil:
+		return ev.time, true
 	}
 	return 0, false
 }
 
-// Ticker schedules fn every period seconds starting at start (absolute),
-// until fn returns false or the returned stop function is called. One
-// closure serves every tick: it reschedules itself at t += period after fn
-// returns, so a tick allocates nothing.
+// Ticker runs fn every period seconds starting at start (absolute; a start
+// before Now starts at Now), until fn returns false or the returned stop
+// function is called. A stopped ticker's pending tick still runs, as a
+// no-op. The pending tick waits in the ticker's slot, not in the queue:
+// after fn returns, the next tick takes t += period and the next sequence
+// number, as s.At(t, tick) would, so a tick allocates nothing and touches
+// no heap. A NaN start, or a period that is not finite and positive,
+// panics.
 func (s *Simulator) Ticker(start, period float64, fn func() bool) (stop func()) {
-	if period <= 0 {
-		panic("des: ticker period must be positive")
+	if math.IsNaN(start) {
+		panic("des: ticker start is NaN")
+	}
+	if !(period > 0) || math.IsInf(period, 1) {
+		panic(fmt.Sprintf("des: ticker period %v must be finite and positive", period))
 	}
 	if start < s.now {
 		start = s.now
 	}
-	stopped := false
-	t := start
-	var tick func()
-	tick = func() {
-		if stopped {
-			return
-		}
-		if !fn() {
-			stopped = true
-			return
-		}
-		t += period
-		s.At(t, tick)
+	tk := &ticker{time: start, period: period, fn: fn}
+	s.tickers = append(s.tickers, tk)
+	s.arm(tk)
+	return func() { tk.stopped = true }
+}
+
+// fire runs tk's pending tick, the earliest: the clock moves to its time
+// and, unless the ticker was stopped, fn runs; when fn asks for more, the
+// next tick is armed after fn returns, else the ticker is dropped. A lone
+// ticker, the simulator's physics plant, only flips its pending flag.
+func (s *Simulator) fire(tk *ticker) {
+	tk.pending = false
+	s.live--
+	if len(s.tickers) > 1 {
+		s.tick = s.earliestTick()
 	}
-	s.At(t, tick)
-	return func() { stopped = true }
+	s.now = tk.time
+	if !tk.stopped && tk.fn() {
+		tk.time += tk.period
+		s.arm(tk)
+		return
+	}
+	tk.stopped = true
+	s.tickers = slices.DeleteFunc(s.tickers, func(o *ticker) bool { return o == tk })
+	if s.tick == tk {
+		s.tick = nil
+	}
+}
+
+// arm makes tk's tick at tk.time pending, with the next sequence number.
+func (s *Simulator) arm(tk *ticker) {
+	tk.seq = s.seq
+	s.seq++
+	s.live++
+	tk.pending = true
+	if t := s.tick; t == nil || t != tk && (!t.pending || earlier(tk.time, tk.seq, t.time, t.seq)) {
+		s.tick = tk
+	}
+}
+
+// earliestTick returns the earliest pending tick in (time, seq) order, or
+// nil when none is pending.
+func (s *Simulator) earliestTick() (first *ticker) {
+	for _, o := range s.tickers {
+		if o.pending && (first == nil || earlier(o.time, o.seq, first.time, first.seq)) {
+			first = o
+		}
+	}
+	return first
 }

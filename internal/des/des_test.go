@@ -425,3 +425,51 @@ func BenchmarkTicker(b *testing.B) {
 		s.RunUntil(float64(i))
 	}
 }
+
+// TestNonFiniteTimesPanic: dispatch orders ticks and events by comparing
+// times, which NaN defeats, so At refuses a NaN time (After too, since
+// Now+NaN is NaN) and Ticker a NaN start or a period that is not finite
+// and positive.
+func TestNonFiniteTimesPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		call func(s *Simulator)
+	}{
+		{"At NaN", func(s *Simulator) { s.At(nan, func() {}) }},
+		{"After NaN", func(s *Simulator) { s.After(nan, func() {}) }},
+		{"Ticker start NaN", func(s *Simulator) { s.Ticker(nan, 1, func() bool { return true }) }},
+		{"Ticker period NaN", func(s *Simulator) { s.Ticker(0, nan, func() bool { return true }) }},
+		{"Ticker period +Inf", func(s *Simulator) { s.Ticker(0, inf, func() bool { return true }) }},
+		{"Ticker period -Inf", func(s *Simulator) { s.Ticker(0, -inf, func() bool { return true }) }},
+		{"Ticker period negative", func(s *Simulator) { s.Ticker(0, -1, func() bool { return true }) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic; Now=%v Pending=%d", s.Now(), s.Pending())
+				}
+			}()
+			tc.call(s)
+		})
+	}
+}
+
+// BenchmarkTickerAmongEvents times one empty tick with 40 far-future
+// events pending, the shape of a 40-vehicle cell's pre-scheduled arrivals
+// around the physics ticker: the DES layer's fixed cost per physics tick
+// when the queue is not empty.
+func BenchmarkTickerAmongEvents(b *testing.B) {
+	s := New()
+	for i := 0; i < 40; i++ {
+		s.At(1e12+float64(i), func() {})
+	}
+	s.Ticker(0, 1, func() bool { return true })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunUntil(float64(i))
+	}
+}

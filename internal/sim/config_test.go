@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,6 +67,36 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: NaN fails every comparison, so a
+// range check written as "v < 0" lets it through, and an infinite step,
+// horizon or period is no setting at all. Every float knob must be finite,
+// and Run must refuse a NaN step rather than run it.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	knobs := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"LossProb", func(c *Config, v float64) { c.LossProb = v }},
+		{"PhysicsDt", func(c *Config, v float64) { c.PhysicsDt = v }},
+		{"MaxSimTime", func(c *Config, v float64) { c.MaxSimTime = v }},
+		{"ClockMaxOffset", func(c *Config, v float64) { c.ClockMaxOffset = v }},
+		{"ClockMaxDriftPPM", func(c *Config, v float64) { c.ClockMaxDriftPPM = v }},
+		{"CoordPeriod", func(c *Config, v float64) { c.CoordPeriod = v }},
+	}
+	for _, k := range knobs {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{Policy: "crossroads", Coord: true}
+			k.set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), k.name) {
+				t.Errorf("%s=%v: err = %v, want one naming %s", k.name, v, err, k.name)
+			}
+		}
+	}
+	if _, err := Run(Config{Policy: "crossroads", PhysicsDt: math.NaN()}, singleArrival()); err == nil {
+		t.Error("Run accepted PhysicsDt=NaN")
 	}
 }
 

@@ -124,20 +124,24 @@ func (cfg Config) Validate() error {
 	if cfg.OmitRTDBuffer && cfg.Policy != vtim.PolicyName {
 		return fmt.Errorf("sim: OmitRTDBuffer is a VT-IM ablation; policy %v has no RTD buffer to omit", cfg.Policy)
 	}
-	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
+	// NaN fails every comparison, so each range check is written to fail
+	// on it.
+	if !(cfg.LossProb >= 0 && cfg.LossProb < 1) {
 		return fmt.Errorf("sim: LossProb %v outside [0, 1)", cfg.LossProb)
 	}
-	if cfg.PhysicsDt < 0 {
-		return fmt.Errorf("sim: negative PhysicsDt %v", cfg.PhysicsDt)
-	}
-	if cfg.MaxSimTime < 0 {
-		return fmt.Errorf("sim: negative MaxSimTime %v", cfg.MaxSimTime)
-	}
-	if cfg.ClockMaxOffset < 0 {
-		return fmt.Errorf("sim: negative ClockMaxOffset %v", cfg.ClockMaxOffset)
-	}
-	if cfg.ClockMaxDriftPPM < 0 {
-		return fmt.Errorf("sim: negative ClockMaxDriftPPM %v", cfg.ClockMaxDriftPPM)
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"PhysicsDt", cfg.PhysicsDt},
+		{"MaxSimTime", cfg.MaxSimTime},
+		{"ClockMaxOffset", cfg.ClockMaxOffset},
+		{"ClockMaxDriftPPM", cfg.ClockMaxDriftPPM},
+		{"CoordPeriod", cfg.CoordPeriod},
+	} {
+		if !(k.v >= 0) || math.IsInf(k.v, 1) {
+			return fmt.Errorf("sim: %s %v is not a finite non-negative number", k.name, k.v)
+		}
 	}
 	if cfg.CollisionEvery < 0 {
 		return fmt.Errorf("sim: negative CollisionEvery %d", cfg.CollisionEvery)
@@ -147,9 +151,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.TraceDES && cfg.Trace == nil {
 		return fmt.Errorf("sim: TraceDES requires a Trace recorder")
-	}
-	if cfg.CoordPeriod < 0 {
-		return fmt.Errorf("sim: negative CoordPeriod %v", cfg.CoordPeriod)
 	}
 	if cfg.CoordPeriod != 0 && !cfg.Coord {
 		return fmt.Errorf("sim: CoordPeriod=%v set without Coord", cfg.CoordPeriod)
@@ -529,9 +530,9 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 
 func (w *world) run() (Result, error) {
 	maxLegs := 1
-	for _, a := range w.arrivals {
-		a := a
-		w.sim.At(a.Time, func() { w.spawn(a) })
+	for i := range w.arrivals {
+		a := &w.arrivals[i]
+		w.sim.At(a.Time, func() { w.spawn(w.arrivals[i]) }) // captures i, not a copy of the arrival
 		if n := 1 + len(a.OnwardTurns); n > maxLegs {
 			maxLegs = n
 		}
@@ -591,9 +592,10 @@ func (w *world) run() (Result, error) {
 			w.col.AbsorbCounters(n.col)
 		}
 	}
-	var vehicles []metrics.VehicleRecord
-	for _, r := range w.col.Records() {
-		vehicles = append(vehicles, *r)
+	records := w.col.Records()
+	vehicles := make([]metrics.VehicleRecord, len(records))
+	for i, r := range records {
+		vehicles[i] = *r
 	}
 	perNode := make([]metrics.Summary, len(w.nodes))
 	for k := range w.nodes {
