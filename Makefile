@@ -95,11 +95,13 @@ corridor-demo:
 
 ## grid-demo runs the multi-IM engine end to end on a 3x3 grid with real
 ## inter-node segments and the IM-to-IM coordination plane on, as the
-## benchmark's grid workload does; crossroads-sim exits non-zero if any
-## timed policy records a collision, a buffer violation, or an incomplete
-## journey.
+## benchmark's grid workload does, for vt-im, aim, crossroads and batch
+## (batch joins the plane's backpressure, flow digests and green-wave
+## floors through the shared VT core); crossroads-sim exits non-zero if
+## any timed policy records a collision, a buffer violation, or an
+## incomplete journey.
 grid-demo:
-	$(GO) run ./cmd/crossroads-sim -grid 3x3 -seglen 80 -n 60 -seed 42 -workers 0 -coord on
+	$(GO) run ./cmd/crossroads-sim -grid 3x3 -seglen 80 -n 60 -seed 42 -workers 0 -coord on -policy vt-im,aim,crossroads,batch
 
 ## chaos-demo runs the fault-injection robustness matrix (every named
 ## scenario x every policy x seeds 1-3) and fails on any collision,

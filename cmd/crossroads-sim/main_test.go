@@ -77,7 +77,7 @@ func TestAcceptsDocumentedCommands(t *testing.T) {
 		{"-grid 2x2 -scale -noise -coord on,period=0.25", topoMode},
 		{"-corridor 3 -n 16 -seed 7 -scale -noise -trace corridor-demo.jsonl", topoMode},
 		{"-grid 2x2 -n 12 -seed 7 -scale -noise", topoMode},
-		{"-grid 3x3 -seglen 80 -n 60 -seed 42 -workers 0 -coord on", topoMode},
+		{"-grid 3x3 -seglen 80 -n 60 -seed 42 -workers 0 -coord on -policy vt-im,aim,crossroads,batch", topoMode},
 		{"-grid 2x2 -seglen 12 -n 60 -seed 42 -workers 0 -policy crossroads,dot,signalized,auction -policy-opt dot.grid=12 -policy-opt signalized.green=8", topoMode},
 		{"-faults matrix -seed 1 -workers 0", faultMode},
 		{"-faults mix -seed 1 -workers 0 -trace chaos-demo.jsonl", faultMode},

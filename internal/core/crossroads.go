@@ -73,11 +73,19 @@ type planner struct {
 	minSpeed float64
 	// lipDist is the reference vehicle's safety.Spec.LipDist.
 	lipDist float64
+	// window is a re-organization window (s) an uncommitted request's
+	// command waits out before TE; 0 for Crossroads itself.
+	window float64
 }
 
-// anchor anchors the request's command at TE = TT + WC-RTD.
+// anchor anchors the request's command at TE = TT + window + WC-RTD, or
+// at TT + WC-RTD for a committed truth report, which no window holds.
 func (p planner) anchor(req im.Request) im.Anchor {
-	return im.AnchorRequest(req, req.TransmitTime+p.wcRTD, p.minSpeed)
+	te := req.TransmitTime
+	if !req.Committed {
+		te += p.window
+	}
+	return im.AnchorRequest(req, te+p.wcRTD, p.minSpeed)
 }
 
 // LatestArrival implements im.VTPlanner: the latest arrival the vehicle
@@ -119,7 +127,13 @@ func (p planner) Plan(now float64, req im.Request) (float64, func(float64) im.Cr
 // Planner builds the Crossroads time-sensitive planner from the config.
 // Derived policies (signalized, auction) embed it to reuse the exact TE/DE
 // anchoring.
-func (cfg Config) Planner() (im.VTPlanner, error) {
+func (cfg Config) Planner() (im.VTPlanner, error) { return cfg.WindowedPlanner(0) }
+
+// WindowedPlanner is Planner with a re-organization window inside the
+// anchoring: an uncommitted request's command executes at
+// TE = TT + window + WC-RTD, so a reply held through the window still
+// finds the vehicle where the IM planned it (the batch policy).
+func (cfg Config) WindowedPlanner(window float64) (im.VTPlanner, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -127,7 +141,7 @@ func (cfg Config) Planner() (im.VTPlanner, error) {
 		return nil, fmt.Errorf("core: MinCrossSpeed %v must be positive", cfg.MinCrossSpeed)
 	}
 	lip := cfg.Spec.LipDist(cfg.RefLength, cfg.RefWidth)
-	return planner{wcRTD: cfg.Spec.WorstRTD, minSpeed: cfg.MinCrossSpeed, lipDist: lip}, nil
+	return planner{wcRTD: cfg.Spec.WorstRTD, minSpeed: cfg.MinCrossSpeed, lipDist: lip, window: window}, nil
 }
 
 // VTConfig returns the shared-scheduler configuration Crossroads runs with,

@@ -185,37 +185,3 @@ func SamplePath(p Path, n int) []Pose {
 	}
 	return out
 }
-
-// PathIntervalInBox returns the arc-length interval [sIn, sOut] over which a
-// rectangle of the given length/width swept along path p (footprint centered
-// on the path, aligned with its tangent) overlaps the axis-aligned box. The
-// path is sampled every ds meters. If the swept footprint never overlaps the
-// box, ok is false.
-//
-// Nothing outside its tests calls it.
-func PathIntervalInBox(p Path, vehLen, vehWid float64, box AABB, ds float64) (sIn, sOut float64, ok bool) {
-	if ds <= 0 {
-		ds = 0.01
-	}
-	l := p.Length()
-	n := int(math.Ceil(l/ds)) + 1
-	first := math.Inf(1)
-	last := math.Inf(-1)
-	for i := 0; i <= n; i++ {
-		s := math.Min(l*float64(i)/float64(n), l)
-		pose := p.PoseAt(s)
-		r := NewRect(pose.Pos, vehLen, vehWid, pose.Heading)
-		if r.AABB().Overlaps(box) {
-			if s < first {
-				first = s
-			}
-			if s > last {
-				last = s
-			}
-		}
-	}
-	if math.IsInf(first, 1) {
-		return 0, 0, false
-	}
-	return first, last, true
-}

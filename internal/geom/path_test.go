@@ -168,37 +168,3 @@ func TestSamplePathEndpoints(t *testing.T) {
 		t.Errorf("SamplePath(0) len = %d", len(got))
 	}
 }
-
-func TestPathIntervalInBox(t *testing.T) {
-	// A 10m straight path along X through a 2m box centered at x=5.
-	l := LinePath{V(0, 0), V(10, 0)}
-	box := AABB{Min: V(4, -1), Max: V(6, 1)}
-	sIn, sOut, ok := PathIntervalInBox(l, 1, 0.5, box, 0.01)
-	if !ok {
-		t.Fatal("no overlap found")
-	}
-	// Front bumper reaches box at center s = 4 - 0.5 = 3.5; rear bumper
-	// leaves at s = 6 + 0.5 = 6.5.
-	if !almostEq(sIn, 3.5, 0.05) {
-		t.Errorf("sIn = %v, want ~3.5", sIn)
-	}
-	if !almostEq(sOut, 6.5, 0.05) {
-		t.Errorf("sOut = %v, want ~6.5", sOut)
-	}
-}
-
-func TestPathIntervalInBoxNoOverlap(t *testing.T) {
-	l := LinePath{V(0, 0), V(10, 0)}
-	box := AABB{Min: V(4, 5), Max: V(6, 7)}
-	if _, _, ok := PathIntervalInBox(l, 1, 0.5, box, 0.01); ok {
-		t.Error("overlap reported for disjoint path and box")
-	}
-}
-
-func TestPathIntervalInBoxDefaultStep(t *testing.T) {
-	l := LinePath{V(0, 0), V(2, 0)}
-	box := AABB{Min: V(0.5, -1), Max: V(1.5, 1)}
-	if _, _, ok := PathIntervalInBox(l, 0.5, 0.3, box, 0); !ok {
-		t.Error("default step failed to find overlap")
-	}
-}

@@ -10,9 +10,10 @@ import (
 // (Chapter 6): the command executes at TE, where the vehicle is a known
 // distance DE from the box entry at speed VC whatever the round-trip
 // delay was. Every timed scheduler (Crossroads and the policies that wrap
-// it, batch, dot, and the revision passes) plans from an Anchor: its
-// earliest and latest arrival, the crossing plan for a chosen arrival,
-// and whether that arrival is realizable outside the conflict-zone lip.
+// it, batch among them, dot, and the revision passes) plans from an
+// Anchor: its earliest and latest arrival, the crossing plan for a chosen
+// arrival, and whether that arrival is realizable outside the
+// conflict-zone lip.
 type Anchor struct {
 	// TE is the command execution time (s).
 	TE float64

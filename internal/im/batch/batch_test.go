@@ -3,8 +3,10 @@ package batch
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"crossroads/internal/core"
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
@@ -17,7 +19,7 @@ func newSched(t *testing.T) *Scheduler {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Cost.Jitter = 0
+	cfg.Core.Cost.Jitter = 0
 	s, err := New(x, cfg, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -117,12 +119,12 @@ func TestBatchValidation(t *testing.T) {
 		t.Error("zero window accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.Spec.MaxSpeed = 0
+	cfg.Core.Spec.MaxSpeed = 0
 	if _, err := New(x, cfg, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("invalid spec accepted")
 	}
 	cfg = DefaultConfig()
-	cfg.RefLength = 0
+	cfg.Core.RefLength = 0
 	if _, err := New(x, cfg, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero footprint accepted")
 	}
@@ -135,5 +137,61 @@ func TestBatchInvalidParamsStop(t *testing.T) {
 	resp, _ := s.HandleRequest(0.05, bad)
 	if resp.Kind != im.RespVelocity || resp.TargetSpeed != 0 {
 		t.Errorf("invalid params: %+v", resp)
+	}
+}
+
+// TestCommittedMatchesCrossroads: a committed request bypasses the window,
+// so batch anchors it at TT + WC-RTD as Crossroads does and must command
+// it exactly as Crossroads would. Seeded streams of 2-5 committed
+// requests mix approaches and turns, queue some on one lane, and draw DT
+// in 0.6-3.0 m and VC in 0.5-3.0 m/s; batch and core.New must return the
+// same response, cost and revisions, grant for grant.
+func TestCommittedMatchesCrossroads(t *testing.T) {
+	x, err := intersection.New(intersection.ScaleModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(30))
+	const streams = 3000
+	differ := 0
+	for stream := 0; stream < streams; stream++ {
+		b, err := New(x, DefaultConfig(), rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := core.New(x, core.DefaultConfig(), rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tt := 0.0
+		a := intersection.Approach(rng.Intn(intersection.NumApproaches))
+		for i, n := 0, 2+rng.Intn(4); i < n; i++ {
+			// Half the requests keep the previous request's lane and
+			// queue behind it.
+			if rng.Intn(2) == 0 {
+				a = intersection.Approach(rng.Intn(intersection.NumApproaches))
+			}
+			tt += 0.5 * rng.Float64()
+			r := im.Request{
+				VehicleID: int64(i + 1), Seq: 1, Committed: true,
+				Movement:     intersection.MovementID{Approach: a, Turn: intersection.Turn(rng.Intn(3))},
+				CurrentSpeed: 0.5 + 2.5*rng.Float64(), DistToEntry: 0.6 + 2.4*rng.Float64(),
+				TransmitTime: tt, Params: kinematics.ScaleModelParams(),
+			}
+			got, gotCost := b.HandleRequest(tt+0.01, r)
+			want, wantCost := c.HandleRequest(tt+0.01, r)
+			gotPush, wantPush := b.TakePushes(), c.TakePushes()
+			if got != want || gotCost != wantCost || !reflect.DeepEqual(gotPush, wantPush) {
+				if differ == 0 {
+					t.Errorf("stream %d request %d %+v:\nbatch      %+v cost %v revisions %+v\ncrossroads %+v cost %v revisions %+v",
+						stream, i+1, r, got, gotCost, gotPush, want, wantCost, wantPush)
+				}
+				differ++
+				break
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d committed streams differ from Crossroads", differ, streams)
 	}
 }

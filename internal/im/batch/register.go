@@ -21,9 +21,9 @@ func init() {
 
 func newScheduler(x *intersection.Intersection, opts im.PolicyOptions, rng *rand.Rand) (im.Scheduler, error) {
 	c := DefaultConfig()
-	c.Spec = opts.Spec
-	c.Cost = opts.Cost
-	c.RefLength, c.RefWidth = opts.RefLength, opts.RefWidth
+	c.Core.Spec = opts.Spec
+	c.Core.Cost = opts.Cost
+	c.Core.RefLength, c.Core.RefWidth = opts.RefLength, opts.RefWidth
 	if err := opts.ParamsFor(PolicyName).Err(); err != nil {
 		return nil, err
 	}

@@ -367,9 +367,13 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 	sim := des.New()
 	// The network draws delays from Seed+1 and loss coins from Seed+5:
 	// independent streams, so a lossy or faulted run samples the exact
-	// same per-message latencies as its clean twin.
+	// same per-message latencies as its clean twin. A lossless run draws
+	// no coin, so it seeds no loss stream.
 	rngNet := rand.New(rand.NewSource(cfg.Seed + 1))
-	rngLoss := rand.New(rand.NewSource(cfg.Seed + 5))
+	var rngLoss *rand.Rand
+	if cfg.LossProb > 0 {
+		rngLoss = rand.New(rand.NewSource(cfg.Seed + 5))
+	}
 	net := network.New(sim, rngNet, rngLoss, cfg.Delay, cfg.LossProb)
 	col := metrics.NewCollector()
 
