@@ -26,10 +26,13 @@ bench-grid:
 ## (BookEarliestFeasible), the conflict-table build (ConflictTableBuild),
 ## one scheduler request under Crossroads and under the dot tile scheduler
 ## (SchedulerCrossroadsRequest, SchedulerDotRequest), all in the root
-## package; in ./internal/des, one tick of a DES ticker with an empty body,
-## alone (Ticker) and with 40 far-future events pending, a 40-vehicle
-## cell's pre-scheduled arrivals (TickerAmongEvents); one message sent and
-## delivered through the kernel in ./internal/network
+## package; in ./internal/intersection, one sample of the tile
+## schedulers' sweep, a buffered scale-model body marked over the 8x8
+## tile grid (TileGridMark); in ./internal/des, one tick of a DES ticker
+## with an empty body, alone (Ticker) and with 40 far-future events
+## pending, a 40-vehicle cell's pre-scheduled arrivals
+## (TickerAmongEvents); one message sent and delivered through the
+## kernel in ./internal/network
 ## (NetworkSendDeliver); in ./internal/sim, at a dense moment of a
 ## saturated scale-model run, the world's safety check, body and buffer
 ## overlap of every same-node vehicle pair (SafetyCheck), and one whole
@@ -37,13 +40,13 @@ bench-grid:
 ## coordinated 3x3 grid run (PhysicsTickGrid); and in ./internal/server,
 ## one request's trip through a shard executive, injected and run event
 ## to event until its grant is delivered (ServerExecutiveStep).
-LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|Ticker|TickerAmongEvents|NetworkSendDeliver|SafetyCheck|PhysicsTick|PhysicsTickGrid|ServerExecutiveStep
+LAYER_BENCH = BookEarliestFeasible|ConflictTableBuild|SchedulerCrossroadsRequest|SchedulerDotRequest|TileGridMark|Ticker|TickerAmongEvents|NetworkSendDeliver|SafetyCheck|PhysicsTick|PhysicsTickGrid|ServerExecutiveStep
 ## REPORT_BENCH is the benchmark artifact's set: the layer rungs plus the
 ## whole workloads, the sweep engine at one and all cores, the routed
 ## corridor and grids, E9's coordinated corridor, the fault matrix's mix
 ## column, and one reduced sweep per scheduler family.
 REPORT_BENCH = $(LAYER_BENCH)|SweepParallel|Corridor|CorridorCoord|Grid|FaultMatrixMix|PolicySweep
-BENCH_PKGS = . ./internal/des ./internal/network ./internal/sim ./internal/server
+BENCH_PKGS = . ./internal/intersection ./internal/des ./internal/network ./internal/sim ./internal/server
 
 ## bench-layers times the layer rungs. BENCHFLAGS passes extra flags, e.g.
 ## BENCHFLAGS='-benchtime 1x' for a one-iteration smoke run.

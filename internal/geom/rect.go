@@ -120,27 +120,48 @@ func (r Rect) Intersects(o Rect) bool {
 	if r.Center.Dist(o.Center) > rr+or {
 		return false
 	}
+	// Only a's extents are needed for its own axes; b's wait until none
+	// of those separates the two.
 	a, b := r.prepare(rr), o.prepare(or)
-	return a.overlapsOnAxes(&b)
+	a.project()
+	if a.separates(&b) {
+		return false
+	}
+	b.project()
+	return !b.separates(&a)
 }
 
-// PreparedRect is a Rect with its two axes, four corners and bounding
-// radius computed once, for rectangles tested against many others (the
-// tiles of a reservation grid, or a vehicle body against them).
+// PreparedRect is a Rect with its two axes, four corners, their extents
+// on those axes and its bounding radius computed once, for rectangles
+// tested against many others (the tiles of a reservation grid, or a
+// vehicle body against them).
 type PreparedRect struct {
 	center  Vec2
-	axes    [2]Vec2 // the heading and its left perpendicular
-	corners [4]Vec2 // as Rect.Corners
-	radius  float64 // bounding-circle radius
+	axes    [2]Vec2       // the heading and its left perpendicular
+	corners [4]Vec2       // as Rect.Corners
+	extents [2][2]float64 // min and max of the corners on each axis
+	radius  float64       // bounding-circle radius
 }
 
-// Prepare computes the rectangle's axes, corners and bounding radius with
-// one Heading call.
-func (r Rect) Prepare() PreparedRect { return r.prepare(math.Hypot(r.HalfL, r.HalfW)) }
+// Prepare computes the rectangle's axes, corners, extents and bounding
+// radius with one Heading call.
+func (r Rect) Prepare() PreparedRect {
+	p := r.prepare(math.Hypot(r.HalfL, r.HalfW))
+	p.project()
+	return p
+}
 
+// prepare computes all but the extents.
 func (r Rect) prepare(radius float64) PreparedRect {
 	h := Heading(r.Heading)
 	return PreparedRect{center: r.Center, axes: [2]Vec2{h, h.Perp()}, corners: r.corners(h), radius: radius}
+}
+
+// project computes the corners' extents on the rectangle's own axes.
+func (p *PreparedRect) project() {
+	for i, ax := range p.axes {
+		p.extents[i][0], p.extents[i][1] = projectExtent(p.corners[:], ax)
+	}
 }
 
 // AABB returns the axis-aligned bounding box of the rectangle.
@@ -152,22 +173,20 @@ func (p *PreparedRect) Intersects(o *PreparedRect) bool {
 	if p.center.Dist(o.center) > p.radius+o.radius {
 		return false
 	}
-	return p.overlapsOnAxes(o)
+	return !p.separates(o) && !o.separates(p)
 }
 
-// overlapsOnAxes is the separating-axis test: the rectangles overlap iff
-// their projections overlap, within Eps, on each of the four axes.
-func (p *PreparedRect) overlapsOnAxes(o *PreparedRect) bool {
-	for _, axes := range [2]*[2]Vec2{&p.axes, &o.axes} {
-		for _, ax := range axes {
-			pmin, pmax := projectExtent(p.corners[:], ax)
-			omin, omax := projectExtent(o.corners[:], ax)
-			if pmax < omin-Eps || omax < pmin-Eps {
-				return false
-			}
+// separates reports whether o's projection lies more than Eps beyond p's
+// extent on one of p's axes. p's extents are known, so only o's corners
+// are projected.
+func (p *PreparedRect) separates(o *PreparedRect) bool {
+	for i, ax := range p.axes {
+		lo, hi := projectExtent(o.corners[:], ax)
+		if p.extents[i][1] < lo-Eps || hi < p.extents[i][0]-Eps {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // projectExtent returns the min/max projection of pts onto axis ax.

@@ -332,10 +332,48 @@ func intersectPairs() [][2]Rect {
 	return pairs
 }
 
+// circlePairs returns rectangle pairs on which the bounding-circle reject
+// decides the answer: b is a copy of a, scaled, placed so that a's
+// front-left corner meets b's rear-right one on the line through both
+// centres, which then lie the radius sum apart, times a factor within
+// ±1e-12 of 1. The corners lie within Eps of each other, so the
+// separating axes find them touching and only the circle test can say
+// they miss: a reject that rounds differently from Dist, such as one on
+// squared distances, answers differently on some of them. NaN and
+// infinite centres close the set.
+func circlePairs() [][2]Rect {
+	rng := rand.New(rand.NewSource(11))
+	var pairs [][2]Rect
+	for i := 0; i < 4000; i++ {
+		a := NewRect(V(rng.Float64()*4-2, rng.Float64()*4-2), rng.Float64()*2+0.05, rng.Float64()+0.05, rng.Float64()*2*math.Pi)
+		k := 0.2 + rng.Float64()*3
+		b := a
+		b.HalfL, b.HalfW = a.HalfL*k, a.HalfW*k
+		rel := (rng.Float64()*2 - 1) * 1e-12
+		if i%4 == 0 {
+			rel = float64(i%40/4-5) * 1e-16
+		}
+		diag := a.Corners()[0].Sub(a.Center)
+		b.Center = a.Center.Add(diag.Scale((1 + k) * (1 + rel)))
+		pairs = append(pairs, [2]Rect{a, b})
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	centres := []Vec2{V(nan, 0), V(0, nan), V(nan, nan), V(inf, 0), V(-inf, 1), V(0, inf), V(inf, inf), V(nan, inf), V(-inf, nan), V(0.3, 0.1)}
+	for _, ca := range centres {
+		for _, cb := range centres {
+			a := NewRect(ca, 1, 0.5, 0.3)
+			b := NewRect(cb, 0.8, 0.4, 2)
+			pairs = append(pairs, [2]Rect{a, b})
+		}
+	}
+	return pairs
+}
+
 // TestPreparedIntersectsMatchesReference: Rect.Intersects and the
-// prepared test agree with the reference on intersectPairs.
+// prepared test agree with the reference on intersectPairs and
+// circlePairs.
 func TestPreparedIntersectsMatchesReference(t *testing.T) {
-	pairs := intersectPairs()
+	pairs := append(intersectPairs(), circlePairs()...)
 	hits := 0
 	for _, pr := range pairs {
 		a, b := pr[0], pr[1]
@@ -347,7 +385,8 @@ func TestPreparedIntersectsMatchesReference(t *testing.T) {
 		if got := pa.Intersects(&pb); got != want {
 			t.Fatalf("PreparedRect.Intersects(%+v, %+v) = %v, reference %v", a, b, got, want)
 		}
-		if pa.AABB() != a.AABB() {
+		// A NaN centre gives NaN boxes, which never compare equal.
+		if pa.AABB() != a.AABB() && !math.IsNaN(a.Center.X+a.Center.Y) {
 			t.Fatalf("prepared AABB %v, Rect.AABB %v", pa.AABB(), a.AABB())
 		}
 		if want {

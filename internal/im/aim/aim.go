@@ -155,7 +155,13 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 		}
 	}
 
-	steps, nSamples := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep)
+	// A committed crossing is booked whatever it overlaps; any other must
+	// fit the free tiles.
+	var fit *intersection.Reservations
+	if !req.Committed {
+		fit = s.res
+	}
+	steps, nSamples, fits := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep, fit)
 	cost := s.cfg.Cost.SimulationCost(s.rng, nSamples)
 	if req.Committed {
 		// A committed vehicle's crossing is a physical fact: re-reserve it
@@ -170,7 +176,7 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 			ArriveAt:    req.ProposedToA,
 		}, cost
 	}
-	if !s.res.Available(steps) {
+	if !fits {
 		s.Rejections++
 		return im.Response{Kind: im.RespReject}, cost
 	}

@@ -231,8 +231,14 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 // returns the first whose approach is realizable, whose exit clears the
 // merge rule, and whose swept footprint fits the free tiles. Excluded
 // grants (the requester itself) are skipped in the exit check.
+//
+// The exit check needs no tiles, so it runs first, and the sweep stops at
+// the first held tile. Each candidate is still charged every sample of
+// its crossing, as a full sweep would take, so the cost model sees the
+// same n whichever check refuses it.
 func (s *Scheduler) findSlot(m *intersection.Movement, self int64, a im.Anchor, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, intersection.Occupancy, im.ExitCrossing, int, bool) {
 	lip := s.lipFor(a.Params)
+	planLen, planWid := s.buffers.InflatedDims(a.Params.Length, a.Params.Width)
 	end := math.Min(latest, earliest+s.cfg.Horizon)
 	n := 0
 	for cand := earliest; cand <= end+1e-9; cand += s.scanStep {
@@ -242,25 +248,28 @@ func (s *Scheduler) findSlot(m *intersection.Movement, self int64, a im.Anchor, 
 			break
 		}
 		plan := a.Plan(toa, earliest, vEarliest)
-		steps, candExit, samples := s.footprint(m, a.Params, toa, plan)
-		n += samples
+		cross := im.Reservation{ToA: toa, Plan: plan}
+		candExit := im.ExitOf(m, cross, planLen)
 		if !s.exitClear(self, candExit) {
+			n += im.SweepSamples(m, cross, planLen, s.cfg.TimeStep)
 			continue
 		}
-		if s.res.Available(steps) {
+		steps, samples, fits := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep, s.res)
+		n += samples
+		if fits {
 			return toa, plan, steps, candExit, n, true
 		}
 	}
 	return 0, im.CrossingPlan{}, intersection.Occupancy{}, im.ExitCrossing{}, n + 1, false
 }
 
-// footprint simulates the box crossing and returns its tile footprint,
-// its exit crossing, and the sample count for the cost model. The same
-// one-step slack AIM claims absorbs tracking tolerance.
+// footprint simulates the box crossing and returns its whole tile
+// footprint, its exit crossing, and the sample count for the cost model.
+// The same one-step slack AIM claims absorbs tracking tolerance.
 func (s *Scheduler) footprint(m *intersection.Movement, p kinematics.Params, toa float64, plan im.CrossingPlan) (intersection.Occupancy, im.ExitCrossing, int) {
 	planLen, planWid := s.buffers.InflatedDims(p.Length, p.Width)
 	cross := im.Reservation{ToA: toa, Plan: plan}
-	steps, n := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep)
+	steps, n, _ := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep, nil)
 	return steps, im.ExitOf(m, cross, planLen), n
 }
 

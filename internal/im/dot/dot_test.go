@@ -3,6 +3,8 @@ package dot
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -247,5 +249,112 @@ func TestUnmovableVictimKeepsContestedPairs(t *testing.T) {
 	s.HandleExit(1, 2)
 	if got := s.HeldPairs(); got != 0 {
 		t.Errorf("after both exits %d pairs held", got)
+	}
+}
+
+// refTally counts the candidates refFindSlot refuses, by check.
+type refTally struct{ exit, tiles int }
+
+// refFindSlot is findSlot as first written: every candidate is swept in
+// full, and the exit check and Available run on the whole footprint
+// afterwards. findSlot must answer exactly as it does.
+func refFindSlot(s *Scheduler, tally *refTally, m *intersection.Movement, self int64, a im.Anchor, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, intersection.Occupancy, im.ExitCrossing, int, bool) {
+	lip := s.lipFor(a.Params)
+	end := math.Min(latest, earliest+s.cfg.Horizon)
+	n := 0
+	for cand := earliest; cand <= end+1e-9; cand += s.scanStep {
+		toa := math.Min(cand, latest)
+		if !a.Realizable(toa, lip) {
+			break
+		}
+		plan := a.Plan(toa, earliest, vEarliest)
+		planLen, planWid := s.buffers.InflatedDims(a.Params.Length, a.Params.Width)
+		cross := im.Reservation{ToA: toa, Plan: plan}
+		steps, samples, _ := im.SweepTiles(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep, nil)
+		candExit := im.ExitOf(m, cross, planLen)
+		n += samples
+		if !s.exitClear(self, candExit) {
+			tally.exit++
+			continue
+		}
+		if s.res.Available(steps) {
+			return toa, plan, steps, candExit, n, true
+		}
+		tally.tiles++
+	}
+	return 0, im.CrossingPlan{}, intersection.Occupancy{}, im.ExitCrossing{}, n + 1, false
+}
+
+// TestFindSlotMatchesReference: over seeded scheduler states, findSlot
+// returns exactly what refFindSlot does, for probes shaped like requests
+// (the requester's own grant still standing) and like revisions (the
+// grant released and the scan pushed past its arrival). The states come
+// from random requests on every movement, committed ones among them, so
+// they hold revised grants, contested pairs and exit-lane queues.
+func TestFindSlotMatchesReference(t *testing.T) {
+	s, err := build(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ids := s.x.MovementIDs()
+	var tally refTally
+	found, stops := 0, 0
+	check := func(what string, m *intersection.Movement, self int64, a im.Anchor, earliest, latest, vEarliest float64) {
+		t.Helper()
+		toa, plan, steps, exit, n, ok := s.findSlot(m, self, a, earliest, latest, vEarliest)
+		rToa, rPlan, rSteps, rExit, rN, rOK := refFindSlot(s, &tally, m, self, a, earliest, latest, vEarliest)
+		if toa != rToa || !reflect.DeepEqual(plan, rPlan) || !reflect.DeepEqual(steps, rSteps) || exit != rExit || n != rN || ok != rOK {
+			t.Fatalf("%s for vehicle %d: findSlot (%v, %+v, %v, %d, %v), reference (%v, %+v, %v, %d, %v)",
+				what, self, toa, exit, steps.Pairs(), n, ok, rToa, rExit, rSteps.Pairs(), rN, rOK)
+		}
+		if ok {
+			found++
+		} else {
+			stops++
+		}
+	}
+	now := 0.0
+	for i := 0; i < 1000; i++ {
+		r := req(int64(1+rng.Intn(20)), 0, now-0.01)
+		r.Movement = ids[rng.Intn(len(ids))]
+		r.DistToEntry = 0.3 + rng.Float64()*5
+		r.CurrentSpeed = 0.5 + rng.Float64()*2.5
+		r.Committed = rng.Intn(6) == 0
+
+		m := s.x.Movement(r.Movement)
+		a := im.AnchorRequest(r, r.TransmitTime+s.wcRTD, s.cfg.MinCrossSpeed)
+		truth, vEarliest := a.Earliest()
+		latest, _ := a.Latest(s.lipFor(r.Params))
+		check("request", m, r.VehicleID, a, truth+rng.Float64()*2, latest, vEarliest)
+
+		var granted []int64
+		for id := range s.grants {
+			granted = append(granted, id)
+		}
+		sort.Slice(granted, func(i, j int) bool { return granted[i] < granted[j] })
+		if len(granted) > 0 {
+			id := granted[rng.Intn(len(granted))]
+			g := s.grants[id]
+			if a, ok := im.AnchorPlan(g.res.Plan, now+s.wcRTD, g.params, s.cfg.MinCrossSpeed); ok {
+				if latest, ok := a.Latest(s.lipFor(g.params)); ok {
+					earliest, vEarliest := a.Earliest()
+					s.res.Release(id)
+					check("revision", s.x.Movement(g.movement), id, a, math.Max(earliest, g.toa), latest, vEarliest)
+					s.res.Reserve(id, g.steps)
+				}
+			}
+		}
+
+		s.HandleRequest(now, r)
+		s.TakePushes()
+		if rng.Intn(8) == 0 && len(granted) > 0 {
+			s.HandleExit(now, granted[rng.Intn(len(granted))])
+		}
+		now += rng.Float64() * 0.1
+	}
+	if found == 0 || stops == 0 || tally.exit == 0 || tally.tiles == 0 {
+		t.Fatalf("%d slots found, %d scans ran out, %d candidates refused at the exit and %d on tiles: the states do not exercise every branch",
+			found, stops, tally.exit, tally.tiles)
 	}
 }

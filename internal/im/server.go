@@ -78,6 +78,13 @@ type Server struct {
 
 	queue      []Request
 	processing bool
+	// next is processNext, bound once so scheduling it allocates nothing.
+	next func()
+	// replies pools the records of sent replies.
+	replies []*reply
+	// addrs caches the network address of each vehicle replied to, until
+	// its exit or lease expiry.
+	addrs map[int64]string
 
 	// stalled freezes request service (fault injection): incoming
 	// requests still buffer into the queue, but nothing is answered
@@ -122,7 +129,8 @@ func NewServer(sim *des.Simulator, net *network.Network, sched Scheduler, col *m
 // servers agree on the naming scheme.
 func NewServerAt(sim *des.Simulator, net *network.Network, sched Scheduler, col *metrics.Collector,
 	endpoint string, node int) *Server {
-	s := &Server{sim: sim, net: net, sched: sched, col: col, endpoint: endpoint, node: node}
+	s := &Server{sim: sim, net: net, sched: sched, col: col, endpoint: endpoint, node: node, addrs: make(map[int64]string)}
+	s.next = s.processNext
 	net.Register(endpoint, s.handle)
 	return s
 }
@@ -215,6 +223,7 @@ func (s *Server) sweepLeases() {
 		}
 		last := s.lastSeen[id]
 		delete(s.lastSeen, id)
+		delete(s.addrs, id)
 		if s.coord != nil {
 			s.coord.noteExit(id)
 		}
@@ -290,6 +299,7 @@ func (s *Server) handle(now float64, msg network.Message) {
 			return
 		}
 		delete(s.lastSeen, p.VehicleID)
+		delete(s.addrs, p.VehicleID)
 		if s.coord != nil {
 			s.coord.noteExit(p.VehicleID)
 		}
@@ -320,7 +330,9 @@ func (s *Server) processNext() {
 	}
 	s.processing = true
 	req := s.queue[0]
-	s.queue = s.queue[1:]
+	// Shift in place: re-slicing past the head would make the next append
+	// reallocate.
+	s.queue = append(s.queue[:0], s.queue[1:]...)
 
 	if s.coord != nil {
 		now := s.sim.Now()
@@ -343,7 +355,7 @@ func (s *Server) processNext() {
 			s.net.Send(network.Message{
 				Kind:    network.KindResponse,
 				From:    s.endpoint,
-				To:      vehicleEndpoint(req.VehicleID),
+				To:      s.vehicleAddr(req.VehicleID),
 				Payload: resp,
 			})
 			s.processNext()
@@ -402,17 +414,9 @@ func (s *Server) processNext() {
 			sendDelay = rel - s.sim.Now()
 		}
 	}
-	s.sim.After(sendDelay, func() {
-		s.net.Send(network.Message{
-			Kind:    kind,
-			From:    s.endpoint,
-			To:      vehicleEndpoint(req.VehicleID),
-			Payload: resp,
-		})
-	})
+	s.sendAfter(sendDelay, kind, req.VehicleID, resp)
 	if p, ok := s.sched.(Pusher); ok {
 		for _, push := range p.TakePushes() {
-			push := push
 			push.Resp.Seq = 0 // unsolicited revision marker
 			if s.col != nil {
 				s.col.Revisions++
@@ -424,17 +428,52 @@ func (s *Server) processNext() {
 					Detail: push.Resp.Kind.String(),
 				})
 			}
-			s.sim.After(cost, func() {
-				s.net.Send(network.Message{
-					Kind:    network.KindResponse,
-					From:    s.endpoint,
-					To:      vehicleEndpoint(push.VehicleID),
-					Payload: push.Resp,
-				})
-			})
+			s.sendAfter(cost, network.KindResponse, push.VehicleID, push.Resp)
 		}
 	}
-	s.sim.After(cost, s.processNext)
+	s.sim.After(cost, s.next)
+}
+
+// reply is one response waiting out its delay before it is sent. run,
+// bound once when the record is made, is the kernel event that sends it,
+// so scheduling a pooled record allocates nothing.
+type reply struct {
+	s    *Server
+	kind network.Kind
+	to   string
+	resp Response
+	run  func()
+}
+
+// sendAfter sends resp to the vehicle after delay seconds.
+func (s *Server) sendAfter(delay float64, kind network.Kind, vehicleID int64, resp Response) {
+	var r *reply
+	if k := len(s.replies); k > 0 {
+		r = s.replies[k-1]
+		s.replies = s.replies[:k-1]
+	} else {
+		r = &reply{s: s}
+		r.run = r.send
+	}
+	r.kind, r.to, r.resp = kind, s.vehicleAddr(vehicleID), resp
+	s.sim.After(delay, r.run)
+}
+
+// send returns the record to the pool and sends its response.
+func (r *reply) send() {
+	s, msg := r.s, network.Message{Kind: r.kind, From: r.s.endpoint, To: r.to, Payload: r.resp}
+	s.replies = append(s.replies, r)
+	s.net.Send(msg)
+}
+
+// vehicleAddr returns a vehicle's network address, built on first use.
+func (s *Server) vehicleAddr(id int64) string {
+	addr, ok := s.addrs[id]
+	if !ok {
+		addr = vehicleEndpoint(id)
+		s.addrs[id] = addr
+	}
+	return addr
 }
 
 // vehicleEndpoint returns the network address of a vehicle.

@@ -15,17 +15,23 @@ import (
 // tolerance, at one step before and two after. It returns the footprint
 // and the number of samples taken, the unit CostModel.SimulationCost
 // charges; a sample that touches no tile still counts.
-func SweepTiles(grid *intersection.TileGrid, m *intersection.Movement, cross Reservation, planLen, planWid, dt float64) (intersection.Occupancy, int) {
-	tStart, tEnd := cross.TimeAtArc(-planLen/2), cross.TimeAtArc(m.InsideLen()+planLen/2)
+//
+// Given reservations fit, it also reports whether fit holds none of the
+// footprint's pairs, the answer fit.Available gives on the whole
+// footprint. It stops rasterising at the first sample that claims a held
+// pair and returns a partial footprint with fits false, but still counts
+// every sample, so the cost does not depend on where the crossing was
+// refused. A nil fit sweeps the whole crossing and reports true.
+func SweepTiles(grid *intersection.TileGrid, m *intersection.Movement, cross Reservation, planLen, planWid, dt float64, fit *intersection.Reservations) (occ intersection.Occupancy, n int, fits bool) {
+	tStart, tEnd := sweepSpan(m, cross, planLen)
 	// One row per sample plus the slack, sized up front for usual spans.
 	rows := 0
 	if span := (tEnd - tStart) / dt; span >= 0 && span < 1024 {
 		rows = int(span) + 5
 	}
-	occ := grid.NewOccupancy(rows)
+	occ = grid.NewOccupancy(rows)
 	var buf [intersection.MaxTileGridN * intersection.MaxTileGridN / 64]uint64
 	row := buf[:grid.Words()]
-	n := 0
 	for t := tStart; t <= tEnd; t += dt {
 		pose := m.Path.PoseAt(m.EnterS + cross.ArcAtTime(t))
 		n++
@@ -37,11 +43,41 @@ func SweepTiles(grid *intersection.TileGrid, m *intersection.Movement, cross Res
 		// true passage may deviate by up to a step (tracking tolerance
 		// before the vehicle's time-lag re-request triggers).
 		step := int64(math.Floor(t / dt))
+		if fit != nil {
+			for d := int64(-1); d <= 2; d++ {
+				if fit.Taken(step+d, row) {
+					return occ, n + samplesFrom(t+dt, tEnd, dt), false
+				}
+			}
+		}
 		for d := int64(-1); d <= 2; d++ {
 			occ.Or(step+d, row)
 		}
 	}
-	return occ, n
+	return occ, n, true
+}
+
+// SweepSamples returns the number of samples SweepTiles takes of the
+// crossing, without rasterising any.
+func SweepSamples(m *intersection.Movement, cross Reservation, planLen, dt float64) int {
+	tStart, tEnd := sweepSpan(m, cross, planLen)
+	return samplesFrom(tStart, tEnd, dt)
+}
+
+// sweepSpan returns the sampled window of a crossing: from its body's
+// centre planLen/2 before the entry to planLen/2 past the exit.
+func sweepSpan(m *intersection.Movement, cross Reservation, planLen float64) (tStart, tEnd float64) {
+	return cross.TimeAtArc(-planLen / 2), cross.TimeAtArc(m.InsideLen() + planLen/2)
+}
+
+// samplesFrom counts the samples t, t+dt, ... up to tEnd, stepping t as
+// SweepTiles does.
+func samplesFrom(t, tEnd, dt float64) int {
+	n := 0
+	for ; t <= tEnd; t += dt {
+		n++
+	}
+	return n
 }
 
 // ExitCrossing records when and how fast a reserved crossing leaves the

@@ -2,6 +2,8 @@ package im
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"crossroads/internal/geom"
@@ -41,7 +43,7 @@ func TestSweepTilesSamplesAndSlack(t *testing.T) {
 	m := x.Movement(intersection.MovementID{Approach: intersection.East, Lane: 0, Turn: intersection.Straight})
 	const dt, planLen, planWid, v = 0.05, 0.7, 0.4, 2.0
 	cross := Reservation{ToA: 3, Plan: ConstantPlan(v)}
-	occ, n := SweepTiles(grid, m, cross, planLen, planWid, dt)
+	occ, n, _ := SweepTiles(grid, m, cross, planLen, planWid, dt, nil)
 	// Samples run from ToA - (planLen/2)/v to the time the body's rear
 	// clears the exit, every dt.
 	span := (m.InsideLen() + planLen) / v
@@ -63,7 +65,78 @@ func TestSweepTilesSamplesAndSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if occ, got := SweepTiles(away, m, cross, planLen, planWid, dt); got != n || occ.Pairs() != 0 {
+	if occ, got, _ := SweepTiles(away, m, cross, planLen, planWid, dt, nil); got != n || occ.Pairs() != 0 {
 		t.Errorf("off-grid sweep: %d samples, %d pairs; want %d samples and no pairs", got, occ.Pairs(), n)
+	}
+}
+
+// TestFittingSweepMatchesFullSweep: over seeded reservation states, the
+// sweep that fits against the reservations agrees with a full sweep plus
+// Available on whether the crossing fits, returns the full sweep's
+// occupancy whenever it fits, and counts the full sweep's samples every
+// time. Crossings are constant-speed and accelerating, from every
+// movement, at times around the held ones.
+func TestFittingSweepMatchesFullSweep(t *testing.T) {
+	x, err := intersection.New(intersection.ScaleModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	movements := x.Movements()
+	for _, tc := range []struct {
+		n      int
+		dt     float64
+		planLW [2]float64
+	}{{8, 0.05, [2]float64{0.72, 0.4}}, {8, 0.1, [2]float64{0.6, 0.3}}, {12, 0.05, [2]float64{0.5, 0.25}}} {
+		grid, err := intersection.NewTileGrid(x.Box(), tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planLen, planWid := tc.planLW[0], tc.planLW[1]
+		rng := rand.New(rand.NewSource(int64(tc.n) * 31))
+		crossing := func() (*intersection.Movement, Reservation) {
+			m := movements[rng.Intn(len(movements))]
+			toa, v := rng.Float64()*8, 0.3+rng.Float64()*2.7
+			if rng.Intn(2) == 0 {
+				return m, Reservation{ToA: toa, Plan: ConstantPlan(v)}
+			}
+			return m, Reservation{ToA: toa, Plan: AccelPlan(toa, v, 3, 2+rng.Float64()*2)}
+		}
+		fits, refused := 0, 0
+		for state := 0; state < 20; state++ {
+			res := intersection.NewReservations(grid)
+			for id := int64(0); id < int64(state%8); id++ {
+				m, cross := crossing()
+				occ, _, _ := SweepTiles(grid, m, cross, planLen, planWid, tc.dt, nil)
+				res.Reserve(id, occ)
+			}
+			for probe := 0; probe < 60; probe++ {
+				m, cross := crossing()
+				full, nFull, ok := SweepTiles(grid, m, cross, planLen, planWid, tc.dt, nil)
+				if !ok {
+					t.Fatal("a sweep with no reservations to fit reports no fit")
+				}
+				occ, n, fit := SweepTiles(grid, m, cross, planLen, planWid, tc.dt, res)
+				if want := res.Available(full); fit != want {
+					t.Fatalf("n=%d state %d probe %d: fits %v, Available on the full sweep %v", tc.n, state, probe, fit, want)
+				}
+				if n != nFull {
+					t.Fatalf("n=%d state %d probe %d: %d samples, full sweep %d", tc.n, state, probe, n, nFull)
+				}
+				if n != SweepSamples(m, cross, planLen, tc.dt) {
+					t.Fatalf("n=%d state %d probe %d: SweepSamples %d, sweep %d", tc.n, state, probe, SweepSamples(m, cross, planLen, tc.dt), n)
+				}
+				if !fit {
+					refused++
+					continue
+				}
+				fits++
+				if !reflect.DeepEqual(occ, full) {
+					t.Fatalf("n=%d state %d probe %d: the fitting sweep's occupancy differs from the full sweep's", tc.n, state, probe)
+				}
+			}
+		}
+		if fits == 0 || refused == 0 {
+			t.Fatalf("n=%d: %d probes fit and %d were refused: the states do not exercise both answers", tc.n, fits, refused)
+		}
 	}
 }

@@ -237,17 +237,25 @@ func (r *Reservations) row(s int64, create bool) ([]uint64, []int64) {
 func (r *Reservations) Available(o Occupancy) bool {
 	first, n := o.Steps()
 	for k := 0; k < n; k++ {
-		held, _ := r.row(first+int64(k), false)
-		if held == nil {
-			continue
-		}
-		for w, b := range o.row(k) {
-			if held[w]&b != 0 {
-				return false
-			}
+		if r.Taken(first+int64(k), o.row(k)) {
+			return false
 		}
 	}
 	return true
+}
+
+// Taken reports whether any tile of set, a tile bitset, is held at step.
+func (r *Reservations) Taken(step int64, set []uint64) bool {
+	held, _ := r.row(step, false)
+	if held == nil {
+		return false
+	}
+	for w, b := range set {
+		if held[w]&b != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Reserve claims the pairs for owner. It does not re-check availability;

@@ -141,8 +141,53 @@ func TestTilesForRotatedRect(t *testing.T) {
 	}
 }
 
+// refIntersects is the separating-axis test as first written: the
+// bounding circles reject on Dist, then every axis and corner is
+// recomputed from the headings and both rectangles are projected onto
+// all four axes.
+func refIntersects(r, o geom.Rect) bool {
+	rr := math.Hypot(r.HalfL, r.HalfW)
+	or := math.Hypot(o.HalfL, o.HalfW)
+	if r.Center.Dist(o.Center) > rr+or {
+		return false
+	}
+	axes := [4]geom.Vec2{
+		geom.Heading(r.Heading),
+		geom.Heading(r.Heading).Perp(),
+		geom.Heading(o.Heading),
+		geom.Heading(o.Heading).Perp(),
+	}
+	corners := func(x geom.Rect) [4]geom.Vec2 {
+		f := geom.Heading(x.Heading).Scale(x.HalfL)
+		s := geom.Heading(x.Heading).Perp().Scale(x.HalfW)
+		return [4]geom.Vec2{x.Center.Add(f).Add(s), x.Center.Sub(f).Add(s), x.Center.Sub(f).Sub(s), x.Center.Add(f).Sub(s)}
+	}
+	extent := func(pts [4]geom.Vec2, ax geom.Vec2) (lo, hi float64) {
+		lo, hi = math.Inf(1), math.Inf(-1)
+		for _, p := range pts {
+			d := p.Dot(ax)
+			if d < lo {
+				lo = d
+			}
+			if d > hi {
+				hi = d
+			}
+		}
+		return lo, hi
+	}
+	rc, oc := corners(r), corners(o)
+	for _, ax := range axes {
+		rmin, rmax := extent(rc, ax)
+		omin, omax := extent(oc, ax)
+		if rmax < omin-geom.Eps || omax < rmin-geom.Eps {
+			return false
+		}
+	}
+	return true
+}
+
 // tilesFor is the tile lookup as first written: it rebuilds each tile's
-// rectangle and runs a full Rect.Intersects per tile. Mark must agree.
+// rectangle and runs refIntersects per tile. Mark must agree.
 func tilesFor(g *TileGrid, r geom.Rect) []int {
 	bb := r.AABB()
 	if !bb.Overlaps(g.box) {
@@ -157,7 +202,7 @@ func tilesFor(g *TileGrid, r geom.Rect) []int {
 		for i := iLo; i <= iHi; i++ {
 			tile := g.TileAABB(i, j)
 			tileRect := geom.NewRect(tile.Center(), tile.Width(), tile.Height(), 0)
-			if r.Intersects(tileRect) {
+			if refIntersects(r, tileRect) {
 				out = append(out, g.TileIndex(i, j))
 			}
 		}

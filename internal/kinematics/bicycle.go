@@ -98,64 +98,3 @@ func PurePursuit(s BicycleState, path geom.Path, sTarget, wheelbase, maxSteer fl
 	psi := math.Atan(2 * wheelbase * math.Sin(alpha) / ld)
 	return geom.Clamp(psi, -maxSteer, maxSteer)
 }
-
-// PathTracker integrates a bicycle model along a geometric path while
-// following a longitudinal velocity Profile, producing the 2-D motion the
-// plant package perturbs with noise. It keeps the vehicle's arc-length
-// progress so pose lookups stay O(1) per step.
-type PathTracker struct {
-	Path      geom.Path
-	Wheelbase float64
-	MaxSteer  float64 // radians, steering limit
-	Lookahead float64 // meters ahead on the path for pure pursuit
-
-	State    BicycleState
-	Progress float64 // arc length traveled along the path
-}
-
-// NewPathTracker places a bicycle at the start of the path with the given
-// initial speed.
-func NewPathTracker(path geom.Path, wheelbase, v0 float64) *PathTracker {
-	start := path.PoseAt(0)
-	return &PathTracker{
-		Path:      path,
-		Wheelbase: wheelbase,
-		MaxSteer:  0.6, // ~34 degrees, typical steering limit
-		Lookahead: math.Max(2*wheelbase, 0.3),
-		State: BicycleState{
-			Pos:     start.Pos,
-			Heading: start.Heading,
-			V:       v0,
-		},
-	}
-}
-
-// Step advances the tracker by dt seconds, commanding the acceleration that
-// tracks wantV (the profile velocity at the end of the step) and steering by
-// pure pursuit. It returns the new state.
-func (pt *PathTracker) Step(wantV, dt float64) BicycleState {
-	if dt <= 0 {
-		return pt.State
-	}
-	accel := (wantV - pt.State.V) / dt
-	steer := PurePursuit(pt.State, pt.Path, pt.Progress+pt.Lookahead, pt.Wheelbase, pt.MaxSteer)
-	prev := pt.State
-	pt.State = StepRK4(pt.State, BicycleInput{Accel: accel, Steer: steer}, pt.Wheelbase, dt)
-	// Advance progress by the distance actually covered (midpoint speed).
-	pt.Progress += (prev.V + pt.State.V) / 2 * dt
-	if pt.Progress > pt.Path.Length() {
-		pt.Progress = pt.Path.Length()
-	}
-	return pt.State
-}
-
-// CrossTrackError returns the lateral distance between the vehicle position
-// and the path point at the current progress.
-func (pt *PathTracker) CrossTrackError() float64 {
-	return pt.Path.PoseAt(pt.Progress).Pos.Dist(pt.State.Pos)
-}
-
-// Done reports whether the tracker has reached the end of the path.
-func (pt *PathTracker) Done() bool {
-	return pt.Progress >= pt.Path.Length()-1e-9
-}

@@ -129,67 +129,6 @@ func TestPurePursuitClamped(t *testing.T) {
 	}
 }
 
-func TestPathTrackerFollowsStraight(t *testing.T) {
-	path := geom.LinePath{Start: geom.V(0, 0), End: geom.V(5, 0)}
-	pt := NewPathTracker(path, 0.335, 1)
-	for i := 0; i < 600 && !pt.Done(); i++ {
-		pt.Step(1, 0.01)
-	}
-	if !pt.Done() {
-		t.Fatalf("tracker did not finish: progress %v", pt.Progress)
-	}
-	if e := pt.CrossTrackError(); e > 0.01 {
-		t.Errorf("cross-track error %v too large", e)
-	}
-}
-
-func TestPathTrackerFollowsTurn(t *testing.T) {
-	// Straight, then a left quarter turn with 0.9 m radius (scale-model
-	// left-turn geometry), then straight.
-	entry := geom.LinePath{Start: geom.V(-2, 0), End: geom.V(0, 0)}
-	arc := geom.ArcBetween(geom.V(0, 0), 0, math.Pi/2, 0.9)
-	exitStart := arc.PoseAt(arc.Length()).Pos
-	exit := geom.LinePath{Start: exitStart, End: exitStart.Add(geom.V(0, 2))}
-	path := geom.NewCompositePath(entry, arc, exit)
-
-	pt := NewPathTracker(path, 0.335, 1.5)
-	pt.Lookahead = 0.4
-	maxErr := 0.0
-	for i := 0; i < 10000 && !pt.Done(); i++ {
-		pt.Step(1.5, 0.005)
-		if e := pt.CrossTrackError(); e > maxErr {
-			maxErr = e
-		}
-	}
-	if !pt.Done() {
-		t.Fatalf("tracker did not finish: progress %v of %v", pt.Progress, path.Length())
-	}
-	if maxErr > 0.15 {
-		t.Errorf("max cross-track error %v exceeds 0.15 m", maxErr)
-	}
-}
-
-func TestPathTrackerZeroDt(t *testing.T) {
-	path := geom.LinePath{Start: geom.V(0, 0), End: geom.V(5, 0)}
-	pt := NewPathTracker(path, 0.335, 1)
-	before := pt.State
-	after := pt.Step(1, 0)
-	if after != before {
-		t.Errorf("zero-dt step changed state")
-	}
-}
-
-func TestPathTrackerProgressClamped(t *testing.T) {
-	path := geom.LinePath{Start: geom.V(0, 0), End: geom.V(0.5, 0)}
-	pt := NewPathTracker(path, 0.335, 3)
-	for i := 0; i < 200; i++ {
-		pt.Step(3, 0.01)
-	}
-	if pt.Progress > path.Length() {
-		t.Errorf("progress %v exceeds path length %v", pt.Progress, path.Length())
-	}
-}
-
 func TestBicycleStatePose(t *testing.T) {
 	s := BicycleState{Pos: geom.V(1, 2), Heading: 0.5, V: 1}
 	p := s.Pose()

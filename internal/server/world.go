@@ -37,7 +37,7 @@ type world struct {
 	// event-execution order. It runs inside the DES, so it must not block.
 	deliver func(now float64, id int64, f protocol.Frame)
 
-	vehicles map[int64]bool
+	vehicles map[int64]string // registered vehicles' network addresses
 }
 
 // newWorldAt builds the embedded IM stack for one topology node. The shard
@@ -78,7 +78,7 @@ func newWorldAt(cfg Config, node int) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &world{x: x, sim: sim, net: net, im: shard, node: node, vehicles: make(map[int64]bool)}, nil
+	return &world{x: x, sim: sim, net: net, im: shard, node: node, vehicles: make(map[int64]string)}, nil
 }
 
 // refParams returns the reference vehicle footprint for a geometry: the
@@ -94,14 +94,16 @@ func refParams(g protocol.Geometry) kinematics.Params {
 }
 
 // ensureVehicle registers the vehicle's network endpoint so IM replies to
-// it reach w.deliver. Registration is idempotent and immediate (no DES
-// event), so lazily registering on first sight cannot perturb event order.
-func (w *world) ensureVehicle(id int64) {
-	if w.vehicles[id] {
-		return
+// it reach w.deliver, and returns its address. Registration is idempotent
+// and immediate (no DES event), so lazily registering on first sight
+// cannot perturb event order.
+func (w *world) ensureVehicle(id int64) string {
+	if addr, ok := w.vehicles[id]; ok {
+		return addr
 	}
-	w.vehicles[id] = true
-	w.net.Register(im.VehicleEndpoint(id), func(now float64, msg network.Message) {
+	addr := im.VehicleEndpoint(id)
+	w.vehicles[id] = addr
+	w.net.Register(addr, func(now float64, msg network.Message) {
 		f, ok := frameFromMessage(now, id, msg)
 		if !ok {
 			return
@@ -110,6 +112,7 @@ func (w *world) ensureVehicle(id int64) {
 			w.deliver(now, id, f)
 		}
 	})
+	return addr
 }
 
 // injectNow hands one client frame to the IM at the current simulated time.
@@ -123,26 +126,23 @@ func (w *world) injectNow(f protocol.Frame) error {
 		if err := w.validateRequest(req); err != nil {
 			return err
 		}
-		w.ensureVehicle(req.VehicleID)
 		w.net.Send(network.Message{
 			Kind:    network.KindRequest,
-			From:    im.VehicleEndpoint(req.VehicleID),
+			From:    w.ensureVehicle(req.VehicleID),
 			To:      im.NodeEndpoint(w.node),
 			Payload: req,
 		})
 	case protocol.Exit:
-		w.ensureVehicle(v.VehicleID)
 		w.net.Send(network.Message{
 			Kind:    network.KindExit,
-			From:    im.VehicleEndpoint(v.VehicleID),
+			From:    w.ensureVehicle(v.VehicleID),
 			To:      im.NodeEndpoint(w.node),
 			Payload: im.ExitPayload{VehicleID: v.VehicleID, ExitTimestamp: v.ExitTimestamp},
 		})
 	case protocol.Sync:
-		w.ensureVehicle(v.VehicleID)
 		w.net.Send(network.Message{
 			Kind:    network.KindSyncRequest,
-			From:    im.VehicleEndpoint(v.VehicleID),
+			From:    w.ensureVehicle(v.VehicleID),
 			To:      im.NodeEndpoint(w.node),
 			Payload: im.SyncPayload{T1: v.T1},
 		})

@@ -204,10 +204,11 @@ type Agent struct {
 	Plant    *plant.Plant
 	Clock    *timesync.SyncedClock
 
-	cfg    Config
-	sim    *des.Simulator
-	net    *network.Network
-	leader LeaderFunc
+	cfg      Config
+	sim      *des.Simulator
+	net      *network.Network
+	leader   LeaderFunc
+	endpoint string // the agent's network address
 
 	// imAddr and node identify the IM shard of the current leg.
 	imAddr string
@@ -293,6 +294,7 @@ func New(id int64, m *intersection.Movement, pl *plant.Plant, clk *timesync.Sync
 		sim:      sim,
 		net:      net,
 		leader:   leader,
+		endpoint: im.VehicleEndpoint(id),
 		imAddr:   cfg.IMEndpoint,
 		node:     cfg.Node,
 		state:    StateSync,
@@ -301,7 +303,7 @@ func New(id int64, m *intersection.Movement, pl *plant.Plant, clk *timesync.Sync
 }
 
 // Endpoint returns the agent's network address.
-func (a *Agent) Endpoint() string { return im.VehicleEndpoint(a.ID) }
+func (a *Agent) Endpoint() string { return a.endpoint }
 
 // State returns the current protocol state.
 func (a *Agent) State() State { return a.state }
