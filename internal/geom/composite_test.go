@@ -3,6 +3,7 @@ package geom_test
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"crossroads/internal/geom"
@@ -67,6 +68,59 @@ func TestCompositePoseAtMatchesSegmentWalk(t *testing.T) {
 					t.Fatalf("%v at s=%v: PoseAt %+v, segment walk %+v", m.ID, s, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestCompositePoseMovesAtMostArcPlusJoins pins the bound the world's
+// safety check rests on: between two arc positions a composite's pose
+// moves no farther than their arc distance plus JoinGaps. It samples
+// every movement of both geometries and a composite with a 0.5 mm and a
+// 0.8 mm join, densely around each join, and compares neighbouring and
+// random pairs of samples.
+func TestCompositePoseMovesAtMostArcPlusJoins(t *testing.T) {
+	var paths []*geom.CompositePath
+	for _, cfg := range []intersection.Config{intersection.ScaleModelConfig(), intersection.FullScaleConfig()} {
+		x, err := intersection.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range x.Movements() {
+			paths = append(paths, m.Path.(*geom.CompositePath))
+		}
+	}
+	in := geom.LinePath{Start: geom.V(-5, 0), End: geom.V(0, 0)}
+	arc := geom.ArcBetween(geom.V(0, 0.0005), 0, math.Pi/2, 2)
+	out := arc.PoseAt(arc.Length()).Pos
+	gapped := geom.NewCompositePath(in, arc, geom.LinePath{Start: out.Add(geom.V(0.0008, 0)), End: out.Add(geom.V(0.0008, 5))})
+	if want := 0.0005 + 0.0008 + 2*geom.Eps; math.Abs(gapped.JoinGaps()-want) > 1e-12 {
+		t.Fatalf("JoinGaps = %v, want %v", gapped.JoinGaps(), want)
+	}
+	paths = append(paths, gapped)
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range paths {
+		l := c.Length()
+		var ss []float64
+		join := 0.0
+		for _, seg := range c.Segments() {
+			join += seg.Length()
+			for k := -20; k <= 20; k++ {
+				ss = append(ss, join+float64(k)*geom.Eps/4)
+			}
+		}
+		for len(ss) < 2000 {
+			ss = append(ss, rng.Float64()*l)
+		}
+		sort.Float64s(ss)
+		moves := func(s1, s2 float64) {
+			d := c.PoseAt(s1).Pos.Dist(c.PoseAt(s2).Pos)
+			if bound := math.Abs(s2-s1) + c.JoinGaps(); d > bound+1e-12 {
+				t.Fatalf("pose moved %v between s=%v and s=%v, bound %v (JoinGaps %v)", d, s1, s2, bound, c.JoinGaps())
+			}
+		}
+		for i := 1; i < len(ss); i++ {
+			moves(ss[i-1], ss[i])
+			moves(ss[rng.Intn(len(ss))], ss[i])
 		}
 	}
 }

@@ -88,6 +88,10 @@ type CompositePath struct {
 	lines  []preparedLine
 	cumLen []float64 // cumulative length up to the *end* of segs[i]
 	total  float64
+	// joins bounds how far a pose jumps at the joins: each join's gap,
+	// which Append accepts up to 1 mm, plus the Eps by which PoseAt's
+	// segment lookup runs past the join.
+	joins float64
 }
 
 // preparedLine is a LinePath with its direction, length and heading
@@ -131,9 +135,11 @@ func (c *CompositePath) Append(p Path) {
 	if len(c.segs) > 0 {
 		prevEnd := c.segs[len(c.segs)-1].PoseAt(math.Inf(1)).Pos
 		newStart := p.PoseAt(0).Pos
-		if prevEnd.Dist(newStart) > 1e-3 {
+		gap := prevEnd.Dist(newStart)
+		if gap > 1e-3 {
 			panic(fmt.Sprintf("geom: discontinuous composite path: %v -> %v", prevEnd, newStart))
 		}
+		c.joins += gap + Eps
 	}
 	c.segs = append(c.segs, p)
 	c.lines = append(c.lines, prepareLine(p))
@@ -143,6 +149,11 @@ func (c *CompositePath) Append(p Path) {
 
 // Length returns the total arc length of the composite.
 func (c *CompositePath) Length() float64 { return c.total }
+
+// JoinGaps returns the summed jumps of the composite's joins: between any
+// two arc positions, PoseAt's position moves at most their arc distance
+// plus JoinGaps.
+func (c *CompositePath) JoinGaps() float64 { return c.joins }
 
 // PoseAt returns the pose at arc length s along the composite.
 func (c *CompositePath) PoseAt(s float64) Pose {

@@ -31,10 +31,10 @@ type Anchor struct {
 // its reported speed clamped to [0, MaxSpeed], from its transmit time TT
 // until te, so DE = DT - VC*(te-TT), floored at the box entry.
 func AnchorRequest(req Request, te, minSpeed float64) Anchor {
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
+	vc := min(max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
 	return Anchor{
 		TE:       te,
-		DE:       math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0),
+		DE:       max(req.DistToEntry-vc*(te-req.TransmitTime), 0),
 		VC:       vc,
 		Params:   req.Params,
 		MinSpeed: minSpeed,
@@ -53,7 +53,7 @@ func AnchorPlan(plan CrossingPlan, te float64, params kinematics.Params, minSpee
 // from TE, and the entry speed then, floored at MinSpeed.
 func (a Anchor) Earliest() (earliest, vEarliest float64) {
 	eta, v := kinematics.EarliestArrival(a.DE, a.VC, a.Params)
-	return a.TE + eta, math.Max(v, a.MinSpeed)
+	return a.TE + eta, max(v, a.MinSpeed)
 }
 
 // Latest returns the latest arrival the vehicle can safely realize. It is
@@ -85,7 +85,7 @@ func (a Anchor) Plan(toa, earliest, vEarliest float64) CrossingPlan {
 	if err != nil {
 		prof = kinematics.EarliestProfile(a.TE, a.DE, a.VC, a.Params)
 	} else if toa > earliest+1e-6 {
-		vArr = math.Max(prof.VelocityAt(prof.TimeAtDistance(a.DE)), a.MinSpeed)
+		vArr = max(prof.VelocityAt(prof.TimeAtDistance(a.DE)), a.MinSpeed)
 	}
 	plan := AccelPlan(toa, vArr, a.Params.MaxSpeed, a.Params.MaxAccel)
 	plan.Approach = prof

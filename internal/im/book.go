@@ -2,7 +2,6 @@ package im
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"crossroads/internal/intersection"
@@ -93,7 +92,7 @@ func (r Reservation) TimeAtArc(arc float64) float64 {
 	if arc > 0 && len(r.Plan.Traj.Phases) > 0 {
 		return r.Plan.Traj.TimeAtDistance(arc)
 	}
-	return r.ToA + arc/math.Max(r.Plan.EntrySpeed, 1e-6)
+	return r.ToA + arc/max(r.Plan.EntrySpeed, 1e-6)
 }
 
 // ArcAtTime inverts TimeAtArc: the arc length (from the box entry) of the
@@ -102,15 +101,15 @@ func (r Reservation) ArcAtTime(t float64) float64 {
 	if t > r.ToA && len(r.Plan.Traj.Phases) > 0 {
 		return r.Plan.Traj.DistanceAt(t)
 	}
-	return (t - r.ToA) * math.Max(r.Plan.EntrySpeed, 1e-6)
+	return (t - r.ToA) * max(r.Plan.EntrySpeed, 1e-6)
 }
 
 // SpeedAtArc returns the speed at arc length `arc` past the entry.
 func (r Reservation) SpeedAtArc(arc float64) float64 {
 	if len(r.Plan.Traj.Phases) == 0 || arc <= 0 {
-		return math.Max(r.Plan.EntrySpeed, 1e-6)
+		return max(r.Plan.EntrySpeed, 1e-6)
 	}
-	return math.Max(r.Plan.Traj.VelocityAt(r.Plan.Traj.TimeAtDistance(arc)), 1e-6)
+	return max(r.Plan.Traj.VelocityAt(r.Plan.Traj.TimeAtDistance(arc)), 1e-6)
 }
 
 // interval is a closed time interval.
@@ -124,7 +123,7 @@ func (i interval) pad(m float64) interval { return interval{i.lo - m, i.hi + m} 
 // entryInterval is the time window the inflated footprint occupies the box
 // entry cross-section.
 func (r Reservation) entryInterval() interval {
-	h := r.PlanLen / (2 * math.Max(r.Plan.EntrySpeed, 1e-6))
+	h := r.PlanLen / (2 * max(r.Plan.EntrySpeed, 1e-6))
 	return interval{r.ToA - h, r.ToA + h}
 }
 
@@ -503,15 +502,15 @@ func (b *Book) setCand(c *candCtx, r Reservation) {
 // fields — only the entry side of a conflict check is ever padded).
 func (b *Book) deriveBase(r *Reservation, m *intersection.Movement) resDerived {
 	var d resDerived
-	d.pad = b.margin + b.spatial/math.Max(r.Plan.EntrySpeed, 0.5)
+	d.pad = b.margin + b.spatial/max(r.Plan.EntrySpeed, 0.5)
 	d.entry = r.entryInterval()
 	inside := m.InsideLen()
 	if inside > 0 && len(r.Plan.Traj.Phases) > 0 {
 		d.exitT = r.Plan.Traj.TimeAtDistance(inside)
-		d.exitV = math.Max(r.Plan.Traj.VelocityAt(d.exitT), 1e-6)
+		d.exitV = max(r.Plan.Traj.VelocityAt(d.exitT), 1e-6)
 	} else {
-		d.exitT = r.ToA + inside/math.Max(r.Plan.EntrySpeed, 1e-6)
-		d.exitV = math.Max(r.Plan.EntrySpeed, 1e-6)
+		d.exitT = r.ToA + inside/max(r.Plan.EntrySpeed, 1e-6)
+		d.exitV = max(r.Plan.EntrySpeed, 1e-6)
 	}
 	h := r.PlanLen / (2 * d.exitV)
 	d.exit = interval{d.exitT - h, d.exitT + h}
@@ -670,7 +669,7 @@ func (b *Book) EarliestFeasible(vehicleID, seniority int64, m intersection.Movem
 			last = e.d.exitT
 		}
 	}
-	toa = math.Max(toa, last+1.0)
+	toa = max(toa, last+1.0)
 	return toa, planFor(toa), nil
 }
 
@@ -683,7 +682,7 @@ func ConstantPlan(speed float64) CrossingPlan {
 // accelerates at accel toward vMax, cruising beyond — the paper's
 // max-acceleration crossing trajectory (Fig. 6.2).
 func AccelPlan(toa, vEntry, vMax, accel float64) CrossingPlan {
-	vEntry = math.Max(vEntry, 1e-3)
+	vEntry = max(vEntry, 1e-3)
 	if vEntry >= vMax || accel <= 0 {
 		return CrossingPlan{EntrySpeed: vEntry, TargetSpeed: vEntry}
 	}

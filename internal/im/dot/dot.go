@@ -119,7 +119,7 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*Scheduler, 
 		buffers:  cfg.Spec.ForCrossroads(),
 		grants:   make(map[int64]*grant),
 		order:    im.NewLaneOrder(),
-		scanStep: math.Max(4*cfg.TimeStep, 0.1),
+		scanStep: max(4*cfg.TimeStep, 0.1),
 		wcRTD:    cfg.Spec.WorstRTD,
 	}, nil
 }
@@ -239,10 +239,10 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 func (s *Scheduler) findSlot(m *intersection.Movement, self int64, a im.Anchor, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, intersection.Occupancy, im.ExitCrossing, int, bool) {
 	lip := s.lipFor(a.Params)
 	planLen, planWid := s.buffers.InflatedDims(a.Params.Length, a.Params.Width)
-	end := math.Min(latest, earliest+s.cfg.Horizon)
+	end := min(latest, earliest+s.cfg.Horizon)
 	n := 0
 	for cand := earliest; cand <= end+1e-9; cand += s.scanStep {
-		toa := math.Min(cand, latest)
+		toa := min(cand, latest)
 		if !a.Realizable(toa, lip) {
 			// Later candidates dip deeper still: command a stop instead.
 			break
@@ -318,7 +318,7 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps *intersec
 		earliest, vEarliest := a.Earliest()
 		// Revisions only push later: never tempt the victim into an
 		// earlier slot its controller may no longer reach.
-		earliest = math.Max(earliest, g.toa)
+		earliest = max(earliest, g.toa)
 		s.res.Release(id)
 		toa, plan, steps, candExit, _, found := s.findSlot(m, id, a, earliest, latest, vEarliest)
 		if !found {

@@ -78,7 +78,7 @@ func reviseOne(b *Book, r Reservation, now, cmdLatency, minCrossSpeed float64) (
 		return Reservation{}, Response{}, false
 	}
 	earliest, vEarliest := a.Earliest()
-	earliest = math.Max(earliest, r.ToA) // revisions only push later
+	earliest = max(earliest, r.ToA) // revisions only push later
 	// Every revised arrival enters at its approach's own speed.
 	planFor := func(toa float64) CrossingPlan { return a.Plan(toa, math.Inf(-1), vEarliest) }
 	toa, plan, err := b.EarliestFeasible(r.VehicleID, r.Seniority, r.Movement, r.PlanLen, earliest, planFor)

@@ -91,8 +91,8 @@ func (p planner) VerifySlot(now, toa float64, plan im.CrossingPlan, req im.Reque
 	if plan.EntrySpeed <= 0 || plan.EntrySpeed < p.minGrantFrac*req.Params.MaxSpeed {
 		return false
 	}
-	dt := math.Max(req.DistToEntry, 0)
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
+	dt := max(req.DistToEntry, 0)
+	vc := min(max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
 	prof := kinematics.RampHoldProfile(now, dt, vc, plan.TargetSpeed, req.Params)
 	actual := prof.TimeAtDistance(dt)
 	if math.IsInf(actual, 1) {
@@ -105,7 +105,7 @@ func (p planner) VerifySlot(now, toa float64, plan im.CrossingPlan, req im.Reque
 // ramps from vc toward vt over the approach (possibly still ramping at the
 // entry) and then holds vt until exit (Algorithm 2).
 func planAt(now, toa, dt, vc, vt float64, params kinematics.Params) im.CrossingPlan {
-	prof := kinematics.RampHoldProfile(now, math.Max(dt, 1e-3), vc, vt, params)
+	prof := kinematics.RampHoldProfile(now, max(dt, 1e-3), vc, vt, params)
 	vEntry := prof.FinalVelocity()
 	if vEntry < vt-1e-9 {
 		// Still accelerating at the entry: the ramp finishes inside the
@@ -122,8 +122,8 @@ func (p planner) Plan(now float64, req im.Request) (float64, func(float64) im.Cr
 	if err := req.Params.Validate(); err != nil {
 		return 0, nil, nil, err
 	}
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
-	dt := math.Max(req.DistToEntry, 0)
+	vc := min(max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
+	dt := max(req.DistToEntry, 0)
 	etaDelay, _ := kinematics.EarliestArrival(dt, vc, req.Params)
 	earliest := now + etaDelay
 	planFor := func(toa float64) im.CrossingPlan {

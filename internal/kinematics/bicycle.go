@@ -46,7 +46,7 @@ func StepEuler(s BicycleState, u BicycleInput, wheelbase, dt float64) BicycleSta
 	s.Pos.X += dx * dt
 	s.Pos.Y += dy * dt
 	s.Heading = geom.NormalizeAngle(s.Heading + dphi*dt)
-	s.V = math.Max(0, s.V+dv*dt)
+	s.V = max(0, s.V+dv*dt)
 	return s
 }
 
@@ -62,7 +62,7 @@ func StepRK4(s BicycleState, u BicycleInput, wheelbase, dt float64) BicycleState
 		st.Pos.X += d.dx * h
 		st.Pos.Y += d.dy * h
 		st.Heading += d.dphi * h
-		st.V = math.Max(0, st.V+d.dv*h)
+		st.V = max(0, st.V+d.dv*h)
 		return st
 	}
 	k1 := eval(s)
@@ -78,23 +78,4 @@ func StepRK4(s BicycleState, u BicycleInput, wheelbase, dt float64) BicycleState
 	out := advance(s, combined, dt)
 	out.Heading = geom.NormalizeAngle(out.Heading)
 	return out
-}
-
-// PurePursuit computes the steering angle that drives the bicycle model
-// toward the point on the path at arc length sTarget (typically the
-// vehicle's longitudinal progress plus a lookahead distance).
-//
-// The classic pure-pursuit law: psi = atan(2 l sin(alpha) / Ld), where alpha
-// is the angle of the lookahead point in the vehicle frame and Ld the
-// distance to it. The result is clamped to +-maxSteer.
-func PurePursuit(s BicycleState, path geom.Path, sTarget, wheelbase, maxSteer float64) float64 {
-	target := path.PoseAt(sTarget).Pos
-	toTarget := target.Sub(s.Pos)
-	ld := toTarget.Norm()
-	if ld < 1e-6 {
-		return 0
-	}
-	alpha := geom.AngleDiff(toTarget.Angle(), s.Heading)
-	psi := math.Atan(2 * wheelbase * math.Sin(alpha) / ld)
-	return geom.Clamp(psi, -maxSteer, maxSteer)
 }

@@ -94,41 +94,6 @@ func TestRK4MoreAccurateThanEuler(t *testing.T) {
 	}
 }
 
-func TestPurePursuitStraight(t *testing.T) {
-	path := geom.LinePath{Start: geom.V(0, 0), End: geom.V(10, 0)}
-	s := BicycleState{Pos: geom.V(0, 0), Heading: 0, V: 1}
-	psi := PurePursuit(s, path, 1, 0.3, 0.6)
-	if !almostEq(psi, 0, 1e-9) {
-		t.Errorf("steer on straight path = %v, want 0", psi)
-	}
-	// Offset left of the path: should steer right (negative).
-	s.Pos = geom.V(0, 0.5)
-	psi = PurePursuit(s, path, 1, 0.3, 0.6)
-	if psi >= 0 {
-		t.Errorf("steer = %v, want negative (turn right)", psi)
-	}
-	// Offset right: steer left.
-	s.Pos = geom.V(0, -0.5)
-	psi = PurePursuit(s, path, 1, 0.3, 0.6)
-	if psi <= 0 {
-		t.Errorf("steer = %v, want positive (turn left)", psi)
-	}
-}
-
-func TestPurePursuitClamped(t *testing.T) {
-	path := geom.LinePath{Start: geom.V(0, 0), End: geom.V(10, 0)}
-	s := BicycleState{Pos: geom.V(0, 3), Heading: math.Pi / 2, V: 1}
-	psi := PurePursuit(s, path, 0.5, 0.3, 0.4)
-	if math.Abs(psi) > 0.4+1e-12 {
-		t.Errorf("steer %v exceeds clamp", psi)
-	}
-	// Degenerate: standing on the target.
-	s2 := BicycleState{Pos: path.PoseAt(1).Pos}
-	if got := PurePursuit(s2, path, 1, 0.3, 0.6); got != 0 {
-		t.Errorf("steer at target = %v", got)
-	}
-}
-
 func TestBicycleStatePose(t *testing.T) {
 	s := BicycleState{Pos: geom.V(1, 2), Heading: 0.5, V: 1}
 	p := s.Pose()

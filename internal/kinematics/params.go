@@ -13,8 +13,8 @@
 //
 //	x' = v cos(phi),  y' = v sin(phi),  phi' = (v/l) tan(psi)
 //
-// with explicit Euler and RK4 integrators and a pure-pursuit steering
-// controller; nothing outside its tests calls it.
+// with explicit Euler and RK4 integrators; nothing outside its tests
+// calls it.
 package kinematics
 
 import (

@@ -28,7 +28,7 @@ func EarliestProfile(startTime, dist, vInit float64, p Params) Profile {
 		return HoldProfile(startTime, vInit, 0)
 	}
 	tm := earliestTiming(dist, vInit, p)
-	accel := Phase{Duration: tm.tAcc, V0: math.Min(vInit, p.MaxSpeed), Accel: p.MaxAccel}
+	accel := Phase{Duration: tm.tAcc, V0: min(vInit, p.MaxSpeed), Accel: p.MaxAccel}
 	if !tm.cruises {
 		return NewProfile(startTime, accel)
 	}
@@ -52,7 +52,7 @@ func earliestTiming(dist, vInit float64, p Params) arrivalTiming {
 	if dist <= 0 {
 		return arrivalTiming{vArr: vInit}
 	}
-	vInit = math.Min(vInit, p.MaxSpeed)
+	vInit = min(vInit, p.MaxSpeed)
 	tAcc := (p.MaxSpeed - vInit) / p.MaxAccel
 	deltaX := 0.5*p.MaxAccel*tAcc*tAcc + vInit*tAcc
 	if deltaX >= dist {
@@ -94,8 +94,8 @@ func LatestNoDwell(dist, vInit, vFloor float64, p Params) (eta float64, ok bool)
 	if err := p.Validate(); err != nil || dist < 0 {
 		return 0, false
 	}
-	vInit = math.Min(math.Max(vInit, 0), p.MaxSpeed)
-	vLow := math.Sqrt(math.Max(0, vInit*vInit-2*p.MaxDecel*dist))
+	vInit = min(max(vInit, 0), p.MaxSpeed)
+	vLow := math.Sqrt(max(0, vInit*vInit-2*p.MaxDecel*dist))
 	if vFloor > vLow {
 		vLow = vFloor
 	}
@@ -140,7 +140,7 @@ func PlanArrival(startTime, dist, vInit, arriveAt float64, p Params) (Profile, e
 	if dist < 0 {
 		return Profile{}, fmt.Errorf("kinematics: negative distance %v", dist)
 	}
-	vInit = math.Min(math.Max(vInit, 0), p.MaxSpeed)
+	vInit = min(max(vInit, 0), p.MaxSpeed)
 	want := arriveAt - startTime
 	const tol = 1e-3 // 1 ms scheduling tolerance
 	earliest := earliestTiming(dist, vInit, p).eta
@@ -165,7 +165,7 @@ func PlanArrival(startTime, dist, vInit, arriveAt float64, p Params) (Profile, e
 	if !okStop {
 		// Find the smallest reachable dip speed: dDown(vLow) = dist.
 		// vLow = sqrt(vInit^2 - 2*dmax*dist).
-		lo = math.Sqrt(math.Max(0, vInit*vInit-2*p.MaxDecel*dist))
+		lo = math.Sqrt(max(0, vInit*vInit-2*p.MaxDecel*dist))
 		etaLo, _, okLo := dipArrival(dist, vInit, lo, p)
 		if !okLo || want > etaLo+tol {
 			// Even the deepest feasible dip arrives too early; the caller

@@ -169,7 +169,7 @@ func solvePhaseTime(v0, a, need, maxDt float64) float64 {
 		}
 		dt := need / v0
 		if dt <= maxDt+tol {
-			return math.Min(dt, maxDt)
+			return min(dt, maxDt)
 		}
 		return math.NaN()
 	}
@@ -190,7 +190,7 @@ func solvePhaseTime(v0, a, need, maxDt float64) float64 {
 		}
 	}
 	if !math.IsNaN(best) {
-		return math.Max(0, math.Min(best, maxDt))
+		return max(0, min(best, maxDt))
 	}
 	return math.NaN()
 }

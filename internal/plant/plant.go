@@ -51,6 +51,13 @@ func TestbedNoise() NoiseConfig {
 // need determinism.
 func NoNoise() NoiseConfig { return NoiseConfig{} }
 
+// Draws reports whether a plant with this configuration ever draws from
+// its random source: only the disturbance and the two sensors do, each
+// when its sigma is positive.
+func (n NoiseConfig) Draws() bool {
+	return n.ActSigma > 0 || n.SensPosSigma > 0 || n.SensVelSigma > 0
+}
+
 // Plant is one physical vehicle constrained to a movement path.
 type Plant struct {
 	Params kinematics.Params
@@ -123,7 +130,7 @@ func (p *Plant) MeasuredS() float64 {
 // MeasuredV returns the speed as seen by the vehicle's own sensors.
 func (p *Plant) MeasuredV() float64 {
 	if p.noise.SensVelSigma > 0 && p.rng != nil {
-		return math.Max(0, p.v+p.rng.NormFloat64()*p.noise.SensVelSigma)
+		return max(0, p.v+p.rng.NormFloat64()*p.noise.SensVelSigma)
 	}
 	return p.v
 }

@@ -182,3 +182,25 @@ func TestPlantPoseAndFootprints(t *testing.T) {
 		t.Error("buffered footprint must contain the body")
 	}
 }
+
+// TestNoiseDraws pins which configurations draw from a plant's random
+// source: each sigma alone does; the disturbance's rate and bound alone
+// do not, as the disturbance only moves when ActSigma is positive.
+func TestNoiseDraws(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		noise NoiseConfig
+		want  bool
+	}{
+		{"none", NoNoise(), false},
+		{"testbed", TestbedNoise(), true},
+		{"actuation", NoiseConfig{ActSigma: 0.08}, true},
+		{"position sensor", NoiseConfig{SensPosSigma: 0.003}, true},
+		{"speed sensor", NoiseConfig{SensVelSigma: 0.02}, true},
+		{"rate and bound only", NoiseConfig{ActTheta: 2, ActBound: 0.1}, false},
+	} {
+		if got := tc.noise.Draws(); got != tc.want {
+			t.Errorf("%s: Draws() = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

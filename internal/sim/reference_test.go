@@ -61,10 +61,11 @@ type refBody struct {
 }
 
 // refCheckCollisions is checkCollisions as it was before the per-node
-// grouping: every footprint, buffer and near-box flag computed up front,
-// then every pair of non-transit vehicles in active order, pairs at
-// different nodes skipped. It returns the same-node pairs it judged.
-func refCheckCollisions(w *world, st *refSafety) int {
+// grouping and the clearance horizons: every footprint, buffer and
+// near-box flag computed up front, then every pair of non-transit vehicles
+// in active order, pairs at different nodes skipped. It returns the
+// same-node pairs it judged and the vehicles in them.
+func refCheckCollisions(w *world, st *refSafety) (pairs, bodiesPaired int) {
 	box := w.x.Box().Expand(w.buffers.Long + 0.5)
 	var bodies []refBody
 	for _, v := range w.active {
@@ -76,7 +77,7 @@ func refCheckCollisions(w *world, st *refSafety) int {
 		bodies = append(bodies, refBody{v: v, fp: fp, buf: buf, fpR: fp.Radius(), bufR: buf.Radius(),
 			near: box.Overlaps(fp.AABB())})
 	}
-	pairs := 0
+	paired := make([]bool, len(bodies))
 	for i := range bodies {
 		bi := &bodies[i]
 		vi := bi.v
@@ -87,6 +88,7 @@ func refCheckCollisions(w *world, st *refSafety) int {
 				continue
 			}
 			pairs++
+			paired[i], paired[j] = true, true
 			dx := math.Abs(bi.fp.Center.X - bj.fp.Center.X)
 			dy := math.Abs(bi.fp.Center.Y - bj.fp.Center.Y)
 			key := [2]int64{vi.arr.ID, vj.arr.ID}
@@ -109,12 +111,21 @@ func refCheckCollisions(w *world, st *refSafety) int {
 			}
 		}
 	}
-	return pairs
+	for _, p := range paired {
+		if p {
+			bodiesPaired++
+		}
+	}
+	return pairs, bodiesPaired
 }
 
-// refTally is what one reference run exercised.
+// refTally is what one reference run exercised: ticks, leaders found,
+// same-node pairs and safety events, the checks that began with a pair
+// held in an overlap set, and the footprints the world's check computed
+// against those the reference needed (one per vehicle in a pair).
 type refTally struct {
-	ticks, leaders, pairs, violations int
+	ticks, leaders, pairs, violations, held int
+	poses, refPoses                         int
 }
 
 // runAgainstReference drives a run as world.run does, traced, and at
@@ -138,7 +149,7 @@ func runAgainstReference(t *testing.T, cfg Config, arr []traffic.Arrival) refTal
 	dt := w.cfg.PhysicsDt
 	w.sim.Ticker(arr[0].Time, dt, func() bool {
 		tally.ticks++
-		w.indexCorridors()
+		w.indexNodes()
 		for _, v := range w.active {
 			if v.gone || v.transit {
 				continue
@@ -153,9 +164,20 @@ func runAgainstReference(t *testing.T, cfg Config, arr []traffic.Arrival) refTal
 				tally.leaders++
 			}
 		}
+		held := len(ref.overlapping)+len(ref.bufOverlap) > 0
 		w.step(dt)
 		if w.tick%w.cfg.CollisionEvery == 0 {
-			tally.pairs += refCheckCollisions(w, ref)
+			pairs, paired := refCheckCollisions(w, ref)
+			tally.pairs += pairs
+			tally.refPoses += paired
+			if held {
+				tally.held++
+			}
+			for i := range w.bodies {
+				if w.bodies[i].posed == w.checks {
+					tally.poses++
+				}
+			}
 			for k, n := range w.nodes {
 				if n.col.Collisions != ref.collisions[k] || n.col.BufferViolations != ref.bufViol[k] {
 					t.Fatalf("t=%.2f node %d: %d collisions, %d buffer violations; reference %d, %d",
@@ -198,28 +220,43 @@ func runAgainstReference(t *testing.T, cfg Config, arr []traffic.Arrival) refTal
 // comparison over dense runs: the VT-IM ablation without its RTD buffer
 // under worst-case delays (a saturated single intersection whose buffers
 // overlap), crbench grid's shape (a coordinated 3x3 grid of routed
-// journeys), and a full-scale two-lane fleet with trucks, which records
-// safety events too.
+// journeys), a full-scale two-lane fleet with trucks, which records
+// safety events too, and full-scale batch cells that collide, one of them
+// noisy and colliding twice: their overlapping pairs stay held in the
+// overlap sets across checks, where every pair must be judged.
 func TestCorridorIndexAndSafetyCheckMatchReference(t *testing.T) {
 	total := refTally{}
 	add := func(name string, tl refTally) {
-		t.Logf("%s: %d ticks, %d leaders, %d same-node pairs, %d safety events",
-			name, tl.ticks, tl.leaders, tl.pairs, tl.violations)
+		t.Logf("%s: %d ticks, %d leaders, %d same-node pairs, %d safety events, %d checks holding a pair, %d of %d footprints",
+			name, tl.ticks, tl.leaders, tl.pairs, tl.violations, tl.held, tl.poses, tl.refPoses)
 		if tl.leaders == 0 || tl.pairs == 0 {
 			t.Errorf("%s: no leader or no same-node pair to compare", name)
 		}
 		total.violations += tl.violations
+		total.held += tl.held
+		total.poses += tl.poses
+		total.refPoses += tl.refPoses
 	}
 	cfg := adversarialRTD(Config{Policy: "vt-im", Seed: 2, OmitRTDBuffer: true})
 	add("vtim-unbuffered", runAgainstReference(t, cfg, ablationWorkload(t, 2)))
 	for _, gc := range []goldenCase{
 		{Name: "grid", Policy: "crossroads", Seed: 5, Rate: 0.5, Vehicles: 40, Grid: 3, SegLen: 0.8, Coord: true},
 		{Name: "two-lane", Policy: "crossroads", Seed: 3, Noisy: true, Rate: 0.6, Vehicles: 48, FullScale: true, Lanes: 2, Trucks: true},
+		{Name: "batch-8", Policy: "batch", Seed: 8, Rate: 0.5, Vehicles: 32, FullScale: true},
+		{Name: "batch-14", Policy: "batch", Seed: 14, Rate: 0.5, Vehicles: 32, FullScale: true},
+		{Name: "batch-noisy", Policy: "batch", Seed: 9, Noisy: true, Rate: 0.8, Vehicles: 32, FullScale: true},
 	} {
 		cfg, arr := goldenRun(t, gc)
-		add(gc.Name, runAgainstReference(t, cfg, arr))
+		tl := runAgainstReference(t, cfg, arr)
+		add(gc.Name, tl)
+		if gc.Policy == "batch" && tl.held == 0 {
+			t.Errorf("%s: no check began with a pair held in an overlap set", gc.Name)
+		}
 	}
 	if total.violations == 0 {
 		t.Error("no run recorded a collision or a buffer violation: the event comparison compared nothing")
+	}
+	if total.poses >= total.refPoses {
+		t.Errorf("the checks computed %d footprints, the reference %d: no clearance horizon skipped a pair", total.poses, total.refPoses)
 	}
 }

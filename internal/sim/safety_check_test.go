@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crossroads/internal/des"
+	"crossroads/internal/geom"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
@@ -42,14 +43,16 @@ func newSafetyRig(t *testing.T, numNodes int) *safetyRig {
 		nodes[k].col = metrics.NewCollector()
 	}
 	w := &world{
-		cfg:         Config{Trace: rec},
+		cfg:         Config{Trace: rec, PhysicsDt: 0.01},
 		sim:         des.New(),
 		x:           x,
 		nodes:       nodes,
 		buffers:     safety.TestbedSpec().ForCrossroads(),
+		corridors:   make([][]*vehState, 2*numNodes*intersection.NumApproaches),
+		lanes:       1,
+		rosters:     make([]roster, numNodes),
 		overlapping: make(map[[2]int64]bool),
 		bufOverlap:  make(map[[2]int64]bool),
-		groups:      make([][]int, numNodes),
 	}
 	return &safetyRig{t: t, w: w, rec: rec}
 }
@@ -68,7 +71,10 @@ func (r *safetyRig) add(id int64, node int, a intersection.Approach, turn inters
 // place moves v to arc position s on its movement, at rest.
 func (r *safetyRig) place(v *vehState, s float64) { r.drive(v, s, 0) }
 
-// drive moves v to arc position s on its movement at the given speed.
+// drive moves v to arc position s on its movement at the given speed. A
+// move between checks can be any length, unlike a tick's, so it tells the
+// world that v's node changed, as a vehicle arriving there does: the
+// check rebuilds the node's roster and judges every pair of it again.
 func (r *safetyRig) drive(v *vehState, s, speed float64) {
 	r.t.Helper()
 	pl, err := plant.New(v.movement.Path, kinematics.ScaleModelParams(), s, speed, plant.NoNoise(), nil)
@@ -76,6 +82,36 @@ func (r *safetyRig) drive(v *vehState, s, speed float64) {
 		r.t.Fatal(err)
 	}
 	v.plant = pl
+	r.w.changed(v.node)
+}
+
+// addLine appends vehicle id at node 0 on a straight path from -> to,
+// filed under approach a, with its center at arc position s and the
+// given speed.
+func (r *safetyRig) addLine(id int64, a intersection.Approach, from, to geom.Vec2, s, speed float64) *vehState {
+	r.t.Helper()
+	path := geom.NewCompositePath(geom.LinePath{Start: from, End: to})
+	m := &intersection.Movement{ID: intersection.MovementID{Approach: a}, Path: path, Length: path.Length()}
+	v := &vehState{arr: traffic.Arrival{ID: id}, movement: m}
+	r.drive(v, s, speed)
+	r.w.active = append(r.w.active, v)
+	return v
+}
+
+// tick moves every vehicle on by one tick at its top speed, as a run's
+// tick can, and checks on every second tick, as a run does. It reports
+// whether it checked.
+func (r *safetyRig) tick() bool {
+	w := r.w
+	for _, v := range w.active {
+		v.plant.Step(v.plant.Params.MaxSpeed, w.cfg.PhysicsDt)
+	}
+	w.tick++
+	if w.tick%2 != 0 {
+		return false
+	}
+	w.checkCollisions()
+	return true
 }
 
 // counts returns node k's collision and buffer-violation counters.
@@ -283,6 +319,89 @@ func TestSafetyCheckForgetsPartedPairs(t *testing.T) {
 	}
 }
 
+// TestSafetyCheckHorizonHoldsHeadOn drives two vehicles head-on along one
+// line at top speed through the box, the fastest any pair closes, with a
+// check every second tick. The clearance horizons skip the pair while it
+// is far apart, yet the check must count the collision and the buffer
+// violation at the first check where the bodies, and the buffers, touch.
+func TestSafetyCheckHorizonHoldsHeadOn(t *testing.T) {
+	r := newSafetyRig(t, 1)
+	top := kinematics.ScaleModelParams().MaxSpeed
+	east := r.addLine(1, intersection.East, geom.V(-6, 0), geom.V(6, 0), 0.5, top)
+	west := r.addLine(2, intersection.West, geom.V(6, 0), geom.V(-6, 0), 0.5, top)
+	buffers := r.w.buffers
+	touched, bufTouched := 0, 0
+	for checks := 0; touched == 0; {
+		if !r.tick() {
+			continue
+		}
+		checks++
+		a, b := east.plant.Footprint(), west.plant.Footprint()
+		if touched == 0 && a.Intersects(b) {
+			touched = checks
+		}
+		if bufTouched == 0 && a.Inflate(buffers.Long, buffers.Lat).Intersects(b.Inflate(buffers.Long, buffers.Lat)) {
+			bufTouched = checks
+		}
+		wantC, wantB := 0, 0
+		if touched > 0 {
+			wantC = 1
+		}
+		if bufTouched > 0 {
+			wantB = 1
+		}
+		if c, bv := r.counts(0); c != wantC || bv != wantB {
+			t.Fatalf("check %d, %.3f m apart: %d collisions, %d buffer violations; want %d, %d",
+				checks, west.plant.Pose().Pos.X-east.plant.Pose().Pos.X, c, bv, wantC, wantB)
+		}
+	}
+	if bufTouched >= touched {
+		t.Fatalf("buffers first touched at check %d, bodies at %d: the run does not judge the two apart", bufTouched, touched)
+	}
+}
+
+// TestSafetyCheckJudgesHeldPairs holds a buffer violation in bufOverlap
+// while the pair is far apart and one vehicle is away from the box, where
+// the contract is not judged, then drives the two head-on into each other
+// at top speed. A held pair is judged at every check, whatever its
+// clearance horizon: it leaves bufOverlap once both vehicles are near the
+// box and apart, so the second contact is a new buffer violation.
+func TestSafetyCheckJudgesHeldPairs(t *testing.T) {
+	r := newSafetyRig(t, 1)
+	east := r.addLine(1, intersection.East, geom.V(-6, 0), geom.V(6, 0), 5.9, 0)
+	west := r.addLine(2, intersection.West, geom.V(6, 0), geom.V(-6, 0), 5.9, 0)
+	r.w.checkCollisions()
+	if c, b := r.counts(0); c != 1 || b != 1 {
+		t.Fatalf("in contact: %d collisions, %d buffer violations; want 1, 1", c, b)
+	}
+	// 8 m apart, both away from the box: the bodies part, the buffers stay
+	// held.
+	top := kinematics.ScaleModelParams().MaxSpeed
+	r.drive(east, 2, top)
+	r.drive(west, 2, top)
+	r.w.checkCollisions()
+	if len(r.w.overlapping) != 0 || len(r.w.bufOverlap) != 1 {
+		t.Fatalf("apart and away: %d body and %d buffer pairs held; want 0, 1",
+			len(r.w.overlapping), len(r.w.bufOverlap))
+	}
+	for {
+		r.tick()
+		if c, _ := r.counts(0); c == 2 {
+			break
+		}
+		if r.w.tick > 400 {
+			t.Fatal("the pair never collided again")
+		}
+	}
+	if _, b := r.counts(0); b != 2 {
+		t.Fatalf("second contact: %d buffer violations; want 2", b)
+	}
+	r.wantEvents([]safetyEvent{
+		{trace.KindSimCollision, 0, 1, 2}, {trace.KindSimBufViol, 0, 1, 2},
+		{trace.KindSimBufViol, 0, 1, 2}, {trace.KindSimCollision, 0, 1, 2},
+	})
+}
+
 // denseWorld runs a saturated single-intersection scale-model run to its
 // first tick with 12 vehicles on the roads, the most the spawn gating
 // admits (three queued per approach lane), and returns the world there.
@@ -340,13 +459,18 @@ func worldAt(b *testing.B, cfg Config, arr []traffic.Arrival, dense int) *world 
 	}
 }
 
-// BenchmarkSafetyCheck times one safety check at denseWorld's moment: 66
-// same-node pairs per check.
+// BenchmarkSafetyCheck times one safety check at denseWorld's moment with
+// every pair due: each iteration first clears the clearance horizons, so
+// the check poses all 12 vehicles and judges all 66 same-node pairs.
 func BenchmarkSafetyCheck(b *testing.B) {
 	w := denseWorld(b)
+	w.indexNodes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		for k := range w.rosters {
+			w.rosters[k].clear()
+		}
 		w.checkCollisions()
 	}
 }
@@ -357,7 +481,9 @@ func BenchmarkSafetyCheck(b *testing.B) {
 // run's ticks do. Each iteration first puts every plant back where the
 // moment left it, so every tick steps the same 12 vehicles from the same
 // state; the clock does not advance, so the periodic re-plans a vehicle
-// makes every 0.4 s fall on the first iteration only.
+// makes every 0.4 s fall on the first iteration only. The clearance
+// horizons carry over from tick to tick as in a run, so the safety check
+// judges only the pairs that are due: the steady state.
 func BenchmarkPhysicsTick(b *testing.B) { benchmarkTick(b, denseWorld(b)) }
 
 // BenchmarkPhysicsTickGrid times one physics tick as BenchmarkPhysicsTick

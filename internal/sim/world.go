@@ -242,14 +242,14 @@ type vehState struct {
 	gone      bool
 
 	// fpR and bufR are the bounding radii (geom.Rect.Radius) of the
-	// footprint and of the buffered footprint, set by the first safety
-	// check that compares the vehicle: they depend only on the vehicle's
-	// dimensions and the buffers.
+	// footprint and of the buffered footprint, set by the first node index
+	// that lists the vehicle: they depend only on the vehicle's dimensions
+	// and the buffers.
 	fpR, bufR float64
 
 	// entrySlot and exitSlot are the corridor index's slots for the entry
 	// lane and the exit lane at the vehicle's node, set by every
-	// indexCorridors.
+	// indexNodes.
 	entrySlot, exitSlot int
 	// spawnRetry re-attempts a deferred spawn and enterNext enters the next
 	// leg, after transit or a deferral; each is built once and rescheduled
@@ -258,6 +258,10 @@ type vehState struct {
 }
 
 func (v *vehState) lastLeg() bool { return v.leg == len(v.legs)-1 }
+
+// atNode reports whether the vehicle is at a node: spawned there or
+// entered on a leg, and neither in transit nor despawned.
+func (v *vehState) atNode() bool { return !v.gone && !v.transit }
 
 // Run executes one full simulation of the workload under the configured
 // policy and returns the aggregated result. The arrivals must be in time
@@ -302,25 +306,27 @@ type world struct {
 	active  []*vehState
 	spawned int
 
-	// corridors is the corridor index car following reads: per slot, the
+	// The node index lists the vehicles at nodes, rebuilt by indexNodes
+	// when stale says a vehicle arrived at a node or left one since the
+	// last build. corridors is the part car following reads: per slot, the
 	// vehicles at one node entering on one approach lane, or leaving on
-	// one exit lane (corridorSlot), in active order. step rebuilds it
-	// before the control loop when corridorsStale says a vehicle arrived
-	// at a node or left one since the last build; filled lists the slots
-	// that build used, so the next one clears only those.
-	corridors      [][]*vehState
-	filled         []int
-	lanes          int
-	corridorsStale bool
+	// one exit lane (corridorSlot), in active order; filled lists the
+	// slots the last build used, so the next one clears only those. bodies
+	// is the part the safety check reads: every vehicle at a node, in
+	// active order, and rosters each node's share of them.
+	corridors [][]*vehState
+	filled    []int
+	lanes     int
+	bodies    []safeBody
+	rosters   []roster
+	stale     bool
 
 	// overlapping and bufOverlap hold the same-node pairs whose bodies,
-	// and near-box buffers, overlap. bodies and groups are checkCollisions'
-	// per-check scratch, reused across checks: groups holds, per node, the
-	// indexes into bodies of that node's vehicles, in active order.
+	// and near-box buffers, overlap. checks numbers the safety checks, so
+	// a body knows whether its footprint is this check's.
 	overlapping map[[2]int64]bool
 	bufOverlap  map[[2]int64]bool
-	bodies      []safeBody
-	groups      [][]int
+	checks      int
 	tick        int
 	// views is the reusable observer snapshot buffer.
 	views []VehicleView
@@ -397,8 +403,8 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 			return nil, fmt.Errorf("sim: arrival %d enters at node %d; topology %s has %d nodes",
 				a.ID, a.Node, cfg.Topology, numNodes)
 		}
-		refLen = math.Max(refLen, a.Params.Length)
-		refWid = math.Max(refWid, a.Params.Width)
+		refLen = max(refLen, a.Params.Length)
+		refWid = max(refWid, a.Params.Width)
 	}
 
 	opts := im.PolicyOptions{
@@ -428,7 +434,7 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		// Segment transit is estimated at the fleet's cruise (top) speed.
 		cruise := 0.0
 		for _, a := range arrivals {
-			cruise = math.Max(cruise, a.Params.MaxSpeed)
+			cruise = max(cruise, a.Params.MaxSpeed)
 		}
 		ccfg := im.NewCoordConfig(cfg.CoordPeriod, x, cfg.Topology, cruise)
 		for k := range nodes {
@@ -510,6 +516,13 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		}
 	}
 
+	// The plants draw from Seed+4 only when their noise does, so a
+	// noiseless run seeds no plant stream. The network's delay stream and
+	// the clock stream are drawn from by every run.
+	var rngPlant *rand.Rand
+	if cfg.Noise.Draws() {
+		rngPlant = rand.New(rand.NewSource(cfg.Seed + 4))
+	}
 	lanes := cfg.Intersection.LanesPerRoad
 	return &world{
 		cfg:         cfg,
@@ -521,14 +534,14 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 		nodes:       nodes,
 		col:         col,
 		rngClock:    rand.New(rand.NewSource(cfg.Seed + 3)),
-		rngPlant:    rand.New(rand.NewSource(cfg.Seed + 4)),
+		rngPlant:    rngPlant,
 		agentCfg:    agentCfg,
 		buffers:     buffers,
 		corridors:   make([][]*vehState, 2*numNodes*intersection.NumApproaches*lanes),
 		lanes:       lanes,
+		rosters:     make([]roster, numNodes),
 		overlapping: make(map[[2]int64]bool),
 		bufOverlap:  make(map[[2]int64]bool),
-		groups:      make([][]int, numNodes),
 	}, nil
 }
 
@@ -662,7 +675,7 @@ func (w *world) trySpawn(vs *vehState) {
 		}
 		vSafe := vehicle.SafeFollowSpeed(gap, tail.plant.V(), tail.plant.Params.MaxDecel,
 			a.Params.MaxDecel, w.agentCfg.HeadwayTau)
-		speed = math.Min(speed, vSafe)
+		speed = min(speed, vSafe)
 	}
 	w.spawned++
 	if w.cfg.Trace != nil {
@@ -715,7 +728,7 @@ func (w *world) trySpawn(vs *vehState) {
 	vs.nrec = nrec
 
 	w.active = append(w.active, vs)
-	w.corridorsStale = true
+	w.changed(a.Node)
 	agent.Start()
 }
 
@@ -724,7 +737,7 @@ func (w *world) trySpawn(vs *vehState) {
 // exit speed across the connecting segment.
 func (w *world) beginTransit(v *vehState) {
 	v.transit = true
-	w.corridorsStale = true
+	w.changed(v.node)
 	eta, vArr := kinematics.EarliestArrival(w.topo.SegmentLen(), v.plant.V(), v.plant.Params)
 	v.legArrive = w.sim.Now() + eta
 	v.legSpeed = vArr
@@ -751,7 +764,7 @@ func (w *world) enterLeg(v *vehState) {
 		}
 		vSafe := vehicle.SafeFollowSpeed(gap, tail.plant.V(), tail.plant.Params.MaxDecel,
 			v.plant.Params.MaxDecel, w.agentCfg.HeadwayTau)
-		speed = math.Min(speed, vSafe)
+		speed = min(speed, vSafe)
 	}
 	pl, err := plant.New(m.Path, v.plant.Params, 0, speed, w.cfg.Noise, w.rngPlant)
 	if err != nil {
@@ -764,7 +777,7 @@ func (w *world) enterLeg(v *vehState) {
 	v.entered = false
 	v.done = false
 	v.transit = false
-	w.corridorsStale = true
+	w.changed(node)
 	v.legRetries0 = v.agent.Retries
 
 	nrec := w.nodes[node].col.Vehicle(v.arr.ID)
@@ -813,24 +826,38 @@ func (w *world) corridorSlot(node int, a intersection.Approach, lane int, exit b
 	return k
 }
 
-// indexCorridors rebuilds the corridor index from the active vehicles that
-// are at a node, if it is stale. Only a spawn, a leg entry, a transit's
-// start and a despawn change a vehicle's node, lane or presence at a node,
-// and each marks the index stale; none runs inside step's control loop, so
-// the index built before it holds for the whole loop. Between those
-// events the active list keeps its order and neither gains nor loses a
-// vehicle at a node, so an index that is not stale equals a rebuilt one.
-func (w *world) indexCorridors() {
-	if !w.corridorsStale {
+// changed records that a vehicle arrived at node or left it: a spawn, a
+// leg entry, a transit's start or a despawn. The node index is rebuilt
+// before it is next read, and node's clearance horizons are reset then.
+func (w *world) changed(node int) {
+	w.stale = true
+	w.rosters[node].reset = true
+}
+
+// indexNodes rebuilds the node index from the active vehicles that are at
+// a node, if it is stale. Only a spawn, a leg entry, a transit's start and
+// a despawn change a vehicle's node, lane or presence at a node, and each
+// marks the index stale; none runs inside step's control loop, so the
+// index built before it holds for the whole loop. Between those events the
+// active list keeps its order and neither gains nor loses a vehicle at a
+// node, so an index that is not stale equals a rebuilt one: each roster
+// keeps its members in the same order, and so its pairs' horizons.
+func (w *world) indexNodes() {
+	if !w.stale {
 		return
 	}
-	w.corridorsStale = false
+	w.stale = false
 	for _, k := range w.filled {
 		w.corridors[k] = w.corridors[k][:0]
 	}
 	w.filled = w.filled[:0]
+	for k := range w.rosters {
+		w.rosters[k].members = w.rosters[k].members[:0]
+		w.rosters[k].vmax = 0
+	}
+	w.bodies = w.bodies[:0]
 	for _, v := range w.active {
-		if v.gone || v.transit {
+		if !v.atNode() {
 			continue
 		}
 		id := v.movement.ID
@@ -842,7 +869,37 @@ func (w *world) indexCorridors() {
 			}
 			w.corridors[k] = append(w.corridors[k], v)
 		}
+		r := &w.rosters[v.node]
+		p := v.plant.Params
+		if v.fpR == 0 {
+			fp := geom.NewRect(geom.Vec2{}, p.Length, p.Width, 0)
+			v.fpR, v.bufR = fp.Radius(), fp.Inflate(w.buffers.Long, w.buffers.Lat).Radius()
+		}
+		joins := joinGaps(v.movement.Path)
+		w.bodies = append(w.bodies, safeBody{
+			v: v, rank: len(r.members),
+			fpReach: v.fpR + joins, bufReach: max(v.fpR, v.bufR) + joins,
+		})
+		r.members = append(r.members, len(w.bodies)-1)
+		r.vmax = max(r.vmax, p.MaxSpeed)
 	}
+	for k := range w.rosters {
+		r := &w.rosters[k]
+		r.perTick = 1 / (2 * w.cfg.PhysicsDt * r.vmax)
+		if r.reset {
+			r.reset = false
+			r.clear()
+		}
+	}
+}
+
+// joinGaps returns how far p's poses jump at its joins (a single line or
+// arc has none).
+func joinGaps(p geom.Path) float64 {
+	if c, ok := p.(*geom.CompositePath); ok {
+		return c.JoinGaps()
+	}
+	return 0
 }
 
 // leaderFor builds the car-following oracle for one vehicle: the nearest
@@ -930,10 +987,16 @@ func corridorGap(self, other *vehState, sSelf float64) (gap float64, merge, ok b
 
 func (w *world) step(dt float64) {
 	now := w.sim.Now()
-	w.indexCorridors()
+	w.indexNodes()
+	w.tick++
+	if len(w.bodies) == 0 {
+		// No vehicle is at a node: nothing to steer, move or compare.
+		w.observe(now)
+		return
+	}
 	// Control + physics.
 	for _, v := range w.active {
-		if v.gone || v.transit {
+		if !v.atNode() {
 			continue
 		}
 		vCmd := v.agent.ControlStep(now, dt)
@@ -972,7 +1035,7 @@ func (w *world) step(dt float64) {
 		if s >= v.movement.Length-1e-6 {
 			if v.lastLeg() {
 				v.gone = true
-				w.corridorsStale = true
+				w.changed(v.node)
 				v.jrec.Retries = v.agent.Retries
 				v.agent.Stop()
 				continue
@@ -983,49 +1046,76 @@ func (w *world) step(dt float64) {
 	}
 	w.active = kept
 
-	w.tick++
 	if w.tick%w.cfg.CollisionEvery == 0 {
 		w.checkCollisions()
 	}
-	if w.cfg.Observer != nil {
-		every := w.cfg.ObserverEvery
-		if every <= 0 {
-			every = 10
-		}
-		if w.tick%every == 0 {
-			w.views = w.views[:0]
-			for _, v := range w.active {
-				if v.transit {
-					continue
-				}
-				w.views = append(w.views, VehicleView{
-					ID:       v.arr.ID,
-					Pose:     v.plant.Pose(),
-					Speed:    v.plant.V(),
-					State:    v.agent.State().String(),
-					Movement: v.movement.ID,
-					Node:     v.node,
-				})
-			}
-			w.cfg.Observer(now, w.views)
-		}
-	}
+	w.observe(now)
 }
 
-// safeBody is one vehicle's geometry for a single safety check. Only a
-// vehicle that shares its node with another gets a footprint; the buffered
-// footprint and the near-box flag are computed when a pair first needs
-// them.
+// observe hands the observer, every ObserverEvery ticks, a snapshot of
+// the vehicles at nodes.
+func (w *world) observe(now float64) {
+	if w.cfg.Observer == nil {
+		return
+	}
+	every := w.cfg.ObserverEvery
+	if every <= 0 {
+		every = 10
+	}
+	if w.tick%every != 0 {
+		return
+	}
+	w.views = w.views[:0]
+	for _, v := range w.active {
+		if v.transit {
+			continue
+		}
+		w.views = append(w.views, VehicleView{
+			ID:       v.arr.ID,
+			Pose:     v.plant.Pose(),
+			Speed:    v.plant.V(),
+			State:    v.agent.State().String(),
+			Movement: v.movement.ID,
+			Node:     v.node,
+		})
+	}
+	w.cfg.Observer(now, w.views)
+}
+
+// safeBody is one vehicle at a node as the safety check sees it. The node
+// index sets v, rank and the vehicle's constants; a check poses the
+// vehicle, and computes its near-box flag and buffered footprint, only
+// when a pair it is in is judged.
 type safeBody struct {
-	v  *vehState
-	fp geom.Rect // ground-truth footprint
-	// rank is the body's position in its node's group.
+	v *vehState
+	// rank is the body's position in its node's roster.
 	rank int
-	buf  geom.Rect // footprint inflated by the safety buffers, if hasBuf
+	// fpReach and bufReach add the path's JoinGaps to the vehicle's fpR
+	// and to the larger of its two radii: the body's share of a pair's
+	// reach, joins included.
+	fpReach, bufReach float64
+	// posed numbers the check whose footprint fp holds.
+	posed int
+	fp    geom.Rect // ground-truth footprint
+	buf   geom.Rect // footprint inflated by the safety buffers, if hasBuf
 	// near marks a footprint touching the box expanded by the longitudinal
 	// buffer plus 0.5 m, if nearKnown: the buffer contract is only judged
 	// there.
 	near, nearKnown, hasBuf bool
+}
+
+// pose gives b check's footprint, if it does not hold it yet.
+func (b *safeBody) pose(check int) {
+	if b.posed != check {
+		b.repose(check)
+	}
+}
+
+// repose is pose's slow path, kept apart so that pose inlines.
+func (b *safeBody) repose(check int) {
+	b.posed = check
+	b.fp = b.v.plant.Footprint()
+	b.nearKnown, b.hasBuf = false, false
 }
 
 // nearBox reports whether the footprint touches box.
@@ -1044,6 +1134,61 @@ func (b *safeBody) buffered(buffers safety.Buffers) geom.Rect {
 	return b.buf
 }
 
+// roster is one node's share of the safety check: its vehicles, and the
+// tick at which each pair of them is next due to be judged.
+type roster struct {
+	// members indexes the node's bodies, in active order.
+	members []int
+	// due[i*len(members)+j], for ranks i < j, is the first tick at which
+	// pair (i, j) may be within reach; next is the earliest of them.
+	due  []int
+	next int
+	// vmax is the members' top speed, and perTick the inverse of the most
+	// a tick can close a pair's gap, 2*vmax*dt.
+	vmax, perTick float64
+	// reset marks a membership change the node index has not yet applied:
+	// it rebuilds the roster and clears its horizons.
+	reset bool
+	// judge marks the node as due in the current check.
+	judge bool
+}
+
+// clear makes every pair of the roster due. A roster that outgrows its
+// horizons gets room for twice its members, as append would grow them.
+func (r *roster) clear() {
+	n := len(r.members) * len(r.members)
+	if cap(r.due) < n {
+		r.due = make([]int, n, 4*n)
+	}
+	r.due = r.due[:n]
+	clear(r.due)
+	r.next = 0
+}
+
+// clearEps absorbs the rounding in poses and arc positions (m), which is
+// far below it, in the clearance horizon.
+const clearEps = 1e-6
+
+// maxClear caps a clearance horizon (ticks); it only keeps tick counts
+// from overflowing.
+const maxClear = 1 << 30
+
+// clearTicks returns the clearance horizon of a pair judged with Chebyshev
+// centre gap gap: the number of ticks for which it stays more than reach
+// apart on some axis, reach including the paths' joins, when each tick
+// closes the gap by at most 1/perTick. It is 0 when the pair may be within
+// reach by the next tick, or gap is not a number.
+func clearTicks(gap, reach, perTick float64) int {
+	n := (gap - reach - clearEps) * perTick
+	switch {
+	case !(n >= 1):
+		return 0
+	case n >= maxClear:
+		return maxClear
+	}
+	return int(n)
+}
+
 // checkCollisions counts physical body overlaps (anywhere) and planning-
 // buffer overlaps between cross traffic near the box — the safety contract
 // the IM policies must uphold. Plants live in their node's local frame, so
@@ -1053,50 +1198,72 @@ func (b *safeBody) buffered(buffers safety.Buffers) geom.Rect {
 // the last check that judged them.
 //
 // The pairs are visited in active order, each vehicle with the vehicles
-// after it in its node's group, so rising edges and trace events come in
+// after it in its node's roster, so rising edges and trace events come in
 // the order of a scan over every pair of the fleet. A pair whose centres
 // are farther apart on either axis than the sum of the two bounding radii
 // is apart without calling Intersects, which would reject it on the same
 // sum (a NaN centre still goes to Intersects). A cross-approach pair whose
 // buffers are apart that way skips the near-box judgement while no buffer
 // pair overlaps: either outcome of it would leave bufOverlap unchanged.
+//
+// A judged pair gets a clearance horizon (clearTicks): its reach is the
+// radius sum of its bodies, or of its buffers for cross traffic, plus both
+// paths' JoinGaps. Plant.Step clamps speed to [0, MaxSpeed], noise or not,
+// so a tick moves a plant at most MaxSpeed*dt along its path, and its pose
+// no farther than that plus the joins it crosses: the gap closes by at
+// most 2*vmax*dt a tick, vmax the node's top speed. Until the horizon has
+// passed the pair is apart on the test above, so judging it would change
+// nothing while both sets are empty: the check skips it, and a node with
+// no due pair costs no pose. A vehicle's first tick at a node starts from
+// its entry speed, and ranks shift when the roster changes, so every
+// arrival or departure makes the node's pairs due again (changed). While
+// either set holds a pair, every pair is judged at every check, as a held
+// pair may leave its set.
 func (w *world) checkCollisions() {
-	for k := range w.groups {
-		w.groups[k] = w.groups[k][:0]
-	}
-	w.bodies = w.bodies[:0]
-	for _, v := range w.active {
-		if v.transit {
-			continue
-		}
-		w.bodies = append(w.bodies, safeBody{v: v, rank: len(w.groups[v.node])})
-		w.groups[v.node] = append(w.groups[v.node], len(w.bodies)-1)
-	}
-	for _, g := range w.groups {
-		if len(g) < 2 {
-			continue
-		}
-		for _, i := range g {
-			b := &w.bodies[i]
-			b.fp = b.v.plant.Footprint()
-			if b.v.fpR == 0 {
-				b.v.fpR, b.v.bufR = b.fp.Radius(), b.buffered(w.buffers).Radius()
-			}
+	w.indexNodes()
+	w.checks++
+	all := len(w.overlapping) > 0 || len(w.bufOverlap) > 0
+	for k := range w.rosters {
+		r := &w.rosters[k]
+		r.judge = len(r.members) > 1 && (all || r.next <= w.tick)
+		if r.judge {
+			r.next = maxClear + w.tick
 		}
 	}
 	box := w.x.Box().Expand(w.buffers.Long + 0.5)
 	for i := range w.bodies {
 		bi := &w.bodies[i]
 		vi := bi.v
-		for _, j := range w.groups[vi.node][bi.rank+1:] {
-			bj := &w.bodies[j]
+		r := &w.rosters[vi.node]
+		if !r.judge {
+			continue
+		}
+		n := len(r.members)
+		due := r.due[bi.rank*n : (bi.rank+1)*n]
+		next := r.next
+		for rank := bi.rank + 1; rank < n; rank++ {
+			if !all && due[rank] > w.tick {
+				next = min(next, due[rank])
+				continue
+			}
+			bj := &w.bodies[r.members[rank]]
 			vj := bj.v
+			bi.pose(w.checks)
+			bj.pose(w.checks)
 			// fp and buf share a centre.
 			dx := math.Abs(bi.fp.Center.X - bj.fp.Center.X)
 			dy := math.Abs(bi.fp.Center.Y - bj.fp.Center.Y)
+			cross := vi.movement.ID.Approach != vj.movement.ID.Approach
+			reach := bi.fpReach + bj.fpReach
+			if cross {
+				reach = bi.bufReach + bj.bufReach
+			}
+			due[rank] = w.tick + 1 + clearTicks(max(dx, dy), reach, r.perTick)
+			next = min(next, due[rank])
+
 			key := [2]int64{vi.arr.ID, vj.arr.ID}
-			r := vi.fpR + vj.fpR
-			hit := !(dx > r || dy > r) && bi.fp.Intersects(bj.fp)
+			rr := vi.fpR + vj.fpR
+			hit := !(dx > rr || dy > rr) && bi.fp.Intersects(bj.fp)
 			if risingEdge(w.overlapping, key, hit) {
 				w.nodes[vi.node].col.Collisions++
 				if w.cfg.Trace != nil {
@@ -1109,11 +1276,11 @@ func (w *world) checkCollisions() {
 
 			// Buffer contract: only cross-approach pairs near the box are
 			// the IM's responsibility (same-lane spacing is car following).
-			if vi.movement.ID.Approach == vj.movement.ID.Approach {
+			if !cross {
 				continue
 			}
-			r = vi.bufR + vj.bufR
-			apart := dx > r || dy > r
+			rr = vi.bufR + vj.bufR
+			apart := dx > rr || dy > rr
 			if apart && len(w.bufOverlap) == 0 {
 				continue
 			}
@@ -1131,6 +1298,7 @@ func (w *world) checkCollisions() {
 				}
 			}
 		}
+		r.next = next
 	}
 }
 

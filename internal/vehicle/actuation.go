@@ -118,7 +118,7 @@ func (a *Agent) applyTimedCommand(now float64, resp im.Response) {
 		originS = a.originS + a.profile.DistanceAt(tExec)
 		v = a.profile.VelocityAt(tExec)
 	}
-	dist := math.Max(a.Movement.EnterS-originS, 0)
+	dist := max(a.Movement.EnterS-originS, 0)
 	prof, err := kinematics.PlanArrival(tExec, dist, v, tArrive, a.Plant.Params)
 	if err != nil {
 		// Measurement noise can make the granted ToA momentarily
@@ -157,12 +157,12 @@ func (a *Agent) applyAIMAccept(now float64, resp im.Response) {
 		// Moving proposal: keep cruising at the proposed speed until the
 		// reserved entry, then accelerate through the box as reserved.
 		a.originS = a.Movement.EnterS - v*(tArrive-now)
-		a.profile = appendBoxAccel(kinematics.HoldProfile(now, v, math.Max(tArrive-now, 0)), a.Plant.Params)
+		a.profile = appendBoxAccel(kinematics.HoldProfile(now, v, max(tArrive-now, 0)), a.Plant.Params)
 	} else {
 		// Launch proposal: dwell if needed, then accelerate to arrive on
 		// the reservation and keep accelerating through the box.
 		s := a.Plant.MeasuredS()
-		dist := math.Max(a.Movement.EnterS-s, 0)
+		dist := max(a.Movement.EnterS-s, 0)
 		prof, err := kinematics.PlanArrival(now, dist, cur, tArrive, a.Plant.Params)
 		if err != nil {
 			prof = kinematics.EarliestProfile(now, dist, cur, a.Plant.Params)
@@ -205,7 +205,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 	vFollow := math.Inf(1)
 	if l, ok := a.leader(); ok {
 		if l.Merge {
-			free := math.Max(l.Gap-a.cfg.MinGap-a.Plant.MeasuredV()*a.cfg.HeadwayTau, 0)
+			free := max(l.Gap-a.cfg.MinGap-a.Plant.MeasuredV()*a.cfg.HeadwayTau, 0)
 			vFollow = math.Sqrt(l.Speed*l.Speed + 2*0.7*a.Plant.Params.MaxDecel*free)
 		} else {
 			vFollow = SafeFollowSpeed(l.Gap-a.cfg.MinGap, l.Speed, l.Decel,
@@ -268,7 +268,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 		vTarget := a.profile.VelocityAt(now + dt)
 		sTarget := a.originS + a.profile.DistanceAt(now)
 		lag := sTarget - sMeas
-		vCmd = math.Max(vTarget+a.cfg.ControlGain*lag, 0)
+		vCmd = max(vTarget+a.cfg.ControlGain*lag, 0)
 		// An AIM reservation is re-validated once, at the last moment a
 		// stop is still possible: a committed vehicle's truthful re-booking
 		// may have landed inside our window since we were accepted.
@@ -291,7 +291,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 		// lag to time.
 		lagExceeded := lag > a.cfg.ReRequestLag
 		if a.cfg.Protocol == im.ProtocolQuery {
-			lagExceeded = lag/math.Max(vTarget, 0.2) > 0.1
+			lagExceeded = lag/max(vTarget, 0.2) > 0.1
 		}
 		if lagExceeded && now-a.lastRequest > a.cfg.ReRequestMinInterval {
 			if a.canStillStop(sMeas) {
@@ -301,7 +301,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 				a.sendRequest(true)
 				vCmd = a.holdSpeed
 			} else if lagExceeded &&
-				(a.cfg.Protocol == im.ProtocolQuery || lag/math.Max(vTarget, 0.3) > 0.2) &&
+				(a.cfg.Protocol == im.ProtocolQuery || lag/max(vTarget, 0.3) > 0.2) &&
 				a.cfg.Protocol != im.ProtocolVelocity &&
 				sMeas < a.Movement.EnterS-a.Plant.Params.Length/2 {
 				// Committed and badly late (well beyond what the margins
@@ -325,8 +325,8 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 	if a.state != StateFollow && a.state != StateDone {
 		stopAt := a.Movement.EnterS - a.Plant.Params.Length/2 - a.cfg.StopLineOffset
 		remaining := stopAt - sMeas
-		vSafe := math.Sqrt(2 * a.Plant.Params.MaxDecel * math.Max(remaining, 0))
-		vCmd = math.Min(vCmd, vSafe)
+		vSafe := math.Sqrt(2 * a.Plant.Params.MaxDecel * max(remaining, 0))
+		vCmd = min(vCmd, vSafe)
 		// No-grant failsafe event (fault-injected runs only): latch the
 		// first tick the vehicle stands near the stop line without a
 		// grant — the observable outcome of a grant that never arrived.
@@ -347,7 +347,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 		a.noGrantHalt = false
 	}
 
-	vCmd = math.Min(vCmd, vFollow)
+	vCmd = min(vCmd, vFollow)
 	return geom.Clamp(vCmd, 0, a.Plant.Params.MaxSpeed)
 }
 

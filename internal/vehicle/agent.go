@@ -27,7 +27,6 @@ package vehicle
 
 import (
 	"fmt"
-	"math"
 
 	"crossroads/internal/des"
 	"crossroads/internal/im"
@@ -162,8 +161,8 @@ func DeriveConfig(protocol im.Protocol, hold float64, spec safety.Spec, params k
 		RetryInterval:        0.35,
 		SlowdownFactor:       0.75,
 		ControlGain:          2.0,
-		MinGap:               math.Max(0.15, 0.25*params.Length),
-		ReRequestLag:         math.Max(0.05, 0.75*spec.SensingBuffer()),
+		MinGap:               max(0.15, 0.25*params.Length),
+		ReRequestLag:         max(0.05, 0.75*spec.SensingBuffer()),
 		ReRequestMinInterval: 0.50,
 		// The stop line sits behind the conflict-zone lip: a waiting
 		// vehicle's buffered nose must clear a crossing movement's buffered

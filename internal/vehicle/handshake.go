@@ -6,8 +6,6 @@ package vehicle
 // — except the exit report, which stays pinned to the node that was crossed.
 
 import (
-	"math"
-
 	"crossroads/internal/im"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/network"
@@ -115,7 +113,7 @@ func (a *Agent) sendRequest(retransmit bool) {
 		if a.backoff <= 0 {
 			a.backoff = a.cfg.ResponseTimeout
 		}
-		a.backoff = math.Min(a.backoff*2, a.cfg.MaxTimeout)
+		a.backoff = min(a.backoff*2, a.cfg.MaxTimeout)
 	} else {
 		a.backoff = a.cfg.ResponseTimeout
 	}
@@ -125,7 +123,7 @@ func (a *Agent) sendRequest(retransmit bool) {
 	now := a.sim.Now()
 	a.lastRequest = now
 	vc := a.Plant.MeasuredV()
-	dt := math.Max(a.DistToEntry(), 0)
+	dt := max(a.DistToEntry(), 0)
 	tt := a.Clock.Now(now)
 
 	req := im.Request{
@@ -155,7 +153,7 @@ func (a *Agent) sendRequest(retransmit bool) {
 			// launch instead, budgeting the round trip before it begins.
 			eta, vArr := kinematics.EarliestArrival(dt, vc, a.Plant.Params)
 			req.ProposedToA = tt + a.cfg.WCRTD + eta
-			req.CrossSpeed = math.Max(vArr, 0.1)
+			req.CrossSpeed = max(vArr, 0.1)
 		}
 		req.CurrentSpeed = vc
 		req.DistToEntry = dt
@@ -190,7 +188,7 @@ func (a *Agent) sendCommittedRequest() {
 	}
 	a.lastRequest = now
 	vc := a.Plant.MeasuredV()
-	dt := math.Max(a.DistToEntry(), 0)
+	dt := max(a.DistToEntry(), 0)
 	tt := a.Clock.Now(now)
 	req := im.Request{
 		VehicleID:    a.ID,
@@ -208,7 +206,7 @@ func (a *Agent) sendCommittedRequest() {
 		// state; the IM re-reserves it unconditionally.
 		eta, vArr := kinematics.EarliestArrival(dt, vc, a.Plant.Params)
 		req.ProposedToA = tt + eta
-		req.CrossSpeed = math.Max(vArr, 0.1)
+		req.CrossSpeed = max(vArr, 0.1)
 	}
 	a.net.Send(network.Message{
 		Kind:    network.KindRequest,
@@ -236,7 +234,7 @@ func (a *Agent) sendConfirm() {
 		Seq:          a.seq,
 		Movement:     a.Movement.ID,
 		CurrentSpeed: a.Plant.MeasuredV(),
-		DistToEntry:  math.Max(a.DistToEntry(), 0),
+		DistToEntry:  max(a.DistToEntry(), 0),
 		TransmitTime: a.Clock.Now(now),
 		ProposedToA:  a.reservedToA,
 		CrossSpeed:   a.reservedV,
@@ -267,7 +265,7 @@ func (a *Agent) handleResponse(now float64, resp im.Response) {
 		// profile spans through the box so a ramp that is still running at
 		// the entry finishes inside, exactly as the IM booked it.
 		s := a.Plant.MeasuredS()
-		dist := math.Max(a.Movement.ExitS+a.Plant.Params.Length-s, 0.01)
+		dist := max(a.Movement.ExitS+a.Plant.Params.Length-s, 0.01)
 		a.profile = kinematics.RampHoldProfile(now, dist, a.Plant.MeasuredV(), resp.TargetSpeed, a.Plant.Params)
 		a.originS = s
 		a.hasProfile = true
@@ -289,7 +287,7 @@ func (a *Agent) handleResponse(now float64, resp im.Response) {
 		case im.RespReject:
 			// Algorithm 6: slow down and re-propose after the interval.
 			a.hasProfile = false
-			a.holdSpeed = math.Max(a.Plant.MeasuredV()*a.cfg.SlowdownFactor, 0)
+			a.holdSpeed = max(a.Plant.MeasuredV()*a.cfg.SlowdownFactor, 0)
 			a.setState(StateHold)
 			a.retry.Cancel()
 			a.retry = a.sim.After(a.cfg.RetryInterval, func() {
@@ -325,7 +323,7 @@ func (a *Agent) sendExit() {
 	if a.exitBackoff <= 0 {
 		a.exitBackoff = a.cfg.ResponseTimeout
 	} else {
-		a.exitBackoff = math.Min(a.exitBackoff*2, a.cfg.MaxTimeout)
+		a.exitBackoff = min(a.exitBackoff*2, a.cfg.MaxTimeout)
 	}
 	a.exitRetry.Cancel()
 	a.exitRetry = a.sim.After(a.exitBackoff, a.sendExit)
