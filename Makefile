@@ -71,14 +71,15 @@ bench-report:
 	$(GO) run ./cmd/benchreport -out BENCH_$$n.json < bench-report.txt; \
 	rm -f bench-report.txt
 
-## policy-demo is the scheduler-registry acceptance gate: each of the new
-## policy families (dot, signalized, auction) drives a 2x2 grid of routed
-## journeys; crossroads-sim exits non-zero if any timed policy records a
-## collision or a buffer violation — or, for dot and auction, an incomplete
-## journey (fixed-time signals may legitimately strand a queue remnant at
-## cutoff).
+## policy-demo is the scheduler-registry acceptance gate: Crossroads and
+## the dot, signalized and auction families each drive a 2x2 grid of
+## routed journeys, then the scale-model rate sweep at the paper's ten
+## rates. Like every crossroads-sim run, each command gates on the run
+## verdict (sim.Result.Violations) and exits non-zero on any violation,
+## naming the failing cells.
 policy-demo:
 	$(GO) run ./cmd/crossroads-sim -grid 2x2 -seglen 12 -n 60 -seed 42 -workers 0 -policy crossroads,dot,signalized,auction -policy-opt dot.grid=12 -policy-opt signalized.green=8
+	$(GO) run ./cmd/crossroads-sim -scale -workers 0 -policy crossroads,dot,signalized,auction
 
 ## trace-demo runs a tiny traced sweep and validates the JSONL output
 ## against the schema — the end-to-end check for the observability layer.
@@ -100,16 +101,16 @@ corridor-demo:
 ## inter-node segments and the IM-to-IM coordination plane on, as the
 ## benchmark's grid workload does, for vt-im, aim, crossroads and batch
 ## (batch joins the plane's backpressure, flow digests and green-wave
-## floors through the shared VT core); crossroads-sim exits non-zero if
-## any timed policy records a collision, a buffer violation, or an
-## incomplete journey.
+## floors through the shared VT core); crossroads-sim exits non-zero on
+## any violation of the run verdict (sim.Result.Violations).
 grid-demo:
 	$(GO) run ./cmd/crossroads-sim -grid 3x3 -seglen 80 -n 60 -seed 42 -workers 0 -coord on -policy vt-im,aim,crossroads,batch
 
 ## chaos-demo runs the fault-injection robustness matrix (every named
-## scenario x every policy x seeds 1-3) and fails on any collision,
-## buffer violation, or stranded vehicle in the coordinated policies,
-## then validates a traced mixed-fault cell against the trace schema.
+## scenario x every policy x seeds 1-3) and fails on any violation of the
+## run verdict (sim.Result.Violations; under scripted faults a failsafe
+## stop is legal), then validates a traced mixed-fault cell against the
+## trace schema.
 chaos-demo:
 	$(GO) run ./cmd/crossroads-sim -faults matrix -seed 1 -workers 0
 	$(GO) run ./cmd/crossroads-sim -faults mix -seed 1 -workers 0 -trace chaos-demo.jsonl

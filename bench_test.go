@@ -354,9 +354,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 
 // BenchmarkPolicySweep runs one reduced flow sweep per scheduler family,
 // so each family's scheduling cost and traffic outcome land in the same
-// benchmark artifact. The reported outcome is the heaviest-rate cell's
-// (1.0 car/lane/s), the regime that separates the families; any collision
-// or buffer violation there fails the run.
+// benchmark artifact. The reported traffic outcome is the heaviest-rate
+// cell's (1.0 car/lane/s), the regime that separates the families; any
+// collision or buffer violation there fails the run. The whole sweep's
+// run verdicts (violations) and unspawned arrivals are reported, not
+// gated: dot's cells charge failsafe stops and unspawned arrivals.
 func BenchmarkPolicySweep(b *testing.B) {
 	for _, pol := range []string{"crossroads", "dot", "signalized", "auction"} {
 		b.Run(pol, func(b *testing.B) {
@@ -367,9 +369,11 @@ func BenchmarkPolicySweep(b *testing.B) {
 				Seed:        42,
 				Workers:     1,
 			}
+			var res sweep.Result
 			var last metrics.Summary
 			for i := 0; i < b.N; i++ {
-				res, err := sweep.Run(cfg)
+				var err error
+				res, err = sweep.Run(cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -379,9 +383,15 @@ func BenchmarkPolicySweep(b *testing.B) {
 						pol, last.Collisions, last.BufferViolations)
 				}
 			}
+			unspawned := 0
+			for _, c := range res.Results {
+				unspawned += c.Unspawned
+			}
 			b.ReportMetric(last.Throughput, "tput_veh_s")
 			b.ReportMetric(last.MeanWait, "mean_wait_s")
 			b.ReportMetric(float64(last.Collisions), "collisions")
+			b.ReportMetric(float64(res.Violations()), "violations")
+			b.ReportMetric(float64(unspawned), "unspawned")
 		})
 	}
 }
@@ -611,7 +621,7 @@ func BenchmarkGrid(b *testing.B) {
 // BenchmarkFaultMatrixMix runs the fault matrix's clean and mix columns
 // under Crossroads at seed 1: the cost of a fully scripted disruption run,
 // and the throughput the disruption leaves against the clean run. Any
-// collision, buffer violation or stranded vehicle fails it.
+// violation of the run verdict (sim.Result.Violations) fails it.
 func BenchmarkFaultMatrixMix(b *testing.B) {
 	cfg := sweep.FaultMatrixConfig{
 		Scenarios: []string{"mix"},
@@ -625,8 +635,8 @@ func BenchmarkFaultMatrixMix(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if v := r.SafetyViolations(); v != 0 {
-			b.Fatalf("%d safety violations", v)
+		if v := r.Violations(); v != 0 {
+			b.Fatalf("%d violations", v)
 		}
 		res = r
 	}

@@ -9,7 +9,9 @@
 // statistics plus a per-node breakdown. With -faults it runs the
 // fault-injection robustness matrix.
 //
-// Each mode rejects the flags it does not read (see modes).
+// Each mode rejects the flags it does not read (see modes). Every mode
+// gates on the run verdict (sweep.Runs.Gate): it names each cell with a
+// violation on stderr and exits 1, or prints one PASS line.
 //
 // Usage:
 //
@@ -135,19 +137,21 @@ func main() {
 	if err := f.profile.Start(); err != nil {
 		fail(err)
 	}
-	var v verdict
+	var runs sweep.Runs
 	switch m {
 	case faultMode:
-		v = runFaultMatrix(f, policies, policyParams)
+		runs = runFaultMatrix(f, policies, policyParams)
 	case topoMode:
-		v = runTopology(f, policies, policyParams)
+		runs = runTopology(f, policies, policyParams)
 	default:
-		runSweep(f, policies, policyParams)
+		runs = runSweep(f, policies, policyParams)
 	}
 	if err := f.profile.Stop(); err != nil {
 		fail(err)
 	}
-	v.gate()
+	if !runs.Gate(os.Stdout, os.Stderr) {
+		os.Exit(1)
+	}
 }
 
 func fail(err error) {
@@ -156,7 +160,7 @@ func fail(err error) {
 }
 
 // runSweep executes the Fig. 7.2 flow sweep.
-func runSweep(f *flags, policies []string, policyParams map[string]string) {
+func runSweep(f *flags, policies []string, policyParams map[string]string) sweep.Runs {
 	c := f.common
 	cfg := sweep.DefaultConfig()
 	cfg.NumVehicles = *f.n
@@ -195,13 +199,12 @@ func runSweep(f *flags, policies []string, policyParams map[string]string) {
 		writeTrace(res.Runs, c.TracePath)
 		fmt.Printf("%s", res.TraceSummary())
 	}
+	return res.Runs
 }
 
 // runFaultMatrix executes the robustness matrix: fault scenarios crossed
-// with every policy and three consecutive seeds. Its verdict fails the run
-// when any timed policy collides, violates a buffer, or strands a vehicle
-// — the matrix doubles as the resilience acceptance gate.
-func runFaultMatrix(f *flags, policies []string, policyParams map[string]string) verdict {
+// with every policy and three consecutive seeds.
+func runFaultMatrix(f *flags, policies []string, policyParams map[string]string) sweep.Runs {
 	c := f.common
 	cfg := sweep.FaultMatrixConfig{
 		Seeds:        []int64{c.Seed, c.Seed + 1, c.Seed + 2},
@@ -237,12 +240,11 @@ func runFaultMatrix(f *flags, policies []string, policyParams map[string]string)
 	if c.TracePath != "" {
 		writeTrace(res.Runs, c.TracePath)
 	}
-	return verdict{res.SafetyViolations(), "zero collisions, buffer violations, and stranded vehicles for timed policies"}
+	return res.Runs
 }
 
-// runTopology executes a multi-intersection run whose verdict, like the
-// fault matrix's, fails on any timed-policy safety violation.
-func runTopology(f *flags, policies []string, policyParams map[string]string) verdict {
+// runTopology executes a multi-intersection run.
+func runTopology(f *flags, policies []string, policyParams map[string]string) sweep.Runs {
 	c := f.common
 	topo, err := f.topo.Build()
 	if err != nil {
@@ -283,7 +285,7 @@ func runTopology(f *flags, policies []string, policyParams map[string]string) ve
 	if c.TracePath != "" {
 		writeTrace(res.Runs, c.TracePath)
 	}
-	return verdict{res.SafetyViolations(), "zero collisions, buffer violations, and incomplete journeys for timed policies"}
+	return res.Runs
 }
 
 func writeTrace(runs sweep.Runs, path string) {
@@ -292,26 +294,6 @@ func writeTrace(runs sweep.Runs, path string) {
 		os.Exit(1)
 	}
 	fmt.Printf("\nTrace written to %s\n", path)
-}
-
-// verdict is a gated run's outcome: its timed-policy safety violations
-// and the line it prints when there are none. The rate sweep has no gate
-// and returns the zero verdict.
-type verdict struct {
-	violations int
-	pass       string
-}
-
-// gate makes a run a safety gate: it exits non-zero on any timed-policy
-// safety violation and otherwise prints the pass line.
-func (v verdict) gate() {
-	if v.violations > 0 {
-		fmt.Fprintf(os.Stderr, "crossroads-sim: FAIL: %d safety violation(s) in timed policies\n", v.violations)
-		os.Exit(1)
-	}
-	if v.pass != "" {
-		fmt.Println("\nPASS: " + v.pass)
-	}
 }
 
 func emit(csv bool, t *metrics.Table) {

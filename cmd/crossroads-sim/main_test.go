@@ -67,6 +67,7 @@ func TestAcceptsDocumentedCommands(t *testing.T) {
 		{"-n 24 -summary", sweepMode},
 		{"-n 40 -trace sweep.jsonl", sweepMode},
 		{"-policy crossroads,dot,signalized,auction", sweepMode},
+		{"-scale -workers 0 -policy crossroads,dot,signalized,auction", sweepMode},
 		{"-n 8 -seed 7 -workers 1 -scale -trace trace-demo.jsonl", sweepMode},
 		{"-n 8 -seed 7 -workers 1 -scale -trace t.jsonl -trace-des", sweepMode},
 		{"-n 12 -scale -workers 0 -overhead -policy vt-im,aim,batch,crossroads -csv", sweepMode},

@@ -1,6 +1,8 @@
 // Command scale-model reproduces the paper's §7.1 physical experiment
 // (Fig. 7.1): the ten scale-model traffic scenarios run under the buffered
 // VT-IM and under Crossroads, comparing average wait (line-to-exit) times.
+// It gates on the run verdict (sweep.Runs.Gate): it names each cell with a
+// violation on stderr and exits 1, or prints one PASS line.
 //
 // Usage:
 //
@@ -88,5 +90,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("\nTrace written to %s\n%s", common.TracePath, res.TraceSummary())
+	}
+	if !res.Gate(os.Stdout, os.Stderr) {
+		os.Exit(1)
 	}
 }

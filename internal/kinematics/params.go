@@ -1,20 +1,14 @@
-// Package kinematics models the longitudinal and lateral motion of the
-// simulated vehicles.
+// Package kinematics models the longitudinal motion of the simulated
+// vehicles: their capabilities and dimensions (Params) and
+// piecewise-constant-acceleration velocity profiles (Profile). The
+// planners in this package implement the trajectory math of the
+// Crossroads paper (Chapter 6): the earliest time of arrival EToA given
+// maximum acceleration, and profiles that arrive at the intersection at an
+// exact target time with the highest feasible velocity.
 //
-// Longitudinal motion is described by piecewise-constant-acceleration
-// velocity profiles (Profile). The planners in this package implement the
-// trajectory math of the Crossroads paper (Chapter 6): the earliest time of
-// arrival EToA given maximum acceleration, and profiles that arrive at the
-// intersection at an exact target time with the highest feasible velocity.
-//
-// The simulated plants (internal/plant) move along each movement's path
-// by arc length, so no program integrates lateral motion. bicycle.go still
-// holds the kinematic bicycle model of the paper's eq. (7.1):
-//
-//	x' = v cos(phi),  y' = v sin(phi),  phi' = (v/l) tan(psi)
-//
-// with explicit Euler and RK4 integrators; nothing outside its tests
-// calls it.
+// Lateral motion is not integrated: the simulated plants (internal/plant)
+// move along each movement's path by arc length, in place of the paper's
+// kinematic bicycle model (eq. 7.1).
 package kinematics
 
 import (
@@ -32,7 +26,7 @@ type Params struct {
 	MaxDecel  float64 // m/s^2, magnitude of maximum braking deceleration
 	Length    float64 // m, vehicle body length
 	Width     float64 // m, vehicle body width
-	Wheelbase float64 // m, axle distance l in the bicycle model
+	Wheelbase float64 // m, axle distance; carried on the wire Request, not simulated
 }
 
 // Validate returns an error describing the first invalid field, or nil.

@@ -34,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative max time", Config{Policy: "crossroads", MaxSimTime: -1}, "MaxSimTime"},
 		{"negative clock offset", Config{Policy: "crossroads", ClockMaxOffset: -0.2}, "ClockMaxOffset"},
 		{"negative drift", Config{Policy: "crossroads", ClockMaxDriftPPM: -20}, "ClockMaxDriftPPM"},
-		{"negative collision stride", Config{Policy: "crossroads", CollisionEvery: -1}, "CollisionEvery"},
 		{"des firehose without recorder", Config{Policy: "crossroads", TraceDES: true}, "TraceDES"},
 		{"des firehose with recorder", Config{Policy: "crossroads", TraceDES: true, Trace: trace.NewFull()}, ""},
 		{"negative fault duration",

@@ -91,9 +91,6 @@ func WithPolicyParams(params map[string]string) Option {
 	return func(c *Config) { c.PolicyParams = params }
 }
 
-// WithCollisionEvery checks footprint overlaps every n physics ticks.
-func WithCollisionEvery(n int) Option { return func(c *Config) { c.CollisionEvery = n } }
-
 // WithObserver attaches a per-tick vehicle snapshot callback, invoked
 // every `every` physics ticks (0 means the default cadence).
 func WithObserver(fn func(now float64, vehicles []VehicleView), every int) Option {

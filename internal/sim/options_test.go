@@ -25,7 +25,6 @@ func TestNewConfigSetsFields(t *testing.T) {
 		WithMaxSimTime(45),
 		WithClockError(0.5, 40),
 		WithOmitRTDBuffer(),
-		WithCollisionEvery(4),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +40,6 @@ func TestNewConfigSetsFields(t *testing.T) {
 		ClockMaxOffset:   0.5,
 		ClockMaxDriftPPM: 40,
 		OmitRTDBuffer:    true,
-		CollisionEvery:   4,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("NewConfig mismatch:\n got %+v\nwant %+v", cfg, want)

@@ -166,7 +166,7 @@ func runAgainstReference(t *testing.T, cfg Config, arr []traffic.Arrival) refTal
 		}
 		held := len(ref.overlapping)+len(ref.bufOverlap) > 0
 		w.step(dt)
-		if w.tick%w.cfg.CollisionEvery == 0 {
+		if w.tick%collisionEvery == 0 {
 			pairs, paired := refCheckCollisions(w, ref)
 			tally.pairs += pairs
 			tally.refPoses += paired

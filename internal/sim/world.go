@@ -85,9 +85,6 @@ type Config struct {
 	// knob under the running policy's namespace fails scheduler
 	// construction with an error naming the policy and its known knobs.
 	PolicyParams map[string]string
-	// CollisionEvery checks footprint overlaps every N physics ticks;
-	// 0 means every 2 ticks.
-	CollisionEvery int
 	// Observer, if set, receives a snapshot of every active vehicle each
 	// ObserverEvery physics ticks (default every 10). Visualizers and
 	// examples use it; the snapshot slice is reused between calls.
@@ -142,9 +139,6 @@ func (cfg Config) Validate() error {
 		if !(k.v >= 0) || math.IsInf(k.v, 1) {
 			return fmt.Errorf("sim: %s %v is not a finite non-negative number", k.name, k.v)
 		}
-	}
-	if cfg.CollisionEvery < 0 {
-		return fmt.Errorf("sim: negative CollisionEvery %d", cfg.CollisionEvery)
 	}
 	if err := im.ValidateParams(cfg.PolicyParams); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -205,6 +199,34 @@ type Result struct {
 	// Stranded counts incomplete vehicles in any other state (moving, or
 	// worse, inside the box). A resilient policy keeps this at zero.
 	Stranded int
+	// Unspawned counts arrivals still deferred when the run ended: their
+	// lane's queue reached back to the transmission line until the
+	// horizon. They are in none of the counts above.
+	Unspawned int
+	// Violations is the run's verdict: the counts above that the policy
+	// is charged with (see violations). Zero means the run kept its
+	// contract.
+	Violations int
+}
+
+// violations is the one rule that says which of a run's counts fail it.
+// Every policy is charged its collisions and buffer violations, since the
+// world holds every policy to the same sensing-buffered contract. A policy
+// whose registry entry speaks the timed protocol commands each crossing,
+// so it is also charged its stranded vehicles and, in a run with no
+// scripted faults, its failsafe stops and unspawned arrivals; under faults
+// a failsafe stop is the designed degradation. The rule reads cfg.Policy,
+// not r.Policy, which is the scheduler's display name.
+func violations(cfg Config, r Result) int {
+	n := r.Summary.Collisions + r.Summary.BufferViolations
+	if e, err := im.LookupPolicy(cfg.Policy); err != nil || e.Protocol != im.ProtocolTimed {
+		return n
+	}
+	n += r.Stranded
+	if cfg.Faults == nil {
+		n += r.FailsafeStopped + r.Unspawned
+	}
+	return n
 }
 
 // vehState tracks one active vehicle along its route.
@@ -362,9 +384,6 @@ func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
 	}
 	if cfg.ClockMaxDriftPPM <= 0 {
 		cfg.ClockMaxDriftPPM = 20
-	}
-	if cfg.CollisionEvery <= 0 {
-		cfg.CollisionEvery = 2
 	}
 	x, err := intersection.New(cfg.Intersection)
 	if err != nil {
@@ -618,7 +637,7 @@ func (w *world) run() (Result, error) {
 	for k := range w.nodes {
 		perNode[k] = w.nodes[k].col.Summarize()
 	}
-	return Result{
+	res := Result{
 		Policy:          w.nodes[0].server.Scheduler().Name(),
 		Summary:         w.col.Summarize(),
 		Network:         st,
@@ -627,7 +646,10 @@ func (w *world) run() (Result, error) {
 		Incomplete:      incomplete,
 		FailsafeStopped: failsafe,
 		Stranded:        stranded,
-	}, nil
+		Unspawned:       len(w.arrivals) - w.spawned,
+	}
+	res.Violations = violations(w.cfg, res)
+	return res, nil
 }
 
 // route resolves an arrival's turn list against the topology.
@@ -1046,7 +1068,7 @@ func (w *world) step(dt float64) {
 	}
 	w.active = kept
 
-	if w.tick%w.cfg.CollisionEvery == 0 {
+	if w.tick%collisionEvery == 0 {
 		w.checkCollisions()
 	}
 	w.observe(now)
@@ -1188,6 +1210,11 @@ func clearTicks(gap, reach, perTick float64) int {
 	}
 	return int(n)
 }
+
+// collisionEvery is the safety check's cadence in physics ticks, 20 ms at
+// the default 10 ms step. It is fixed, so no setting can thin the check
+// every run's verdict rests on.
+const collisionEvery = 2
 
 // checkCollisions counts physical body overlaps (anywhere) and planning-
 // buffer overlaps between cross traffic near the box — the safety contract

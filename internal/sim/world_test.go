@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"crossroads/internal/fault"
+	"crossroads/internal/im"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/plant"
 	"crossroads/internal/traffic"
@@ -125,5 +127,78 @@ func TestDeterministicWithSeed(t *testing.T) {
 	r2 := run(t, Config{Policy: "crossroads", Seed: 6}, arr)
 	if r1.Summary.MeanWait != r2.Summary.MeanWait || r1.Summary.Messages != r2.Summary.Messages {
 		t.Errorf("same seed diverged: %+v vs %+v", r1.Summary, r2.Summary)
+	}
+}
+
+// TestViolationsRule pins the run verdict's one rule: which count fails a
+// run, per registry protocol, with faults scripted or not. Each count is
+// set alone, then all of them together. Signalized is charged like every
+// other timed policy, and the rule keys on cfg.Policy, not on the display
+// name in Result.Policy.
+func TestViolationsRule(t *testing.T) {
+	faults := &fault.Schedule{Windows: []fault.Window{{Kind: fault.Burst, Start: 1, Duration: 2}}}
+	policies := []struct {
+		name     string
+		protocol im.Protocol
+	}{
+		{"crossroads", im.ProtocolTimed},
+		{"batch", im.ProtocolTimed},
+		{"dot", im.ProtocolTimed},
+		{"signalized", im.ProtocolTimed},
+		{"auction", im.ProtocolTimed},
+		{"vt-im", im.ProtocolVelocity},
+		{"aim", im.ProtocolQuery},
+	}
+	// Whether a count is charged to a timed policy without and with
+	// faults, and to the other protocols either way.
+	counts := []struct {
+		name                     string
+		set                      func(*Result)
+		timedClean, timedFaulted bool
+		otherProtocols           bool
+	}{
+		{"collisions", func(r *Result) { r.Summary.Collisions = 3 }, true, true, true},
+		{"buffer violations", func(r *Result) { r.Summary.BufferViolations = 3 }, true, true, true},
+		{"stranded", func(r *Result) { r.Incomplete, r.Stranded = 3, 3 }, true, true, false},
+		{"failsafe stops", func(r *Result) { r.Incomplete, r.FailsafeStopped = 3, 3 }, true, false, false},
+		{"unspawned", func(r *Result) { r.Unspawned = 3 }, true, false, false},
+	}
+	for _, p := range policies {
+		e, err := im.LookupPolicy(p.name)
+		if err != nil || e.Protocol != p.protocol {
+			t.Fatalf("%s: registry protocol %v (%v), want %v", p.name, e.Protocol, err, p.protocol)
+		}
+		for _, faulted := range []bool{false, true} {
+			cfg := Config{Policy: p.name}
+			if faulted {
+				cfg.Faults = faults
+			}
+			all := Result{Policy: "display-name"}
+			wantAll := 0
+			for _, c := range counts {
+				r := Result{Policy: "display-name"}
+				c.set(&r)
+				c.set(&all)
+				charged := c.otherProtocols
+				if p.protocol == im.ProtocolTimed {
+					charged = c.timedClean
+					if faulted {
+						charged = c.timedFaulted
+					}
+				}
+				want := 0
+				if charged {
+					want = 3
+				}
+				wantAll += want
+				if got := violations(cfg, r); got != want {
+					t.Errorf("%s faulted=%v, %s alone: %d violations, want %d", p.name, faulted, c.name, got, want)
+				}
+			}
+			all.Incomplete = all.FailsafeStopped + all.Stranded
+			if got := violations(cfg, all); got != wantAll {
+				t.Errorf("%s faulted=%v, every count: %d violations, want %d", p.name, faulted, got, wantAll)
+			}
+		}
 	}
 }

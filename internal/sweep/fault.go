@@ -1,9 +1,10 @@
 // The robustness matrix: every fault scenario crossed with every policy and
 // several seeds, each cell an independent seeded simulation. The matrix is
-// the fault layer's acceptance harness — under every scripted disruption the
-// coordinated policies must keep zero collisions and zero buffer violations,
-// and every vehicle must either complete or end standing in a failsafe stop
-// (never stranded mid-intersection).
+// the fault layer's acceptance harness: under every scripted disruption
+// each cell must pass the run verdict (sim.Result.Violations), so no policy
+// collides or violates a buffer, and every vehicle of a timed policy either
+// completes or ends standing in a failsafe stop (never stranded
+// mid-intersection).
 
 package sweep
 
@@ -11,7 +12,6 @@ import (
 	"fmt"
 
 	"crossroads/internal/fault"
-	"crossroads/internal/im"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/metrics"
 	"crossroads/internal/sim"
@@ -74,39 +74,11 @@ func (r FaultMatrixResult) CleanThroughput(pi, wi int) float64 {
 	return r.Cell(0, pi, wi).Summary.Throughput
 }
 
-// timed reports whether a policy speaks the timed protocol, per its
-// registry entry: the policies the safety gates hold to zero.
-func timed(policy string) bool {
-	e, err := im.LookupPolicy(policy)
-	return err == nil && e.Protocol == im.ProtocolTimed
-}
-
-// SafetyViolations counts the hard failures of the timed (commanded-
-// trajectory) policies — crossroads, batch, dot, signalized, auction —
-// across the whole matrix: collisions, buffer violations, and stranded
-// vehicles. The acceptance bar is zero. VT-IM and AIM are exempt: their
-// protocols predate the committed-rebook machinery the bar depends on.
-func (r FaultMatrixResult) SafetyViolations() int {
-	n := 0
-	for si := range r.Scenarios {
-		for pi, pol := range r.Policies {
-			if !timed(pol) {
-				continue
-			}
-			for wi := range r.Seeds {
-				c := r.Cell(si, pi, wi)
-				n += c.Summary.Collisions + c.Summary.BufferViolations + c.Stranded
-			}
-		}
-	}
-	return n
-}
-
 // Table renders every cell with its throughput relative to the same
 // (policy, seed) clean baseline.
 func (r FaultMatrixResult) Table() *metrics.Table {
-	t := metrics.NewTable("scenario", "policy", "seed", "tput", "tput/clean",
-		"coll", "bufviol", "failsafe", "stranded", "dropped", "dup")
+	headers := append([]string{"scenario", "policy", "seed", "tput", "tput/clean"}, safetyColumns...)
+	t := metrics.NewTable(append(headers, "dropped", "dup")...)
 	for si, scen := range r.Scenarios {
 		for pi, pol := range r.Policies {
 			for wi, seed := range r.Seeds {
@@ -115,9 +87,8 @@ func (r FaultMatrixResult) Table() *metrics.Table {
 				if base := r.CleanThroughput(pi, wi); base > 0 {
 					rel = c.Summary.Throughput / base
 				}
-				t.AddRow(scen, pol, seed, c.Summary.Throughput, rel,
-					c.Summary.Collisions, c.Summary.BufferViolations, c.FailsafeStopped, c.Stranded,
-					c.Network.Dropped, c.Network.Duplicated)
+				row := append([]any{scen, pol, seed, c.Summary.Throughput, rel}, safetyCells(c)...)
+				t.AddRow(append(row, c.Network.Dropped, c.Network.Duplicated)...)
 			}
 		}
 	}
@@ -128,11 +99,11 @@ func (r FaultMatrixResult) Table() *metrics.Table {
 // view EXPERIMENTS.md reports.
 func (r FaultMatrixResult) SummaryTable() *metrics.Table {
 	t := metrics.NewTable("scenario", "policy", "tput/clean",
-		"coll", "bufviol", "incomplete", "failsafe", "stranded")
+		"coll", "bufviol", "incomplete", "failsafe", "stranded", "unspawned")
 	for si, scen := range r.Scenarios {
 		for pi, pol := range r.Policies {
 			var rel float64
-			var coll, buf, inc, fs, str int
+			var coll, buf, inc, fs, str, uns int
 			n := 0
 			for wi := range r.Seeds {
 				c := r.Cell(si, pi, wi)
@@ -145,11 +116,12 @@ func (r FaultMatrixResult) SummaryTable() *metrics.Table {
 				inc += c.Incomplete
 				fs += c.FailsafeStopped
 				str += c.Stranded
+				uns += c.Unspawned
 			}
 			if n > 0 {
 				rel /= float64(n)
 			}
-			t.AddRow(scen, pol, rel, coll, buf, inc, fs, str)
+			t.AddRow(scen, pol, rel, coll, buf, inc, fs, str, uns)
 		}
 	}
 	return t

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 
 // TestFaultMatrixAcceptance runs the full robustness matrix — every named
 // scenario x all four policies x three seeds — and asserts the fault
-// layer's acceptance bar: the coordinated policies (Crossroads, batch) keep
-// zero collisions, zero buffer violations, and zero stranded vehicles in
-// every cell, and every vehicle either completes or ends in a failsafe
-// stop.
+// layer's acceptance bar: every cell passes the run verdict (no policy
+// collides or violates a buffer), the coordinated policies (Crossroads,
+// batch) strand no vehicle, and every vehicle either completes or ends in
+// a failsafe stop.
 func TestFaultMatrixAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full robustness matrix")
@@ -26,8 +27,8 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 	if len(res.Scenarios) < 5 || res.Scenarios[0] != CleanScenario {
 		t.Fatalf("scenarios = %v, want clean plus the named set", res.Scenarios)
 	}
-	if n := res.SafetyViolations(); n != 0 {
-		t.Errorf("SafetyViolations() = %d, want 0\n%s", n, res.Table().String())
+	if n := res.Violations(); n != 0 {
+		t.Errorf("Violations() = %d, want 0\n%s", n, res.Table().String())
 	}
 	for si, scen := range res.Scenarios {
 		for pi, p := range res.Policies {
@@ -54,6 +55,56 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 				t.Errorf("clean/%s/seed=%d not clean: %+v", pol, seed, c.Summary)
 			}
 		}
+	}
+}
+
+// TestFaultSafetyViolations pins the matrix's share of the run verdict:
+// Violations sums the cells' verdicts, and the gate names each failing
+// cell by its "<scenario>/<policy>/seed=<seed>" label, the same cell that
+// Cell indexes. The verdicts are set by hand as sim.violations fills them
+// (TestViolationsRule pins that rule): a timed policy's failsafe stops
+// count in the clean column and not under a scripted fault, and AIM is
+// charged its collisions and buffer violations but not its stranded
+// vehicles.
+func TestFaultSafetyViolations(t *testing.T) {
+	res, err := RunFaultMatrix(FaultMatrixConfig{
+		Scenarios:   []string{"dup"},
+		Policies:    []string{"crossroads", "aim"},
+		Seeds:       []int64{1, 2},
+		NumVehicles: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Violations(); n != 0 {
+		t.Fatalf("Violations() = %d, want 0\n%s", n, res.Table().String())
+	}
+	set := func(label string, r sim.Result) {
+		i := slices.Index(res.Labels, label)
+		if i < 0 {
+			t.Fatalf("no cell labelled %q in %v", label, res.Labels)
+		}
+		res.Results[i] = r
+	}
+	set("clean/crossroads/seed=2", sim.Result{Incomplete: 3, FailsafeStopped: 3, Violations: 3})
+	set("dup/crossroads/seed=1", sim.Result{Incomplete: 4, FailsafeStopped: 4})
+	set("dup/aim/seed=1", sim.Result{Summary: metrics.Summary{Collisions: 1, BufferViolations: 1},
+		Incomplete: 2, Stranded: 2, Violations: 2})
+	if got := res.Cell(1, 1, 0).Violations; got != 2 {
+		t.Errorf("Cell(dup, aim, seed=1).Violations = %d, want 2", got)
+	}
+	if got, want := res.Violations(), 3+2; got != want {
+		t.Errorf("Violations() = %d, want %d", got, want)
+	}
+	var out, errs strings.Builder
+	if res.Gate(&out, &errs) {
+		t.Error("gate passed a matrix with failing cells")
+	}
+	want := "FAIL clean/crossroads/seed=2: coll=0 bufviol=0 failsafe=3 stranded=0 unspawned=0 violations=3\n" +
+		"FAIL dup/aim/seed=1: coll=1 bufviol=1 failsafe=0 stranded=2 unspawned=0 violations=2\n" +
+		"FAIL: 5 violation(s) in 2 of 8 cells\n"
+	if errs.String() != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", errs.String(), want)
 	}
 }
 
@@ -111,33 +162,5 @@ func TestFaultMatrixTables(t *testing.T) {
 	}
 	if base := res.CleanThroughput(0, 0); base <= 0 {
 		t.Errorf("CleanThroughput = %v, want > 0", base)
-	}
-}
-
-// TestFaultSafetyViolations pins the matrix's safety gate on hand-built
-// cells: timed policies are charged collisions, buffer violations, and
-// stranded vehicles, but not failsafe stops; VT-IM and AIM are not
-// charged at all.
-func TestFaultSafetyViolations(t *testing.T) {
-	cell := func(coll, buf, failsafe, stranded int) sim.Result {
-		return sim.Result{
-			Summary:         metrics.Summary{Collisions: coll, BufferViolations: buf},
-			Incomplete:      failsafe + stranded,
-			FailsafeStopped: failsafe,
-			Stranded:        stranded,
-		}
-	}
-	// Two scenarios x three policies x one seed, in cell order.
-	r := FaultMatrixResult{
-		Runs: Runs{Results: []sim.Result{
-			cell(0, 0, 0, 0), cell(1, 1, 1, 1), cell(0, 0, 4, 0),
-			cell(0, 0, 0, 0), cell(0, 2, 0, 3), cell(5, 5, 5, 5),
-		}},
-		Scenarios: []string{CleanScenario, "mix"},
-		Policies:  []string{"crossroads", "batch", "aim"},
-		Seeds:     []int64{1},
-	}
-	if got, want := r.SafetyViolations(), 1+1+1+2+3; got != want {
-		t.Errorf("SafetyViolations() = %d, want %d", got, want)
 	}
 }

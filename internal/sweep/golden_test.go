@@ -133,7 +133,7 @@ func goldenFaultMatrix(t *testing.T) []goldenCell {
 	}
 	out = append(out, goldenCell{
 		Label:  "safety",
-		Fields: map[string]string{"violations": strconv.Itoa(res.SafetyViolations())},
+		Fields: map[string]string{"violations": strconv.Itoa(res.Violations())},
 	})
 	return out
 }
@@ -171,7 +171,7 @@ func goldenTopology(t *testing.T) []goldenCell {
 	}
 	out = append(out, goldenCell{
 		Label:  "safety",
-		Fields: map[string]string{"violations": strconv.Itoa(res.SafetyViolations())},
+		Fields: map[string]string{"violations": strconv.Itoa(res.Violations())},
 	})
 	return out
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 
 	"crossroads/internal/intersection"
@@ -49,6 +50,50 @@ type Runs struct {
 	// Traces holds each cell's full-retention recorder when the
 	// experiment's TraceFull is set (nil otherwise).
 	Traces []*trace.Recorder
+}
+
+// Violations sums the cells' verdicts (sim.Result.Violations); zero means
+// every cell kept its contract.
+func (r Runs) Violations() int {
+	n := 0
+	for _, c := range r.Results {
+		n += c.Violations
+	}
+	return n
+}
+
+// Gate is every run command's verdict. With a violation in any cell it
+// writes each failing cell's label and safety counts to stderr, then the
+// total, and returns false; the command then exits non-zero. Otherwise it
+// writes one PASS line to stdout and returns true.
+func (r Runs) Gate(stdout, stderr io.Writer) bool {
+	failing := 0
+	for i, c := range r.Results {
+		if c.Violations == 0 {
+			continue
+		}
+		failing++
+		fmt.Fprintf(stderr, "FAIL %s:", r.Labels[i])
+		for k, v := range safetyCells(c) {
+			fmt.Fprintf(stderr, " %s=%v", safetyColumns[k], v)
+		}
+		fmt.Fprintln(stderr)
+	}
+	if failing > 0 {
+		fmt.Fprintf(stderr, "FAIL: %d violation(s) in %d of %d cells\n", r.Violations(), failing, len(r.Results))
+		return false
+	}
+	fmt.Fprintf(stdout, "\nPASS: 0 violations in %d cells\n", len(r.Results))
+	return true
+}
+
+// safetyColumns head the safety counts of every table that shows them, in
+// the order safetyCells gives one cell's values.
+var safetyColumns = []string{"coll", "bufviol", "failsafe", "stranded", "unspawned", "violations"}
+
+func safetyCells(c sim.Result) []any {
+	return []any{c.Summary.Collisions, c.Summary.BufferViolations, c.FailsafeStopped, c.Stranded,
+		c.Unspawned, c.Violations}
 }
 
 // runCells simulates every cell on up to sh.workers goroutines.

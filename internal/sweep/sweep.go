@@ -137,11 +137,14 @@ func (r Result) ThroughputTable() *metrics.Table {
 // OverheadTable renders the computation/network comparison (paper: AIM up
 // to ~16x compute and ~20x traffic versus the velocity-transaction IMs).
 func (r Result) OverheadTable() *metrics.Table {
-	t := metrics.NewTable("rate", "policy", "messages", "bytes", "IM calls", "IM busy (s)", "retries/veh")
+	t := metrics.NewTable(append([]string{"rate", "policy", "messages", "bytes", "IM calls", "IM busy (s)",
+		"retries/veh"}, safetyColumns...)...)
 	for ri, rate := range r.Rates {
 		for pi, pol := range r.Policies {
-			s := r.Cell(ri, pi).Summary
-			t.AddRow(rate, pol, s.Messages, s.Bytes, s.SchedulerInvocations, s.SchedulerSimDelay, s.MeanRetries)
+			c := r.Cell(ri, pi)
+			s := c.Summary
+			t.AddRow(append([]any{rate, pol, s.Messages, s.Bytes, s.SchedulerInvocations, s.SchedulerSimDelay,
+				s.MeanRetries}, safetyCells(c)...)...)
 		}
 	}
 	return t

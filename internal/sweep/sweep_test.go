@@ -102,10 +102,51 @@ func TestSweepTables(t *testing.T) {
 		}
 	}
 	ov := res.OverheadTable().String()
-	for _, want := range []string{"messages", "IM calls", "retries/veh"} {
+	for _, want := range []string{"messages", "IM calls", "retries/veh", "unspawned", "violations"} {
 		if !strings.Contains(ov, want) {
 			t.Errorf("overhead table missing %q", want)
 		}
+	}
+}
+
+// TestGateNamesFailingCells hands the gate three cells, one of them
+// failing: it must name exactly that cell with its counts on stderr, print
+// no PASS line, and fail; with the cell cleared it must print one PASS
+// line and nothing on stderr.
+func TestGateNamesFailingCells(t *testing.T) {
+	r := Runs{
+		Labels: []string{"rate=0.1/vt-im", "rate=0.4/crossroads", "rate=0.4/dot"},
+		Results: []sim.Result{
+			{Summary: metrics.Summary{Collisions: 0}},
+			{Summary: metrics.Summary{Collisions: 1, BufferViolations: 2},
+				FailsafeStopped: 3, Stranded: 4, Unspawned: 5, Violations: 15},
+			{Incomplete: 1, FailsafeStopped: 1, Unspawned: 2},
+		},
+	}
+	var out, errs strings.Builder
+	if r.Gate(&out, &errs) {
+		t.Error("gate passed a failing cell")
+	}
+	want := "FAIL rate=0.4/crossroads: coll=1 bufviol=2 failsafe=3 stranded=4 unspawned=5 violations=15\n" +
+		"FAIL: 15 violation(s) in 1 of 3 cells\n"
+	if errs.String() != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", errs.String(), want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("stdout of a failing gate: %q", out.String())
+	}
+
+	r.Results[1] = sim.Result{}
+	out.Reset()
+	errs.Reset()
+	if !r.Gate(&out, &errs) {
+		t.Error("gate failed clean cells")
+	}
+	if got := out.String(); got != "\nPASS: 0 violations in 3 cells\n" {
+		t.Errorf("stdout: %q", got)
+	}
+	if errs.Len() != 0 {
+		t.Errorf("stderr of a passing gate: %q", errs.String())
 	}
 }
 

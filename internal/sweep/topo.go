@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"crossroads/internal/im/signalized"
 	"crossroads/internal/metrics"
 	"crossroads/internal/sim"
 	"crossroads/internal/topology"
@@ -102,37 +101,16 @@ func RunTopology(cfg TopoConfig) (TopoResult, error) {
 	return TopoResult{Runs: runs, Topology: cfg.Topology, Policies: policies}, nil
 }
 
-// SafetyViolations counts the hard failures of the timed (commanded-
-// trajectory) policies over the topology: collisions, buffer violations,
-// and incomplete journeys. The acceptance bar is zero. Signalized is exempt
-// from the incomplete count only: a fixed-time signal legitimately leaves
-// queue remnants when demand exceeds its cycle capacity, but it must never
-// collide. VT-IM and AIM are exempt, as in the fault matrix.
-func (r TopoResult) SafetyViolations() int {
-	n := 0
-	for pi, pol := range r.Policies {
-		if !timed(pol) {
-			continue
-		}
-		c := r.Cell(pi)
-		n += c.Summary.Collisions + c.Summary.BufferViolations
-		if pol != signalized.PolicyName {
-			n += c.Incomplete
-		}
-	}
-	return n
-}
-
 // JourneyTable renders the end-to-end comparison: route-level wait, travel,
 // throughput, overhead, and safety per policy.
 func (r TopoResult) JourneyTable() *metrics.Table {
-	t := metrics.NewTable("policy", "veh", "done", "mean wait (s)", "p95 wait (s)",
-		"mean travel (s)", "tput (veh/s)", "messages", "IM calls", "collisions", "buf viol", "incomplete")
+	t := metrics.NewTable(append([]string{"policy", "veh", "done", "mean wait (s)", "p95 wait (s)",
+		"mean travel (s)", "tput (veh/s)", "messages", "IM calls"}, safetyColumns...)...)
 	for pi, pol := range r.Policies {
 		c := r.Cell(pi)
 		j := c.Summary
-		t.AddRow(pol, j.Vehicles, j.Completed, j.MeanWait, j.P95Wait, j.MeanTravel, j.Throughput,
-			j.Messages, j.SchedulerInvocations, j.Collisions, j.BufferViolations, c.Incomplete)
+		t.AddRow(append([]any{pol, j.Vehicles, j.Completed, j.MeanWait, j.P95Wait, j.MeanTravel, j.Throughput,
+			j.Messages, j.SchedulerInvocations}, safetyCells(c)...)...)
 	}
 	return t
 }

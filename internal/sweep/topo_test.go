@@ -1,11 +1,12 @@
 package sweep
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
-	"crossroads/internal/metrics"
 	"crossroads/internal/sim"
 	"crossroads/internal/topology"
 )
@@ -48,6 +49,52 @@ func TestRunTopologyCorridor(t *testing.T) {
 	}
 	if s := res.PerNodeTable().String(); !strings.Contains(s, "vt-im") {
 		t.Error("per-node table missing vt-im rows")
+	}
+}
+
+// TestTopoSafetyViolations pins the topology run's share of the run
+// verdict. No policy is exempt: on a small corridor every registered
+// policy, signalized included, completes its fleet with a zero verdict and
+// the gate passes. A verdict set on one cell makes the gate name exactly
+// that cell by its "<topology>/<policy>" label.
+func TestTopoSafetyViolations(t *testing.T) {
+	topo, err := topology.Line(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunTopology(TopoConfig{
+		Topology:    topo.WithSegmentLen(0.8),
+		Rate:        0.3,
+		NumVehicles: 18,
+		Policies:    []string{"crossroads", "batch", "dot", "signalized", "auction", "vt-im", "aim"},
+		ScaleModel:  true,
+		Noisy:       true,
+		Seed:        11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, pol := range res.Policies {
+		c := res.Cell(pi)
+		if c.Violations != 0 || c.Summary.Completed != 18 || c.Unspawned != 0 {
+			t.Errorf("%s: violations=%d completed=%d unspawned=%d, want 0, 18, 0",
+				pol, c.Violations, c.Summary.Completed, c.Unspawned)
+		}
+	}
+	var out, errs strings.Builder
+	if !res.Gate(&out, &errs) || errs.Len() != 0 {
+		t.Fatalf("gate failed a clean corridor:\n%s", errs.String())
+	}
+
+	res.Results[slices.Index(res.Policies, "signalized")] = sim.Result{Incomplete: 2, Stranded: 2, Violations: 2}
+	out.Reset()
+	if res.Gate(&out, &errs) {
+		t.Error("gate passed a failing signalized cell")
+	}
+	want := fmt.Sprintf("FAIL %s/signalized: coll=0 bufviol=0 failsafe=0 stranded=2 unspawned=0 violations=2\n"+
+		"FAIL: 2 violation(s) in 1 of 7 cells\n", res.Topology)
+	if errs.String() != want {
+		t.Errorf("stderr:\n%s\nwant:\n%s", errs.String(), want)
 	}
 }
 
@@ -119,49 +166,5 @@ func TestRunTopologySingleMatchesClassicSweep(t *testing.T) {
 	// collector, so everything matches.
 	if j != n {
 		t.Errorf("journey and node summaries differ on a single-node run:\n journey: %+v\n node:    %+v", j, n)
-	}
-}
-
-// TestTopoSafetyViolations pins the topology safety gate on hand-built
-// cells: timed policies are charged collisions, buffer violations, and
-// incomplete journeys; signalized is charged everything but incomplete
-// journeys; VT-IM and AIM are not charged at all.
-func TestTopoSafetyViolations(t *testing.T) {
-	cell := func(pol string, coll, buf, inc int) sim.Result {
-		return sim.Result{
-			Policy:     pol,
-			Summary:    metrics.Summary{Collisions: coll, BufferViolations: buf},
-			Incomplete: inc,
-		}
-	}
-	cases := []struct {
-		name string
-		pol  string
-		cell sim.Result
-		want int
-	}{
-		{"clean crossroads", "crossroads", cell("crossroads", 0, 0, 0), 0},
-		{"crossroads collision", "crossroads", cell("crossroads", 1, 0, 0), 1},
-		{"crossroads buffer violation", "crossroads", cell("crossroads", 0, 2, 0), 2},
-		{"dot incomplete", "dot", cell("dot", 0, 0, 3), 3},
-		{"auction all three", "auction", cell("auction", 1, 2, 3), 6},
-		{"signalized incomplete exempt", "signalized", cell("signalized", 0, 0, 5), 0},
-		{"signalized buffer violation", "signalized", cell("signalized", 1, 1, 5), 2},
-		{"vt-im exempt", "vt-im", cell("vt-im", 1, 1, 1), 0},
-		{"aim exempt", "aim", cell("aim", 1, 1, 1), 0},
-	}
-	var all TopoResult
-	wantAll := 0
-	for _, tc := range cases {
-		r := TopoResult{Runs: Runs{Results: []sim.Result{tc.cell}}, Policies: []string{tc.pol}}
-		if got := r.SafetyViolations(); got != tc.want {
-			t.Errorf("%s: SafetyViolations() = %d, want %d", tc.name, got, tc.want)
-		}
-		all.Policies = append(all.Policies, tc.pol)
-		all.Results = append(all.Results, tc.cell)
-		wantAll += tc.want
-	}
-	if got := all.SafetyViolations(); got != wantAll {
-		t.Errorf("all cells: SafetyViolations() = %d, want %d", got, wantAll)
 	}
 }

@@ -88,25 +88,24 @@ var (
 	RunSim = sim.Run
 
 	// Simulation options, mirrored from internal/sim.
-	WithPolicy         = sim.WithPolicy
-	WithSeed           = sim.WithSeed
-	WithIntersection   = sim.WithIntersection
-	WithTopology       = sim.WithTopology
-	WithSpec           = sim.WithSpec
-	WithCost           = sim.WithCost
-	WithDelay          = sim.WithDelay
-	WithLossProb       = sim.WithLossProb
-	WithFaults         = sim.WithFaults
-	WithNoise          = sim.WithNoise
-	WithPhysicsDt      = sim.WithPhysicsDt
-	WithMaxSimTime     = sim.WithMaxSimTime
-	WithClockError     = sim.WithClockError
-	WithOmitRTDBuffer  = sim.WithOmitRTDBuffer
-	WithPolicyParams   = sim.WithPolicyParams
-	WithCollisionEvery = sim.WithCollisionEvery
-	WithObserver       = sim.WithObserver
-	WithTrace          = sim.WithTrace
-	WithDESTrace       = sim.WithDESTrace
+	WithPolicy        = sim.WithPolicy
+	WithSeed          = sim.WithSeed
+	WithIntersection  = sim.WithIntersection
+	WithTopology      = sim.WithTopology
+	WithSpec          = sim.WithSpec
+	WithCost          = sim.WithCost
+	WithDelay         = sim.WithDelay
+	WithLossProb      = sim.WithLossProb
+	WithFaults        = sim.WithFaults
+	WithNoise         = sim.WithNoise
+	WithPhysicsDt     = sim.WithPhysicsDt
+	WithMaxSimTime    = sim.WithMaxSimTime
+	WithClockError    = sim.WithClockError
+	WithOmitRTDBuffer = sim.WithOmitRTDBuffer
+	WithPolicyParams  = sim.WithPolicyParams
+	WithObserver      = sim.WithObserver
+	WithTrace         = sim.WithTrace
+	WithDESTrace      = sim.WithDESTrace
 )
 
 // Experiment entry points: the rate sweeps, topology sweeps, fault

@@ -78,7 +78,9 @@ func TestSimEntryPoint(t *testing.T) {
 
 // TestRegisteredTimedPolicyRunsEverywhere registers a timed policy through
 // the facade and runs it where the built-ins run: one simulation, and a
-// topology sweep over a 2x2 grid, whose safety gate counts it as timed.
+// topology sweep over a 2x2 grid. The run verdict charges it as timed: a
+// run cut before its last arrivals charges their unspawned count to it,
+// and not to vt-im.
 func TestRegisteredTimedPolicyRunsEverywhere(t *testing.T) {
 	const name = "facade-test-timed"
 	crossroads.RegisterPolicy(name, crossroads.PolicyEntry{
@@ -124,10 +126,37 @@ func TestRegisteredTimedPolicyRunsEverywhere(t *testing.T) {
 		t.Errorf("grid: completed %d of 12, collisions %d, buffer violations %d, incomplete %d",
 			c.Summary.Completed, c.Summary.Collisions, c.Summary.BufferViolations, c.Incomplete)
 	}
-	// The gate must see the policy as timed: a cell with a collision counts.
-	topo.Results[0].Summary.Collisions = 1
-	if v := topo.SafetyViolations(); v != 1 {
-		t.Errorf("safety gate counts %d violation(s) in a colliding cell of a timed policy, want 1", v)
+	if v := topo.Violations(); v != 0 {
+		t.Errorf("grid: %d violations in a clean run", v)
+	}
+
+	// Scenario 10 spawns a vehicle every 4 s from t=0 to t=16; a horizon
+	// at t=10 leaves the last two unspawned.
+	sparse, err := traffic.ScaleScenario(10, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []string{name, "vt-im"} {
+		cfg, err := crossroads.NewSimConfig(crossroads.WithPolicy(pol), crossroads.WithSeed(7),
+			crossroads.WithMaxSimTime(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := crossroads.RunSim(cfg, sparse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := res.Summary; s.Collisions != 0 || s.BufferViolations != 0 || res.Unspawned == 0 {
+			t.Errorf("%s cut at t=10: collisions %d, buffer violations %d, unspawned %d; want 0, 0, > 0",
+				pol, s.Collisions, s.BufferViolations, res.Unspawned)
+		}
+		if pol == name && res.Violations < res.Unspawned {
+			t.Errorf("%s cut at t=10: %d violations, want at least its %d unspawned", pol, res.Violations, res.Unspawned)
+		}
+		if pol == "vt-im" && res.Violations != 0 {
+			t.Errorf("vt-im cut at t=10: %d violations, want its %d unspawned counted but not charged",
+				res.Violations, res.Unspawned)
+		}
 	}
 }
 
